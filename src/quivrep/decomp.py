@@ -109,7 +109,8 @@ def minimal_polynomial(mat):
     prev = cols[:-1]
     mprev = Mat(field, [list(r) for r in zip(*prev)], n * n, len(prev))
     sol = mprev.solve_right(Mat.column(field, cols[-1]))
-    assert sol is not None
+    if sol is None:
+        raise QuivrepError("Krylov powers are dependent but the last is not in the span")
     coeffs = [field.neg(sol.rows[i][0]) for i in range(len(prev))]
     coeffs.append(field.one())
     return coeffs  # ascending: c0 + c1 x + ... + x^d

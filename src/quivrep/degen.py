@@ -212,7 +212,8 @@ def eventual_splitting(cert, n):
     # retraction: the U-projection of U_n descends because phi^n = 0
     proj_u = _last_block_projection(lad, rz, n)
     r = tn.quot.induce_from(proj_u)
-    assert h_n.then(r) == ModHom.identity(rz.u)
+    if h_n.then(r) != ModHom.identity(rz.u):
+        raise QuivrepError("U-projection does not retract U -> Y[%d]" % n)
     # square edges
     s = tn.quot.induce(lad.w_maps[n], tn1.quot)
     b = lad.vertical_composite(1, n + 1).then(tn1.proj)  # U_1 -> Y[n+1]

@@ -1,6 +1,7 @@
 """Small standard algebras and modules used by the built-in scenarios."""
 
 from .algebra import AlgebraPresentation, Quiver, projective
+from .errors import QuivrepError
 from .linalg import QQ, Mat
 from .rep import ModHom, Rep, hom_space
 
@@ -67,7 +68,8 @@ def kronecker_regular_seed(alg):
     pa, _ = projective(alg, "a")
     pb, _ = projective(alg, "b")
     homs = hom_space(pb, pa)
-    assert len(homs) == 2
+    if len(homs) != 2:
+        raise QuivrepError("Hom(P(b), P(a)) must be 2-dimensional, got %d" % len(homs))
     return homs[0], homs[1]
 
 

@@ -374,7 +374,8 @@ def ladder_seed_from_simple(ext, s_incl):
     if section is None:
         return None
     v = section.then(sq.f)
-    assert v.then(q_u) == s_incl
+    if v.then(q_u) != s_incl:
+        raise QuivrepError("split of the pulled-back sequence does not lift S -> H")
     return w, v, q_u
 
 

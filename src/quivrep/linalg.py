@@ -4,9 +4,27 @@ Everything downstream sits on this kernel.  Scalars are `fractions.Fraction`
 over the rationals and plain ints reduced mod p over GF(p); there is no
 floating point anywhere.  Pivoting is deterministic (first nonzero entry in
 column order) so all outputs are reproducible bit for bit.
+
+A `Mat` over Q stores rows of `Fraction`, but the two hot operations do no
+`Fraction` arithmetic inside their loops.  The product turns each row of the
+left factor and each column of the right factor into integer numerators over
+one common denominator (the lcm of the entries' denominators), takes every
+entry as one integer dot product, and builds a single `Fraction` from it.
+Row reduction scales each row to primitive integers and runs Gauss-Jordan
+fraction-free, in the spirit of Bareiss (1968): a pivot p clears an entry f
+of another row by `row <- (p/g) row - (f/g) pivot_row` with g = gcd(p, f),
+after which the row is divided by the gcd of its entries.  Only at the end
+is each pivot row divided by its pivot.  Scaling a row by a nonzero integer
+leaves its zero pattern unchanged, so the pivots and row swaps are those of
+the `Fraction` algorithm; and the reduced row echelon form of a matrix is
+unique, so the result, and with it every null-space, solution and quotient
+basis built from it, is the same matrix bit for bit.  GF(p) keeps its direct
+modular loops.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+import operator
 
 from .errors import QuivrepError
 
@@ -40,6 +58,8 @@ class Field:
 
     def conv(self, x):
         """Coerce an int / Fraction / literal string into the field."""
+        if type(x) is Fraction and not self.p:
+            return x
         if isinstance(x, str):
             return self.parse(x)
         if self.p:
@@ -280,11 +300,7 @@ class Mat:
                 for row in self.rows
             ]
         else:
-            bt = other.transpose().rows
-            rows = [
-                [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in bt]
-                for row in self.rows
-            ]
+            rows = _mul_q(self.rows, other.rows, other.ncols)
         out = Mat.__new__(Mat)
         out.field, out.nrows, out.ncols = f, self.nrows, other.ncols
         out.rows = rows
@@ -313,38 +329,11 @@ class Mat:
         pivot is the first row with a nonzero entry in the current column.
         """
         f = self.field
-        zero = f.zero()
-        m = self.copy_rows()
         nrows, ncols = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pr = None
-            for i in range(r, nrows):
-                if m[i][c] != zero:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = f.inv(m[r][c])
-            if inv != f.one():
-                mul = f.mul
-                m[r] = [mul(inv, x) for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c] != zero:
-                    factor = m[i][c]
-                    rowr = m[r]
-                    rowi = m[i]
-                    if f.p:
-                        p = f.p
-                        m[i] = [(a - factor * b) % p for a, b in zip(rowi, rowr)]
-                    else:
-                        m[i] = [a - factor * b for a, b in zip(rowi, rowr)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
+        if f.p:
+            r, pivots, m = _rref_gf(f, self.copy_rows(), nrows, ncols)
+        else:
+            r, pivots, m = _rref_q(self.rows, nrows, ncols)
         out = Mat.__new__(Mat)
         out.field, out.nrows, out.ncols, out.rows = f, nrows, ncols, m
         return r, pivots, out
@@ -401,38 +390,6 @@ class Mat:
             return None
         return x
 
-    def det(self):
-        """Determinant by fraction-free-ish elimination (exact)."""
-        if self.nrows != self.ncols:
-            raise QuivrepError("determinant of non-square matrix")
-        f = self.field
-        n = self.nrows
-        m = self.copy_rows()
-        det = f.one()
-        zero = f.zero()
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if m[i][c] != zero:
-                    pr = i
-                    break
-            if pr is None:
-                return zero
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = f.neg(det)
-            det = f.mul(det, m[c][c])
-            inv = f.inv(m[c][c])
-            for i in range(c + 1, n):
-                if m[i][c] != zero:
-                    factor = f.mul(m[i][c], inv)
-                    if f.p:
-                        p = f.p
-                        m[i] = [(a - factor * b) % p for a, b in zip(m[i], m[c])]
-                    else:
-                        m[i] = [a - factor * b for a, b in zip(m[i], m[c])]
-        return det
-
     def column_space(self):
         """Canonical (echelonized) basis of the column space, as columns."""
         rank, _, red = self.transpose().rref()
@@ -455,15 +412,6 @@ class Mat:
         out.rows = [row[:] for row in self.rows] + [row[:] for row in other.rows]
         return out
 
-    def submatrix(self, row_idx, col_idx):
-        out = Mat.__new__(Mat)
-        out.field, out.nrows, out.ncols = self.field, len(row_idx), len(col_idx)
-        out.rows = [[self.rows[i][j] for j in col_idx] for i in row_idx]
-        return out
-
-    def to_lists(self):
-        return [row[:] for row in self.rows]
-
     def fmt(self):
         f = self.field
         return [[f.fmt(x) for x in row] for row in self.rows]
@@ -472,42 +420,123 @@ class Mat:
         return "Mat(%s, %dx%d)" % (self.field, self.nrows, self.ncols)
 
 
-def block_matrix(field, blocks):
-    """Assemble a matrix from a 2d grid of Mats (None = zero block).
+# Shared values for small integers: most entries of the paper's matrices are
+# 0 or small integers, and a Fraction is immutable.
+_SMALL = {i: Fraction(i) for i in range(-64, 65)}
+_ZERO = _SMALL[0]
 
-    Row/column sizes are inferred; every row of blocks must be consistent.
-    """
-    nbr = len(blocks)
-    nbc = len(blocks[0]) if nbr else 0
-    row_sizes = [None] * nbr
-    col_sizes = [None] * nbc
-    for i in range(nbr):
-        for j in range(nbc):
-            b = blocks[i][j]
-            if b is None:
-                continue
-            if row_sizes[i] is None:
-                row_sizes[i] = b.nrows
-            elif row_sizes[i] != b.nrows:
-                raise QuivrepError("block row size mismatch")
-            if col_sizes[j] is None:
-                col_sizes[j] = b.ncols
-            elif col_sizes[j] != b.ncols:
-                raise QuivrepError("block col size mismatch")
-    if any(s is None for s in row_sizes) or any(s is None for s in col_sizes):
-        raise QuivrepError("cannot infer block sizes (give explicit zero Mats)")
-    total = Mat.zeros(field, sum(row_sizes), sum(col_sizes))
-    roff = 0
-    for i in range(nbr):
-        coff = 0
-        for j in range(nbc):
-            b = blocks[i][j]
-            if b is not None:
-                for r in range(b.nrows):
-                    total.rows[roff + r][coff : coff + b.ncols] = [x for x in b.rows[r]]
-            coff += col_sizes[j]
-        roff += row_sizes[i]
-    return total
+
+def _fraction(num, den=1):
+    """Fraction(num, den), shared when it is a small integer."""
+    if den == 1:
+        x = _SMALL.get(num)
+        return x if x is not None else Fraction(num)
+    return Fraction(num, den)
+
+
+def _int_row(row):
+    """(integer numerators, common denominator) of a row of rationals."""
+    dens = [x.denominator for x in row]
+    den = lcm(*dens)
+    nums = [x.numerator for x in row]
+    if den == 1:
+        return nums, 1
+    return [n * (den // d) for n, d in zip(nums, dens)], den
+
+
+def _mul_q(a_rows, b_rows, ncols):
+    """Rows of A * B over Q, A and B given by their rows, B with ncols columns."""
+    if not b_rows:
+        return [[_ZERO] * ncols for _ in a_rows]
+    cols = []
+    for col in zip(*b_rows):
+        ints, den = _int_row(col)
+        cols.append((ints, den) if any(ints) else None)
+    out = []
+    for row in a_rows:
+        ra, da = _int_row(row)
+        if not any(ra):
+            out.append([_ZERO] * ncols)
+            continue
+        out_row = []
+        for col in cols:
+            dot = sum(map(operator.mul, ra, col[0])) if col is not None else 0
+            out_row.append(_fraction(dot, da * col[1]) if dot else _ZERO)
+        out.append(out_row)
+    return out
+
+
+def _rref_gf(f, m, nrows, ncols):
+    """(rank, pivots, rows of the RREF) over GF(p); reduces the rows `m` in place."""
+    zero = f.zero()
+    p = f.p
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c] != zero:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = f.inv(m[r][c])
+        if inv != f.one():
+            mul = f.mul
+            m[r] = [mul(inv, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != zero:
+                factor = m[i][c]
+                rowr = m[r]
+                rowi = m[i]
+                m[i] = [(a - factor * b) % p for a, b in zip(rowi, rowr)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots, m
+
+
+def _rref_q(rows, nrows, ncols):
+    """(rank, pivots, rows of the RREF) over Q, by fraction-free Gauss-Jordan."""
+    m = []
+    for row in rows:
+        ints = _int_row(row)[0]
+        g = gcd(*ints)
+        m.append([x // g for x in ints] if g > 1 else ints)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        rowr = m[r]
+        p = rowr[c]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(m[i], rowr)]
+                g = gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = []
+    for i in range(r):
+        row = m[i]
+        p = row[pivots[i]]
+        out.append([_fraction(x, p) if x else _ZERO for x in row])
+    out += [[_ZERO] * ncols for _ in range(r, nrows)]
+    return r, pivots, out
 
 
 def rref(a):
@@ -668,7 +697,8 @@ def smith_normal_form(rows):
                 right[r][i] = -right[r][i]
             a[i][i] = -a[i][i]
     # drop trailing structure: keep full diagonal (zeros allowed)
-    assert abs(_int_det(left)) == 1 and abs(_int_det(right)) == 1
+    if abs(_int_det(left)) != 1 or abs(_int_det(right)) != 1:
+        raise QuivrepError("Smith normal form transforms are not unimodular")
     return SNFResult(d, left, right)
 
 

@@ -326,7 +326,9 @@ def _solve_one_sided(f, side):
         return None
     h = _unvec_hom(dom, cod, sol.col(0))
     if side == "retraction":
-        assert f.then(h) == ModHom.identity(m)
+        ok = f.then(h) == ModHom.identity(m)
     else:
-        assert h.then(f) == ModHom.identity(n)
+        ok = h.then(f) == ModHom.identity(n)
+    if not ok:
+        raise QuivrepError("solved %s is not a one-sided inverse" % side)
     return h

@@ -32,8 +32,9 @@ def _random_rep(alg, rng, maxdim=3, allow_zero=False):
     return rep.Rep(alg, dims, action)
 
 
-def _random_hom(m, n, rng, span=2):
-    basis = rep.hom_space(m, n)
+def _random_hom(m, n, rng, span=2, basis=None):
+    if basis is None:
+        basis = rep.hom_space(m, n)
     out = rep.ModHom.zero_hom(m, n)
     for b in basis:
         c = m.algebra.field.random(rng, span)
@@ -43,8 +44,9 @@ def _random_hom(m, n, rng, span=2):
 
 
 def _random_mono(m, n, rng, tries=40):
+    basis = rep.hom_space(m, n)
     for _ in range(tries):
-        h = _random_hom(m, n, rng)
+        h = _random_hom(m, n, rng, basis=basis)
         if h.is_injective():
             return h
     return None

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import QQ as SymQQ
+from sympy.polys.matrices import DomainMatrix
 
 from quivrep.errors import QuivrepError
 from quivrep.linalg import (
@@ -154,3 +156,113 @@ def test_field_literals():
         QQ.parse("1/-2")
     with pytest.raises(QuivrepError):
         GF(4)
+
+
+# ---------------------------------------------------------------------------
+# The Q kernel against sympy's DomainMatrix over QQ.
+
+q_entry = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-5, max_value=5).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+)
+
+
+@st.composite
+def q_matrices(draw, nrows=None, ncols=None):
+    """Rational matrices with zero rows and rows dependent on earlier ones."""
+    m = draw(st.integers(min_value=0, max_value=5)) if nrows is None else nrows
+    n = draw(st.integers(min_value=0, max_value=5)) if ncols is None else ncols
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["free", "free", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * n)
+        elif kind == "dependent" and rows:
+            i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            j = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            c = draw(q_entry)
+            rows.append([c * x + y for x, y in zip(rows[i], rows[j])])
+        else:
+            rows.append(draw(st.lists(q_entry, min_size=n, max_size=n)))
+    return Mat(QQ, rows, m, n)
+
+
+def _dm(a):
+    rows = [[SymQQ(x.numerator, x.denominator) for x in row] for row in a.rows]
+    return DomainMatrix(rows, a.shape, SymQQ)
+
+
+def _from_dm(d):
+    return Mat(QQ, [[Fraction(x.numerator, x.denominator) for x in row] for row in d.to_list()],
+               *d.shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_q_product_matches_sympy(data):
+    a = data.draw(q_matrices())
+    b = data.draw(q_matrices(nrows=a.ncols))
+    prod = a * b
+    assert prod.shape == (a.nrows, b.ncols)
+    assert prod == _from_dm(_dm(a) * _dm(b))
+    assert all(type(x) is Fraction for row in prod.rows for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_matrices())
+def test_q_rref_matches_sympy(a):
+    rank, pivots, red = a.rref()
+    ref, ref_pivots = _dm(a).rref()
+    assert rank == len(ref_pivots) == _dm(a).rank()
+    assert pivots == list(ref_pivots)
+    assert red == _from_dm(ref)
+    assert all(type(x) is Fraction for row in red.rows for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_matrices())
+def test_q_null_space_matches_sympy(a):
+    basis = a.null_space()
+    ref = _dm(a).nullspace()  # basis vectors as rows
+    assert basis.shape == (a.ncols, ref.shape[0])
+    assert (a * basis).is_zero()
+    if basis.ncols:
+        # same span: both bases have the same reduced row echelon form
+        assert _dm(basis.transpose()).rref()[0] == ref.rref()[0]
+        # canonical: the identity on the free coordinates
+        free = [c for c in range(a.ncols) if c not in a.rref()[1]]
+        assert [basis.rows[c] for c in free] == Mat.identity(QQ, len(free)).rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_q_solve_right_matches_sympy(data):
+    a = data.draw(q_matrices())
+    k = data.draw(st.integers(min_value=0, max_value=3))
+    if data.draw(st.booleans()):
+        b = a * data.draw(q_matrices(nrows=a.ncols, ncols=k))  # consistent
+    else:
+        b = data.draw(q_matrices(nrows=a.nrows, ncols=k))
+    x = a.solve_right(b)
+    consistent = _dm(a).rank() == _dm(a.hstack(b)).rank()
+    if not consistent:
+        assert x is None
+        return
+    assert x is not None and x.shape == (a.ncols, b.ncols)
+    assert _dm(a) * _dm(x) == _dm(b)
+    # canonical: every free variable is zero
+    pivots = _dm(a).rref()[1]
+    for c in range(a.ncols):
+        if c not in pivots:
+            assert all(v == 0 for v in x.rows[c])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(lambda n: q_matrices(nrows=n, ncols=n)))
+def test_q_inverse_matches_sympy(a):
+    inv = a.inverse()
+    if _dm(a).rank() < a.nrows:
+        assert inv is None
+    else:
+        assert inv == _from_dm(_dm(a).inv())
