@@ -1,22 +1,34 @@
 """Endomorphism algebras, indecomposability certificates, Krull-Remak-Schmidt
 decomposition, and isomorphism testing.
 
-Splitting search: candidate endomorphisms (the hom basis, pairwise sums and
-seeded random combinations) are tested through exact factorization of their
-minimal polynomials; two coprime factors give a generalized-kernel splitting.
+`is_indecomposable` decides in this order, over Q and over every GF(p):
 
-Indecomposability certificates, in order of attempt: dim End = 1; End/J
-one-dimensional for a directly verified nilpotent ideal J (trace-form kernel,
-sound in any characteristic once verified); End/J a field generated by one
-element with irreducible minimal polynomial; over small prime fields,
-exhaustive idempotent search.  Anything else raises Inconclusive, which
-never silently maps to a verdict.
+1. `end-dim-1`: dim End = 1.
+2. `local-residue-1`: the kernel J of the trace form (f, g) -> tr(fg) on End
+   has codimension 1 and is verified directly to be a nilpotent two-sided
+   ideal.  Then End/J is the ground field, so End is local.  Verification
+   fails when p divides dim M (the identity then lies in J).
+3. `split`: candidate endomorphisms (the hom basis, pairwise sums and
+   seeded random combinations) are tested through exact factorization of
+   their minimal polynomials; two coprime factors give a generalized-kernel
+   splitting with inclusion and projection witnesses.
+4. `local-residue-field`: J verified as in 2, and End/J a field generated by
+   one element with irreducible minimal polynomial.
+5. Over GF(p) with p^dim End <= 2^16: exhaustive search for a nontrivial
+   idempotent, giving `no-idempotents-exhaustive` or a split.
+
+Anything else raises Inconclusive, which never silently maps to a verdict.
+Locality comes before the search because no candidate can split a local
+module.  Step 2 draws no random numbers, so the search sees the same
+candidates as without it.  Over Q the trace-form kernel of a decomposable
+module has codimension at least 2 (orthogonal idempotents have nonzero
+traces), so split verdicts never pay for the verification.
+
+sympy is imported by `factor_polynomial` only, when a search needs it.
 """
 
 import random
 from fractions import Fraction
-
-import sympy
 
 from .errors import AlgebraMismatch, Inconclusive, QuivrepError, ZeroModule
 from .linalg import Mat
@@ -24,6 +36,7 @@ from .rep import (
     ModHom,
     Submodule,
     annihilator_dimension,
+    combine,
     hom_space,
     vec_hom,
 )
@@ -62,12 +75,7 @@ class EndAlgebra:
         return sol.col(0)
 
     def from_coordinates(self, coords):
-        field = self.module.algebra.field
-        out = ModHom.zero_hom(self.module, self.module)
-        for c, b in zip(coords, self.basis):
-            if c != field.zero():
-                out = out + b.scale(c)
-        return out
+        return combine(coords, self.basis, self.module, self.module)
 
 
 def end_algebra(m):
@@ -118,6 +126,8 @@ def minimal_polynomial(mat):
 
 def factor_polynomial(coeffs, field):
     """Factor an exact univariate polynomial; [(coeffs, multiplicity)]."""
+    import sympy  # the only user; importing quivrep stays cheap without it
+
     x = sympy.Symbol("x")
     if field.p:
         poly = sympy.Poly(
@@ -136,20 +146,6 @@ def factor_polynomial(coeffs, field):
         else:
             conv = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in reversed(cs)]
         out.append((conv, int(mult)))
-    return out
-
-
-def eval_poly(coeffs, mat):
-    """coeffs ascending; evaluates sum c_i mat^i."""
-    field = mat.field
-    n = mat.nrows
-    out = Mat.zeros(field, n, n)
-    power = Mat.identity(field, n)
-    for i, c in enumerate(coeffs):
-        if c != field.zero():
-            out = out + power.scale(c)
-        if i + 1 < len(coeffs):
-            power = power * mat
     return out
 
 
@@ -193,36 +189,36 @@ def _split_by_hom(m, h):
             powered = _poly_mul(field, powered, fac)
         op = eval_poly_hom(powered, h)
         basis = {v: op.blocks[v].null_space() for v in m.dims}
-        sub = Submodule(m, basis)
-        rep, incl = sub.inclusion_rep()
-        parts.append((rep, incl))
-    if sum(p[0].total_dim() for p in parts) != m.total_dim():
+        parts.append(Submodule(m, basis).inclusion_rep())
+    return _summands(m, parts)
+
+
+def _summands(m, parts):
+    """SummandData for M as the direct sum of the (rep, inclusion) parts, the
+    projections read off the inverse of the concatenated bases; None when the
+    parts do not form a decomposition with nonzero summands."""
+    if any(rep.is_zero() for rep, _ in parts):
         return None
-    if any(p[0].is_zero() for p in parts):
+    if sum(rep.total_dim() for rep, _ in parts) != m.total_dim():
         return None
-    # projections: invert the concatenated basis per vertex
-    big = {}
+    field = m.algebra.field
+    inverses = {}
     for v in m.dims:
-        cols = None
-        for rep, incl in parts:
-            b = incl.blocks[v]
-            cols = b if cols is None else cols.hstack(b)
-        inv = cols.inverse()
-        if inv is None:
+        cols = parts[0][1].blocks[v]
+        for _, incl in parts[1:]:
+            cols = cols.hstack(incl.blocks[v])
+        inverses[v] = cols.inverse()
+        if inverses[v] is None:
             return None
-        big[v] = inv
     out = []
-    off = {v: 0 for v in m.dims}
+    off = dict.fromkeys(m.dims, 0)
     for rep, incl in parts:
         proj_blocks = {}
         for v in m.dims:
             k = rep.dims[v]
-            rows = [big[v].rows[off[v] + i] for i in range(k)]
-            proj_blocks[v] = Mat(field, rows, k, m.dims[v])
-        proj = ModHom(m, rep, proj_blocks)
-        out.append(SummandData(rep, incl, proj))
-        for v in m.dims:
-            off[v] += rep.dims[v]
+            proj_blocks[v] = Mat(field, inverses[v].rows[off[v] : off[v] + k], k, m.dims[v])
+            off[v] += k
+        out.append(SummandData(rep, incl, ModHom(m, rep, proj_blocks)))
     return out
 
 
@@ -244,45 +240,40 @@ def _candidate_endos(end, rng, count=48):
         for j in range(i + 1, min(len(end.basis), i + 4)):
             yield end.basis[i] + end.basis[j]
     for _ in range(count):
-        h = ModHom.zero_hom(end.module, end.module)
-        for b in end.basis:
-            c = field.random(rng, span=3)
-            if c != field.zero():
-                h = h + b.scale(c)
-        yield h
+        yield end.from_coordinates([field.random(rng, span=3) for _ in end.basis])
 
 
-def _end_radical_q(end):
-    """Trace-form kernel; verified to be a nilpotent ideal before use."""
+def _end_radical(end):
+    """The kernel of the trace form of End, as a basis of endomorphisms.
+
+    It is the Jacobson radical only once `_is_nilpotent_ideal` has verified
+    it.  The Gram matrix comes from the vertex blocks in one product:
+    tr(fg) = sum over vertices v and entries (k, l) of f_v[k][l] * g_v[l][k].
+    """
     field = end.module.algebra.field
-    n = end.dim
-    gram = Mat.zeros(field, n, n)
-    mats = [total_matrix(b) for b in end.basis]
-    for i in range(n):
-        for j in range(n):
-            prod = mats[i] * mats[j]
-            tr = field.zero()
-            for k in range(prod.nrows):
-                tr = field.add(tr, prod.rows[k][k])
-            gram.rows[i][j] = tr
-    rad_coords = gram.null_space()  # columns: coordinates of radical elements
-    rad = [end.from_coordinates(rad_coords.col(j)) for j in range(rad_coords.ncols)]
-    # verify: two-sided ideal and nilpotent
+    verts = end.module.algebra.quiver.vertices
+    flat = [vec_hom(b) for b in end.basis]
+    flat_t = [[x for v in verts for c in b.blocks[v].columns() for x in c] for b in end.basis]
+    n, size = end.dim, len(flat[0])
+    gram = Mat.wrap(field, flat, n, size) * Mat.wrap(field, [list(r) for r in zip(*flat_t)], size, n)
+    coords = gram.null_space()
+    return [end.from_coordinates(coords.col(j)) for j in range(coords.ncols)]
+
+
+def _is_nilpotent_ideal(end, rad):
+    """True iff the span of `rad` is a two-sided ideal of End whose powers reach zero."""
     for r in rad:
         for b in end.basis:
             for prod in (r.then(b), b.then(r)):
                 if _coords_outside(end, rad, prod):
-                    return None
-    # nilpotency of the ideal: powers J^k as subspaces must reach zero
+                    return False
     layer = _reduce_span(rad)
     for _ in range(end.dim + 1):
         if not layer:
             break
         nxt = [r.then(s) for r in layer for s in rad]
         layer = _reduce_span([h for h in nxt if not h.is_zero()])
-    if layer:
-        return None
-    return rad
+    return not layer
 
 
 def _reduce_span(homs):
@@ -392,8 +383,17 @@ def _s_is_field_certificate(end, rad, rng):
 def is_indecomposable(m, seed=0):
     """(verdict, certificate); certificate explains the decision.
 
-    Raises Inconclusive when neither a splitting nor a locality certificate
-    is found (never happens on the shipped fixtures).
+    Certificates, in order of attempt (see the module docstring), each over
+    Q and every GF(p) unless noted:
+
+    - ("end-dim-1",)
+    - ("local-residue-1",)
+    - ("split", [SummandData, ...]), from the seeded candidate search
+    - ("local-residue-field", dim End/J)
+    - over GF(p) with p^dim End <= 2^16 only: ("no-idempotents-exhaustive",),
+      or a split from the exhaustive search
+
+    Raises Inconclusive when none applies (never on the shipped fixtures).
     """
     if m.is_zero():
         raise ZeroModule("indecomposability of the zero module")
@@ -401,27 +401,24 @@ def is_indecomposable(m, seed=0):
     end = EndAlgebra(m)
     if end.dim == 1:
         return True, ("end-dim-1",)
+    rad = _end_radical(end)
+    dim_s = end.dim - len(rad)
+    if dim_s == 1 and _is_nilpotent_ideal(end, rad):
+        return True, ("local-residue-1",)
     for h in _candidate_endos(end, rng):
         parts = _split_by_hom(m, h)
         if parts is not None:
             return False, ("split", parts)
+    if dim_s > 1 and _is_nilpotent_ideal(end, rad) and _s_is_field_certificate(end, rad, rng):
+        return True, ("local-residue-field", dim_s)
     field = m.algebra.field
-    if field.p == 0:
-        rad = _end_radical_q(end)
-        if rad is not None:
-            dim_s = end.dim - len(rad)
-            if dim_s == 1:
-                return True, ("local-residue-1",)
-            if _s_is_field_certificate(end, rad, rng):
-                return True, ("local-residue-field", dim_s)
-    else:
-        if field.p ** end.dim <= 1 << 16:
-            idem = _exhaustive_idempotent(end)
-            if idem is None:
-                return True, ("no-idempotents-exhaustive",)
-            parts = _split_by_idempotent(m, idem)
-            if parts is not None:
-                return False, ("split", parts)
+    if field.p and field.p ** end.dim <= 1 << 16:
+        idem = _exhaustive_idempotent(end)
+        if idem is None:
+            return True, ("no-idempotents-exhaustive",)
+        parts = _split_by_idempotent(m, idem)
+        if parts is not None:
+            return False, ("split", parts)
     raise Inconclusive(
         "cannot certify indecomposability: dim End = %d over %s" % (end.dim, field)
     )
@@ -453,37 +450,11 @@ def _exhaustive_idempotent(end):
 
 def _split_by_idempotent(m, e):
     """Split M = im(e) + ker(e) with inclusion/projection witnesses."""
-    field = m.algebra.field
-    one_minus = ModHom.identity(m) - e
     parts = []
-    for op in (e, one_minus):
+    for op in (e, ModHom.identity(m) - e):
         basis = {v: op.blocks[v].column_space() for v in m.dims}
-        sub = Submodule(m, basis)
-        rep, incl = sub.inclusion_rep()
-        parts.append((rep, incl))
-    if any(p[0].is_zero() for p in parts) or sum(
-        p[0].total_dim() for p in parts
-    ) != m.total_dim():
-        return None
-    big = {}
-    for v in m.dims:
-        cols = parts[0][1].blocks[v].hstack(parts[1][1].blocks[v])
-        inv = cols.inverse()
-        if inv is None:
-            return None
-        big[v] = inv
-    out = []
-    off = {v: 0 for v in m.dims}
-    for rep, incl in parts:
-        proj_blocks = {}
-        for v in m.dims:
-            k = rep.dims[v]
-            rows = [big[v].rows[off[v] + i] for i in range(k)]
-            proj_blocks[v] = Mat(field, rows, k, m.dims[v])
-        out.append(SummandData(rep, incl, ModHom(m, rep, proj_blocks)))
-        for v in m.dims:
-            off[v] += rep.dims[v]
-    return out
+        parts.append(Submodule(m, basis).inclusion_rep())
+    return _summands(m, parts)
 
 
 def split_indecomposable_parts(m, seed=0):
@@ -583,7 +554,7 @@ def are_isomorphic(m, n, seed=0, trials=64):
     h = len(homs)
     if field.p and field.p ** h <= 1 << 16:
         for combo in _all_coeff_tuples(field.p, h):
-            cand = _combine(homs, [field.conv(c) for c in combo])
+            cand = combine(combo, homs, m, n)
             if cand.is_isomorphism():
                 return IsoReport("isomorphic", cand)
         return IsoReport("not-isomorphic", refutation="no invertible hom (exhaustive)")
@@ -598,12 +569,12 @@ def are_isomorphic(m, n, seed=0, trials=64):
         for _ in range(h):
             coefs.append(power)
             power = field.mul(power, tval)
-        cand = _combine(homs, coefs)
+        cand = combine(coefs, homs, m, n)
         if cand.is_isomorphism():
             return IsoReport("isomorphic", cand)
     for _ in range(trials):
         coefs = [field.random(rng, span=7) for _ in range(h)]
-        cand = _combine(homs, coefs)
+        cand = combine(coefs, homs, m, n)
         if cand.is_isomorphism():
             return IsoReport("isomorphic", cand)
     return IsoReport("inconclusive")
@@ -618,15 +589,6 @@ def _all_coeff_tuples(p, h):
             tup.append(v % p)
             v //= p
         yield tup
-
-
-def _combine(homs, coefs):
-    out = ModHom.zero_hom(homs[0].source, homs[0].target)
-    field = homs[0].source.algebra.field
-    for c, b in zip(coefs, homs):
-        if c != field.zero():
-            out = out + b.scale(c)
-    return out
 
 
 def match_decompositions(m, n, seed=0):

@@ -20,6 +20,8 @@ from .rep import (
     ModHom,
     QuotientData,
     cokernel_data,
+    combine,
+    hom_coordinates,
     hom_space,
     kernel,
     submodule_from_hom_image,
@@ -382,48 +384,12 @@ def ladder_seed_from_simple(ext, s_incl):
 def _solve_factorization(through, target):
     """Solve t o through = target for t: through.target -> target.target."""
     homs = hom_space(through.target, target.target)
-    if not homs:
-        return None if not target.is_zero() else ModHom.zero_hom(through.target, target.target)
-    # linear system in hom coordinates
-    composites = [through.then(hcand) for hcand in homs]
-    coords = _linear_combination_matching(composites, target)
-    if coords is None:
-        return None
-    out = ModHom.zero_hom(through.target, target.target)
-    for c, hcand in zip(coords, homs):
-        if c != hcand.source.algebra.field.zero():
-            out = out + hcand.scale(c)
-    return out
+    coords = hom_coordinates([through.then(hcand) for hcand in homs], target)
+    return None if coords is None else combine(coords, homs, through.target, target.target)
 
 
 def _solve_factorization_through(given, target):
     """Find x: target.source -> given.source with x.then(given) == target."""
     homs = hom_space(target.source, given.source)
-    if not homs:
-        return None if not target.is_zero() else ModHom.zero_hom(target.source, given.source)
-    composites = [hcand.then(given) for hcand in homs]
-    coords = _linear_combination_matching(composites, target)
-    if coords is None:
-        return None
-    out = ModHom.zero_hom(target.source, given.source)
-    for c, hcand in zip(coords, homs):
-        if c != hcand.source.algebra.field.zero():
-            out = out + hcand.scale(c)
-    return out
-
-
-def _linear_combination_matching(candidates, target):
-    """Coefficients making sum c_i * candidates_i == target, or None."""
-    from .linalg import Mat
-    from .rep import vec_hom
-
-    field = target.source.algebra.field
-    cols = [vec_hom(c) for c in candidates]
-    rhs = vec_hom(target)
-    if not cols or not cols[0]:
-        return [field.zero()] * len(candidates) if all(x == field.zero() for x in rhs) else None
-    mat = Mat(field, [list(r) for r in zip(*cols)], len(cols[0]), len(cols))
-    sol = mat.solve_right(Mat.column(field, rhs))
-    if sol is None:
-        return None
-    return sol.col(0)
+    coords = hom_coordinates([hcand.then(given) for hcand in homs], target)
+    return None if coords is None else combine(coords, homs, target.source, given.source)

@@ -182,6 +182,14 @@ class Mat:
         self.rows = data
 
     @staticmethod
+    def wrap(field, rows, nrows, ncols):
+        """A Mat on `rows` as given: the entries must already be elements of
+        `field`, since they are neither coerced nor copied."""
+        m = Mat.__new__(Mat)
+        m.field, m.nrows, m.ncols, m.rows = field, nrows, ncols, rows
+        return m
+
+    @staticmethod
     def zeros(field, nrows, ncols):
         z = field.zero()
         m = Mat.__new__(Mat)

@@ -55,9 +55,6 @@ class Rep:
     def total_dim(self):
         return sum(self.dims.values())
 
-    def dim_vector(self):
-        return tuple(self.dims[v] for v in self.algebra.quiver.vertices)
-
     def is_zero(self):
         return self.total_dim() == 0
 
@@ -194,9 +191,6 @@ class ModHom:
             check=False,
         )
 
-    def rank_vector(self):
-        return {v: b.rank() for v, b in self.blocks.items()}
-
     def __repr__(self):
         return "ModHom(%s -> %s)" % (self.source.dims, self.target.dims)
 
@@ -236,9 +230,6 @@ class Submodule:
         sub = Rep(amb.algebra, self.dims, action)
         incl = ModHom(sub, amb, dict(self.basis))
         return sub, incl
-
-    def contains_vector(self, v, vec):
-        return self.basis[v].solve_right(Mat.column(self.ambient.algebra.field, vec)) is not None
 
 
 def _check_same_algebra(*reps):
@@ -323,17 +314,42 @@ def vec_hom(h):
     return out
 
 
+def combine(coeffs, homs, source, target):
+    """The hom sum c_i * h_i: source -> target, for homs from source to target.
+
+    Each vertex block is one exact product: the row of nonzero coefficients
+    times their homs' blocks, flattened and stacked one hom per row.
+    """
+    if len(coeffs) != len(homs):
+        raise QuivrepError("%d coefficients for %d homs" % (len(coeffs), len(homs)))
+    field = source.algebra.field
+    terms = [(c, h) for c, h in zip(map(field.conv, coeffs), homs) if c]
+    blocks = {}
+    if terms:
+        row = Mat.wrap(field, [[c for c, _ in terms]], 1, len(terms))
+        for v in source.algebra.quiver.vertices:
+            nrows, ncols = target.dims[v], source.dims[v]
+            if nrows and ncols:
+                stacked = [[x for r in h.blocks[v].rows for x in r] for _, h in terms]
+                flat = (row * Mat.wrap(field, stacked, len(terms), nrows * ncols)).rows[0]
+                blocks[v] = Mat.wrap(
+                    field, [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)], nrows, ncols
+                )
+    return ModHom(source, target, blocks, check=False)
+
+
 def hom_coordinates(basis, h):
-    """Coordinates of h in the given hom-space basis, or None."""
+    """Coordinates c, one per element of `basis`, with sum c_i * basis_i == h,
+    or None when h is not in their span.  Free coordinates are zero, so the
+    answer is canonical; `combine` maps it back to h."""
     if not basis:
         return [] if h.is_zero() else None
     field = h.source.algebra.field
+    rhs = vec_hom(h)
     cols = [vec_hom(b) for b in basis]
-    mat = Mat(field, [list(col) for col in zip(*cols)], len(cols[0]), len(cols))
-    sol = mat.solve_right(Mat.column(field, vec_hom(h)))
-    if sol is None:
-        return None
-    return sol.col(0)
+    mat = Mat.wrap(field, [list(r) for r in zip(*cols)], len(rhs), len(cols))
+    sol = mat.solve_right(Mat.wrap(field, [[x] for x in rhs], len(rhs), 1))
+    return None if sol is None else sol.col(0)
 
 
 def kernel(f):
@@ -487,11 +503,6 @@ def hom_from_blocks(sum_src, sum_tgt, blocks):
     for (i, j), h in blocks.items():
         total = total + src_projs[j].then(h).then(tgt_injs[i])
     return total
-
-
-def direct_sum_hom(sum_src, sum_tgt, homs):
-    """Diagonal sum of maps between matching direct sum decompositions."""
-    return hom_from_blocks(sum_src, sum_tgt, {(i, i): h for i, h in enumerate(homs)})
 
 
 def submodule_closure(ambient, generators):

@@ -40,10 +40,6 @@ class Report:
         }
 
 
-def _dims(m):
-    return {v: m.dims[v] for v in m.algebra.quiver.vertices}
-
-
 def scenario_kronecker(depth=6, seed=0):
     """Regular ladder on the Kronecker algebra: truncation growth and
     indecomposability, plus the split case."""

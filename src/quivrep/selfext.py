@@ -12,7 +12,9 @@ from .errors import NotStandard, QuivrepError, ZeroModule
 from .linalg import Mat
 from .rep import (
     ModHom,
+    combine,
     direct_sum,
+    hom_coordinates,
     hom_space,
     kernel,
     radical,
@@ -124,24 +126,8 @@ def _hom_u_image(pres, n):
 
 
 def _in_u_image(pres, n, f):
-    image = _hom_u_image(pres, n)
-    image = [h for h in image if not h.is_zero()]
-    if not image:
-        return f.is_zero()
-    return hom_coordinates_or_none(image, f) is not None
-
-
-def hom_coordinates_or_none(basis, f):
-    from .linalg import Mat as _Mat
-
-    field = f.source.algebra.field
-    cols = [vec_hom(b) for b in basis]
-    rhs = vec_hom(f)
-    if not cols[0]:
-        return [] if all(x == field.zero() for x in rhs) else None
-    mat = _Mat(field, [list(r) for r in zip(*cols)], len(cols[0]), len(cols))
-    sol = mat.solve_right(_Mat.column(field, rhs))
-    return None if sol is None else sol.col(0)
+    image = [h for h in _hom_u_image(pres, n) if not h.is_zero()]
+    return hom_coordinates(image, f) is not None
 
 
 def ext1(m, n, presentation=None):
@@ -238,7 +224,7 @@ def standard_subspace(m, presentation=None):
     image_u = [h for h in _hom_u_image(pres, m) if not h.is_zero()]
     # verify the containment Im(Hom(u, M)) <= Im(Hom(Omega, p))
     for h in image_u:
-        if hom_coordinates_or_none(through_p, h) is None:
+        if hom_coordinates(through_p, h) is None:
             raise QuivrepError("containment of hom images fails")
     cols_u = [vec_hom(h) for h in image_u]
     cols_p = [vec_hom(h) for h in through_p if not h.is_zero()]
@@ -273,18 +259,8 @@ def is_standard(c):
 def _standard_witness(c):
     pres = c.presentation
     maps = hom_space(pres.omega, pres.p_total)
-    if not maps:
-        return None if not c.representative.is_zero() else ModHom.zero_hom(pres.omega, pres.p_total)
-    composites = [h.then(pres.p) for h in maps]
-    coords = hom_coordinates_or_none(composites, c.representative)
-    if coords is None:
-        return None
-    field = c.m.algebra.field
-    out = ModHom.zero_hom(pres.omega, pres.p_total)
-    for coef, h in zip(coords, maps):
-        if coef != field.zero():
-            out = out + h.scale(coef)
-    return out
+    coords = hom_coordinates([h.then(pres.p) for h in maps], c.representative)
+    return None if coords is None else combine(coords, maps, pres.omega, pres.p_total)
 
 
 def standard_to_ladder(c, witness=None):

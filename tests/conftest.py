@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import quivrep
 from quivrep import fixtures as fx
 from quivrep.algebra import projective
 from quivrep.rep import cokernel, hom_space
@@ -61,3 +65,10 @@ def loop_square():
 @pytest.fixture(scope="session")
 def tower():
     return fx.commuting_square_tower()
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a subprocess that imports the quivrep under test."""
+    src = str(Path(quivrep.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,6 +1,9 @@
 import pytest
 
 from quivrep.decomp import (
+    EndAlgebra,
+    _end_radical,
+    _is_nilpotent_ideal,
     are_isomorphic,
     decompose,
     end_algebra,
@@ -201,3 +204,36 @@ def test_split_parts_idempotents(kron_regular, kron_projectives):
     assert len(parts) == 3
     for sd in parts:
         assert sd.incl.then(sd.proj) == ModHom.identity(sd.rep)
+
+
+def _kronecker_truncations(field, depth=4):
+    alg = fx.kronecker(field)
+    w0, v0 = fx.kronecker_regular_seed(alg)
+    lad = build_ladder(w0, v0, depth=depth)
+    return [lad.truncation(n).rep for n in range(1, depth + 1)]
+
+
+@pytest.mark.parametrize("p", [3, 257, 32003])
+def test_truncations_local_over_prime_fields(p):
+    # dim End H[n] = n, so p^n > 2^16 rules out the exhaustive search for
+    # p >= 257; the radical certificate holds unless p divides dim H[n] = 2n
+    for n, m in enumerate(_kronecker_truncations(GF(p)), start=1):
+        verdict, cert = is_indecomposable(m)
+        assert verdict
+        if n == 1:
+            assert cert == ("end-dim-1",)
+        elif (2 * n) % p:
+            assert cert == ("local-residue-1",)
+        else:
+            assert cert == ("no-idempotents-exhaustive",)
+
+
+def test_gf2_radical_fails_and_exhaustive_search_decides():
+    # over GF(2) the identity of H[2] (dim 4) has trace 0, so the trace-form
+    # kernel is all of End and is not nilpotent
+    m = _kronecker_truncations(GF(2), depth=2)[1]
+    end = EndAlgebra(m)
+    rad = _end_radical(end)
+    assert len(rad) == end.dim
+    assert not _is_nilpotent_ideal(end, rad)
+    assert is_indecomposable(m) == (True, ("no-idempotents-exhaustive",))

@@ -1,11 +1,20 @@
-"""Golden determinism gate for the exact linear-algebra kernel.
+"""Golden determinism gate for the exact linear-algebra kernel and the
+decomposition engine.
 
 Each case runs a fixed set of constructions over Q and GF(32003) and hashes
 (sha256) every matrix they produce, in a fixed order, through `Mat.fmt()`.
-The expected digests were recorded on the Fraction-arithmetic kernel that
+The kernel digests were recorded on the Fraction-arithmetic kernel that
 preceded the fraction-free one.  A change to the kernel may make it faster,
 never change a matrix: RREF, null-space, solution and quotient bases are
 canonical.
+
+The `decomp` cases hash the certificate and every summand witness of
+`is_indecomposable`, `split_indecomposable_parts` and `decompose` on a fixed
+corpus; their digests were recorded while the splitting search still ran
+before the locality certificate.  Moving a certificate earlier may not
+change a verdict, a certificate or a witness.  Over small prime fields a
+local module may move from the exhaustive certificate to an earlier one, so
+those fields hash split modules only.
 
 To re-derive a digest after an intended change of output, print
 `_digest(CASES[name](field))` for the case and field.
@@ -18,7 +27,9 @@ from fractions import Fraction
 import pytest
 
 from quivrep import fixtures as fx
+from quivrep import suites
 from quivrep.algebra import projective
+from quivrep.decomp import SummandData, decompose, is_indecomposable, split_indecomposable_parts
 from quivrep.degen import (
     DegenerationCertificate,
     RZSequence,
@@ -33,7 +44,7 @@ from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_space
 from quivrep.selfext import ExtClass, Presentation, ext1, standard_subspace
 from quivrep.squares import ShortExact, Square
 
-FIELDS = {"QQ": QQ, "GF32003": GF(32003)}
+FIELDS = {"QQ": QQ, "GF3": GF(3), "GF32003": GF(32003)}
 
 
 def _walk(obj, out):
@@ -69,6 +80,8 @@ def _walk(obj, out):
         _walk(obj.representative, out)
     elif isinstance(obj, Presentation):
         _walk([obj.p_total, obj.p, obj.omega, obj.u], out)
+    elif isinstance(obj, SummandData):
+        _walk([obj.rep, obj.incl, obj.proj], out)
     else:
         raise TypeError("no golden walk for %r" % type(obj).__name__)
 
@@ -201,6 +214,55 @@ def case_corpus(field):
     return out
 
 
+def _decomp_run(m):
+    return [m, is_indecomposable(m), split_indecomposable_parts(m), decompose(m)]
+
+
+def _split_modules(field):
+    """Direct sums of the decomposition tests, and the D4 module U_2."""
+    alg = fx.kronecker(field)
+    w0, v0 = fx.kronecker_regular_seed(alg)
+    h = cokernel(w0)[0]
+    pa, pb = projective(alg, "a")[0], projective(alg, "b")[0]
+    sums = [[h, h], [h, pa], [pb, h], [h, pa, pb, h], [h, pa, pb], [h, pa, h], [h, h, pa]]
+    mods = [direct_sum(parts)[0] for parts in sums]
+    mods.append(build_ladder(w0, w0.scale(field.conv(2)), depth=3).truncation(3).rep)
+    d4 = fx.d4_subspace(field)
+    dw0, dv0 = fx.d4_seed(d4)
+    mods.append(build_ladder(dw0, dv0, depth=2).modules[2])
+    return mods
+
+
+def case_decomp(field):
+    """Kronecker H[1..6], split modules, a number-field brick, random modules."""
+    alg = fx.kronecker(field)
+    w0, v0 = fx.kronecker_regular_seed(alg)
+    lad = build_ladder(w0, v0, depth=6)
+    mods = [lad.truncation(n).rep for n in range(1, 7)] + _split_modules(field)
+    brick = Rep(
+        alg,
+        {"a": 2, "b": 2},
+        {"alpha": Mat(field, [[1, 0], [0, 1]]), "beta": Mat(field, [[0, -1], [1, 0]])},
+    )
+    mods += [brick, direct_sum([brick, brick])[0]]
+    rng = random.Random(4242)
+    algs = [
+        alg,
+        fx.three_kronecker(field),
+        fx.d4_subspace(field),
+        fx.commuting_square_tower(field),
+        fx.loop_beta(field),
+    ]
+    for i in range(20):
+        mods.append(suites._random_module(algs[i % len(algs)], rng))
+    return [_decomp_run(m) for m in mods]
+
+
+def case_decomp_split(field):
+    """Only split modules: over small fields a local module's certificate may move."""
+    return [_decomp_run(m) for m in _split_modules(field)]
+
+
 CASES = {
     "kronecker": case_kronecker,
     "random_kronecker": case_random_kronecker,
@@ -209,6 +271,8 @@ CASES = {
     "d4": case_d4,
     "rz": case_rz,
     "corpus": case_corpus,
+    "decomp": case_decomp,
+    "decomp_split": case_decomp_split,
 }
 
 GOLDEN = {
@@ -240,6 +304,12 @@ GOLDEN = {
         "82e31a4a2c9452008392b355a4848d2055412a03aadc84afae9c23471b0a674e",
     ("corpus", "GF32003"):
         "2895882502dbcf795a377dc4a3428b5273a0d89929208a0664bfe15c398cb5a4",
+    ("decomp", "QQ"):
+        "3158fd2cf18bda8d7e6f1804391ad9f9827619ad09316203e0a0f43f5bd1bd70",
+    ("decomp_split", "GF3"):
+        "6c17737ce802dd5ef29ac2e7b60752ef955b62748347d20469a7371676a305c2",
+    ("decomp_split", "GF32003"):
+        "35cea0e2122bdd090949026b7e3897405c6d25620612d12793bb6b0f2f5e7981",
 }
 
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -232,3 +234,12 @@ def test_cli_check(capsys):
     names = {r["scenario"] for r in out["reports"]}
     assert {"kronecker", "three-kronecker", "d4", "loop-beta", "loop-square", "z"} <= names
     assert any(n.startswith("suite-") for n in names)
+
+
+def test_importing_the_cli_does_not_load_sympy(src_env):
+    code = "import sys, quivrep.cli; print('sympy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,13 +1,17 @@
 import pytest
 
-from quivrep.errors import AlgebraMismatch
+import random
+
+from quivrep.errors import AlgebraMismatch, QuivrepError
 from quivrep.linalg import GF, QQ, Mat
 from quivrep.rep import (
     ModHom,
     Rep,
     annihilator_dimension,
     cokernel,
+    combine,
     direct_sum,
+    hom_coordinates,
     hom_space,
     image,
     is_faithful,
@@ -185,3 +189,42 @@ def test_zero_dimensional_blocks_are_first_class(kronecker):
     assert homs == []
     s = direct_sum([m, n])[0]
     assert s.dims == {"a": 1, "b": 2}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_combine_matches_sum_of_scaled_homs(field):
+    alg = fx.kronecker(field)
+    w0, _ = fx.kronecker_regular_seed(alg)
+    h = cokernel(w0)[0]
+    m = direct_sum([h, h])[0]
+    basis = hom_space(m, m)
+    rng = random.Random(5)
+    for _ in range(5):
+        coeffs = [field.conv(rng.randint(-3, 3)) for _ in basis]
+        expected = ModHom.zero_hom(m, m)
+        for c, b in zip(coeffs, basis):
+            expected = expected + b.scale(c)
+        got = combine(coeffs, basis, m, m)
+        assert got == expected
+        assert hom_coordinates(basis, got) == coeffs
+
+
+def test_combine_of_no_homs_is_zero(kron_projectives):
+    pa, pb = kron_projectives
+    assert combine([], [], pb, pa) == ModHom.zero_hom(pb, pa)
+    with pytest.raises(QuivrepError):
+        combine([QQ.one()], [], pb, pa)
+
+
+def test_hom_coordinates_with_empty_basis(kron_projectives):
+    pa, pb = kron_projectives
+    assert hom_coordinates([], ModHom.zero_hom(pb, pa)) == []
+    assert hom_coordinates([], hom_space(pb, pa)[0]) is None
+
+
+def test_hom_coordinates_with_empty_hom_vectors(kronecker):
+    # Hom(S(a), S(b)) has no entries: every hom is zero, and the
+    # coordinates are one zero per basis element
+    sa, sb = Rep.simple(kronecker, "a"), Rep.simple(kronecker, "b")
+    zero = ModHom.zero_hom(sa, sb)
+    assert hom_coordinates([zero, zero], zero) == [QQ.zero(), QQ.zero()]
