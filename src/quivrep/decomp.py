@@ -37,7 +37,9 @@ from .rep import (
     Submodule,
     annihilator_dimension,
     combine,
+    hom_coordinates,
     hom_space,
+    independent_indices,
     vec_hom,
 )
 
@@ -99,7 +101,6 @@ def total_matrix(h):
 
 def minimal_polynomial(mat):
     """Monic minimal polynomial coefficients (ascending), exact."""
-    field_is_q = not hasattr(mat, "field") or mat.field.p == 0
     field = mat.field
     n = mat.nrows
     if n == 0:
@@ -152,14 +153,10 @@ def factor_polynomial(coeffs, field):
 def eval_poly_hom(coeffs, h):
     """Polynomial in an endomorphism, as a ModHom."""
     m = h.source
-    out = ModHom.zero_hom(m, m)
-    power = ModHom.identity(m)
-    for i, c in enumerate(coeffs):
-        if c != m.algebra.field.zero():
-            out = out + power.scale(c)
-        if i + 1 < len(coeffs):
-            power = power.then(h)
-    return out
+    powers = [ModHom.identity(m)]
+    for _ in coeffs[1:]:
+        powers.append(powers[-1].then(h))
+    return combine(coeffs, powers, m, m)
 
 
 class SummandData:
@@ -265,65 +262,24 @@ def _is_nilpotent_ideal(end, rad):
     for r in rad:
         for b in end.basis:
             for prod in (r.then(b), b.then(r)):
-                if _coords_outside(end, rad, prod):
+                if hom_coordinates(rad, prod) is None:
                     return False
-    layer = _reduce_span(rad)
+    layer = [rad[i] for i in independent_indices(rad)]
     for _ in range(end.dim + 1):
         if not layer:
             break
         nxt = [r.then(s) for r in layer for s in rad]
-        layer = _reduce_span([h for h in nxt if not h.is_zero()])
+        layer = [nxt[i] for i in independent_indices(nxt)]
     return not layer
-
-
-def _reduce_span(homs):
-    """A linearly independent subset with the same span."""
-    if not homs:
-        return []
-    field = homs[0].source.algebra.field
-    chosen = []
-    cols = []
-    for h in homs:
-        col = vec_hom(h)
-        trial = cols + [col]
-        mat = Mat(field, [list(r) for r in zip(*trial)], len(trial[0]), len(trial))
-        if mat.rank() > len(cols):
-            cols.append(col)
-            chosen.append(h)
-    return chosen
-
-
-def _coords_outside(end, span, h):
-    """True if h is NOT in the linear span of the given endomorphisms."""
-    field = end.module.algebra.field
-    if h.is_zero():
-        return False
-    if not span:
-        return True
-    cols = [vec_hom(s) for s in span]
-    mat = Mat(field, [list(r) for r in zip(*cols)], len(cols[0]), len(cols))
-    return mat.solve_right(Mat.column(field, vec_hom(h))) is None
 
 
 def _quotient_algebra(end, rad):
     """Structure constants of S = End/J on a chosen coset basis."""
     field = end.module.algebra.field
     rad_cols = [vec_hom(r) for r in rad]
-    chosen = []
-    cols = list(rad_cols)
-
-    def rank_of(cs):
-        if not cs:
-            return 0
-        mat = Mat(field, [list(r) for r in zip(*cs)], len(cs[0]), len(cs))
-        return mat.rank()
-
-    base_rank = rank_of(cols)
-    for b in end.basis:
-        col = vec_hom(b)
-        if rank_of(cols + [col]) > rank_of(cols):
-            cols.append(col)
-            chosen.append(b)
+    chosen = [
+        end.basis[i - len(rad)] for i in independent_indices(rad + end.basis) if i >= len(rad)
+    ]
     dim_s = len(chosen)
 
     def reduce_coords(h):

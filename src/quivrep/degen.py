@@ -19,7 +19,7 @@ from .errors import (
     NotRigid,
     QuivrepError,
 )
-from .ladder import Ladder, build_ladder
+from .ladder import Ladder, build_ladder, h1_ident, h1_into
 from .linalg import Mat
 from .rep import (
     ModHom,
@@ -184,9 +184,7 @@ def rz_to_prufer(rz, depth=6):
     ident_c = cd.induce_from(rz.epi)  # coker(w0) -> Y
     if not ident_c.is_isomorphism():
         raise QuivrepError("epi does not identify coker(mono) with Y")
-    from .ladder import _h1_ident
-
-    h1_to_y = _h1_ident(ladder).then(ident_c)
+    h1_to_y = h1_ident(ladder).then(ident_c)
     return DegenerationCertificate(rz, t, ladder, h1_to_y)
 
 
@@ -259,9 +257,7 @@ def co_rz(cert):
         raise QuivrepError("ladder too shallow for the dual sequence")
     omega = eventual_splitting(cert, t)  # Y[t] + X -> Y[t+1]
     tn1 = lad.truncation(t + 1)
-    from .ladder import _h1_into
-
-    iota = _h1_into(lad, t + 1)  # Y[1] -> Y[t+1]
+    iota = h1_into(lad, t + 1)  # Y[1] -> Y[t+1]
     y_to_h1 = cert.h1_to_y.inverse()
     left = y_to_h1.then(iota).then(omega.inverse())
     right = omega.then(tn1.phi)

@@ -20,12 +20,12 @@ from .rep import (
     ModHom,
     QuotientData,
     cokernel_data,
-    combine,
-    hom_coordinates,
-    hom_space,
+    factor_from,
+    factor_through,
     kernel,
     submodule_from_hom_image,
 )
+from .selfext import ext1
 from .squares import ShortExact, Square, is_exact_square, is_split_epi, pushout, pullback
 
 
@@ -197,12 +197,12 @@ class Truncation:
         u1_in_un = _shifted_image(ladder, 1, n)
         bq = QuotientData(ladder.modules[n], u1_in_un)
         p_bar = self.quot.induce_from(bq.proj)
-        vbar = _induce_between_quotients(prev.quot, bq, ladder.v_maps[n - 1])
+        vbar = prev.quot.induce(ladder.v_maps[n - 1], bq)
         if not vbar.is_isomorphism():
             raise QuivrepError("filtration transport is not an isomorphism")
         self.phi = p_bar.then(vbar.inverse())
         # inclusion H[n-1] -> H[n] induced by w_{n-1}
-        self.incl = _induce_between_quotients(prev.quot, self.quot, ladder.w_maps[n - 1])
+        self.incl = prev.quot.induce(ladder.w_maps[n - 1], self.quot)
         if not self.incl.is_injective():
             raise QuivrepError("truncation inclusion is not injective")
         # pi_to_h: iterate phi down to H[1], then identify with H
@@ -213,7 +213,7 @@ class Truncation:
             step = ladder.truncation(step.n - 1)
         if self.n == 1:
             cur = ModHom.identity(self.rep)
-        self.pi_to_h = cur.then(_h1_ident(ladder))
+        self.pi_to_h = cur.then(h1_ident(ladder))
         self._verify()
 
     def _verify(self):
@@ -221,7 +221,7 @@ class Truncation:
         h = lad.basis_module
         h1 = lad.truncation(1).rep
         # 0 -> H[1] -> H[n] -> H[n-1] -> 0 via the composed inclusion and phi
-        iota = _h1_into(lad, n)
+        iota = h1_into(lad, n)
         ShortExact(h1, self.rep, lad.truncation(n - 1).rep, iota, self.phi)
         # 0 -> H[n-1] -> H[n] -> H -> 0 via incl and the cokernel identification
         epi = _trunc_to_h(lad, n)
@@ -243,11 +243,7 @@ def _shifted_image(ladder, lo, n):
     return {v: f.blocks[v].column_space() for v in f.blocks}
 
 
-def _induce_between_quotients(qsrc, qtgt, f):
-    return qsrc.induce(f, qtgt)
-
-
-def _h1_ident(ladder):
+def h1_ident(ladder):
     """Isomorphism H[1] = U_1/U_0 -> H = coker(w_0)."""
     t1 = ladder.truncation(1)
     cd = ladder.cokernels()[0]
@@ -255,7 +251,7 @@ def _h1_ident(ladder):
     return t1.quot.induce(ModHom.identity(ladder.modules[1]), cd)
 
 
-def _h1_into(ladder, n):
+def h1_into(ladder, n):
     """The composed inclusion H[1] -> H[n]."""
     f = ModHom.identity(ladder.truncation(1).rep)
     for k in range(2, n + 1):
@@ -324,7 +320,7 @@ def ladder_extension(q, v0):
     ident = cd.induce_from(q)  # coker(w0) -> H_ext
     if not ident.is_isomorphism():
         raise QuivrepError("q does not identify coker(w0) with its target")
-    left = ident.inverse().then(_h1_ident(lad).inverse()).then(_h1_into(lad, 2))
+    left = ident.inverse().then(h1_ident(lad).inverse()).then(h1_into(lad, 2))
     right = t2.to_h().then(ident)
     ext = ShortExact(q.target, h2, q.target, left, right)
     return ext, h2
@@ -338,8 +334,6 @@ def ladder_seed_from_simple(ext, s_incl):
     depth-2 ladder of (w, v) rebuilds the extension; None when the required
     factorization does not exist or Ext^1(S, S) != 0.
     """
-    from .selfext import ext1
-
     h = ext.a
     if ext.c != h:
         raise NotSelfExtension("end terms of the sequence differ")
@@ -355,7 +349,7 @@ def ladder_seed_from_simple(ext, s_incl):
     # factor H -> H/S through E: solve t o i = can
     hs = QuotientData(h, submodule_from_hom_image(s_incl).basis)
     can = hs.proj
-    t = _solve_factorization(ext.i, can)
+    t = factor_from(ext.i, can)
     if t is None:
         return None
     u_rep, kappa = kernel(t)
@@ -365,7 +359,7 @@ def ladder_seed_from_simple(ext, s_incl):
     ker_qu, ker_incl = kernel(q_u)
     # identify S with ker(q_u) through the ambient module E
     target_map = s_incl.then(ext.i)
-    iota = _solve_factorization_through(ker_incl.then(kappa), target_map)
+    iota = factor_through(ker_incl.then(kappa), target_map)
     if iota is None:
         return None
     w = iota.then(ker_incl)
@@ -379,17 +373,3 @@ def ladder_seed_from_simple(ext, s_incl):
     if v.then(q_u) != s_incl:
         raise QuivrepError("split of the pulled-back sequence does not lift S -> H")
     return w, v, q_u
-
-
-def _solve_factorization(through, target):
-    """Solve t o through = target for t: through.target -> target.target."""
-    homs = hom_space(through.target, target.target)
-    coords = hom_coordinates([through.then(hcand) for hcand in homs], target)
-    return None if coords is None else combine(coords, homs, through.target, target.target)
-
-
-def _solve_factorization_through(given, target):
-    """Find x: target.source -> given.source with x.then(given) == target."""
-    homs = hom_space(target.source, given.source)
-    coords = hom_coordinates([hcand.then(given) for hcand in homs], target)
-    return None if coords is None else combine(coords, homs, target.source, given.source)

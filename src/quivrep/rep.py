@@ -44,7 +44,6 @@ class Rep:
 
     def path_action(self, word):
         """Matrix of a path (execution order): M = M_last * ... * M_first."""
-        q = self.algebra.quiver
         if not word:
             raise QuivrepError("path_action needs a nonempty word (idempotents act as identity)")
         m = self.action[word[0]]
@@ -219,7 +218,6 @@ class Submodule:
     def inclusion_rep(self):
         """The submodule as a Rep plus its inclusion ModHom."""
         amb = self.ambient
-        field = amb.algebra.field
         action = {}
         for a, s, t in amb.algebra.quiver.arrows:
             mapped = amb.action[a] * self.basis[s]
@@ -352,6 +350,31 @@ def hom_coordinates(basis, h):
     return None if sol is None else sol.col(0)
 
 
+def independent_indices(homs):
+    """Indices of the homs not in the span of the earlier ones: the pivot
+    columns of the matrix whose columns are their coordinate vectors."""
+    if not homs:
+        return []
+    cols = [vec_hom(h) for h in homs]
+    field = homs[0].source.algebra.field
+    mat = Mat.wrap(field, [list(r) for r in zip(*cols)], len(cols[0]), len(cols))
+    return mat.rref()[1]
+
+
+def factor_through(given, target):
+    """x: target.source -> given.source with x.then(given) == target, or None."""
+    homs = hom_space(target.source, given.source)
+    coords = hom_coordinates([h.then(given) for h in homs], target)
+    return None if coords is None else combine(coords, homs, target.source, given.source)
+
+
+def factor_from(through, target):
+    """t: through.target -> target.target with through.then(t) == target, or None."""
+    homs = hom_space(through.target, target.target)
+    coords = hom_coordinates([through.then(h) for h in homs], target)
+    return None if coords is None else combine(coords, homs, through.target, target.target)
+
+
 def kernel(f):
     """(K, incl) with K the kernel subrepresentation of f."""
     amb = f.source
@@ -435,8 +458,7 @@ def _factors_through_proj(f, qsrc, cand):
 
 def cokernel(f):
     """(C, proj) with C = target / image(f)."""
-    span = {v: f.blocks[v].column_space() for v in f.target.dims}
-    q = QuotientData(f.target, span)
+    q = cokernel_data(f)
     return q.rep, q.proj
 
 
@@ -550,7 +572,7 @@ def radical(m):
     """Sum of all arrow images; the arrow-ideal action (admissible algebras)."""
     basis = {}
     for v in m.dims:
-        incoming = [m.action[a] for a, _, t in m.algebra.quiver.arrows if t == v]
+        incoming = [m.action[a] for a in m.algebra.quiver.arrows_into(v)]
         if incoming:
             total = incoming[0]
             for extra in incoming[1:]:
@@ -563,7 +585,7 @@ def radical(m):
 
 def top(m):
     """The semisimple quotient M / rad M."""
-    q = QuotientData(m, radical(m).basis)
+    q = top_data(m)
     return q.rep, q.proj
 
 
@@ -576,7 +598,7 @@ def socle(m):
     field = m.algebra.field
     basis = {}
     for v in m.dims:
-        outgoing = [m.action[a] for a, s, _ in m.algebra.quiver.arrows if s == v]
+        outgoing = [m.action[a] for a in m.algebra.quiver.arrows_from(v)]
         if not outgoing:
             basis[v] = Mat.identity(field, m.dims[v])
             continue

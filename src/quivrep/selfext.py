@@ -12,18 +12,18 @@ from .errors import NotStandard, QuivrepError, ZeroModule
 from .linalg import Mat
 from .rep import (
     ModHom,
-    combine,
+    QuotientData,
     direct_sum,
+    factor_through,
     hom_coordinates,
     hom_space,
+    independent_indices,
     kernel,
     radical,
     submodule_from_hom_image,
     top_data,
-    vec_hom,
 )
 from .squares import ShortExact, pushout, pushout_factor
-from . import ladder as ladder_mod
 
 
 def projective_cover(m):
@@ -119,14 +119,14 @@ class ExtClass:
         return _in_u_image(self.presentation, self.n, self.representative - other.representative)
 
 
-def _hom_u_image(pres, n):
+def hom_u_image(pres, n):
     """Basis (as ModHoms Omega -> N) of Im(Hom(u, N))."""
     maps = hom_space(pres.p_total, n)
     return [pres.u.then(h) for h in maps]
 
 
 def _in_u_image(pres, n, f):
-    image = [h for h in _hom_u_image(pres, n) if not h.is_zero()]
+    image = [h for h in hom_u_image(pres, n) if not h.is_zero()]
     return hom_coordinates(image, f) is not None
 
 
@@ -142,30 +142,14 @@ def ext1(m, n, presentation=None):
     homs = hom_space(pres.omega, n)
     if not homs:
         return 0, []
-    field = m.algebra.field
-    image = _hom_u_image(pres, n)
-    img_cols = [vec_hom(h) for h in image if not h.is_zero()]
-    hom_cols = [vec_hom(h) for h in homs]
-    if img_cols:
-        img_mat = Mat(field, [list(r) for r in zip(*img_cols)], len(img_cols[0]), len(img_cols))
-        img_rank = img_mat.rank()
-    else:
-        img_rank = 0
-    dim = len(homs) - img_rank
-    # pick basis classes: homs whose images extend the u-image
-    chosen = []
-    cols = list(img_cols)
-    current_rank = img_rank
-    for h, col in zip(homs, hom_cols):
-        trial = cols + [col]
-        mat = Mat(field, [list(r) for r in zip(*trial)], len(trial[0]), len(trial))
-        if mat.rank() > current_rank:
-            cols = trial
-            current_rank += 1
-            chosen.append(ExtClass(m, n, h, pres))
-        if len(chosen) == dim:
-            break
-    return dim, chosen
+    image = [h for h in hom_u_image(pres, n) if not h.is_zero()]
+    # the homs that extend the u-image: as many as dim Hom - dim Im
+    chosen = [
+        ExtClass(m, n, homs[i - len(image)], pres)
+        for i in independent_indices(image + homs)
+        if i >= len(image)
+    ]
+    return len(chosen), chosen
 
 
 def class_to_sequence(c):
@@ -173,7 +157,6 @@ def class_to_sequence(c):
     pres = c.presentation
     sq = pushout(pres.u, c.representative)
     # epi E -> M induced by p, which kills u(Omega) and hence descends
-    total, injs, projs = direct_sum([pres.p_total, c.n])
     epi = pushout_factor(sq, pres.p, ModHom.zero_hom(c.n, c.m))
     mono = sq.fp  # N -> E
     return ShortExact(c.n, sq.z, c.m, mono, epi)
@@ -193,7 +176,7 @@ def ext_class_of_sequence(ses, presentation=None):
     m = ses.c
     n = ses.a
     pres = presentation or Presentation(m)
-    lift = ladder_mod._solve_factorization_through(ses.p, pres.p)
+    lift = factor_through(ses.p, pres.p)
     if lift is None:
         raise QuivrepError("projective lifting failed (epi not surjective?)")
     # restrict to Omega M: lands in ker(p) = im(i); express through i
@@ -218,49 +201,25 @@ def standard_subspace(m, presentation=None):
     if m.is_zero():
         return 0, []
     pres = presentation or Presentation(m)
-    field = m.algebra.field
     maps = hom_space(pres.omega, pres.p_total)
     through_p = [h.then(pres.p) for h in maps]
-    image_u = [h for h in _hom_u_image(pres, m) if not h.is_zero()]
+    image_u = [h for h in hom_u_image(pres, m) if not h.is_zero()]
     # verify the containment Im(Hom(u, M)) <= Im(Hom(Omega, p))
     for h in image_u:
         if hom_coordinates(through_p, h) is None:
             raise QuivrepError("containment of hom images fails")
-    cols_u = [vec_hom(h) for h in image_u]
-    cols_p = [vec_hom(h) for h in through_p if not h.is_zero()]
-    rank_u = _rank_of_columns(field, cols_u)
-    rank_p = _rank_of_columns(field, cols_u + cols_p)
-    dim = rank_p - rank_u
-    basis = []
-    cols = list(cols_u)
-    rank = rank_u
-    for h, col in zip([h for h in through_p if not h.is_zero()], cols_p):
-        if _rank_of_columns(field, cols + [col]) > rank:
-            cols.append(col)
-            rank += 1
-            basis.append(ExtClass(m, m, h, pres))
-        if len(basis) == dim:
-            break
-    return dim, basis
-
-
-def _rank_of_columns(field, cols):
-    if not cols:
-        return 0
-    mat = Mat(field, [list(r) for r in zip(*cols)], len(cols[0]), len(cols))
-    return mat.rank()
+    nonzero_p = [h for h in through_p if not h.is_zero()]
+    basis = [
+        ExtClass(m, m, nonzero_p[i - len(image_u)], pres)
+        for i in independent_indices(image_u + nonzero_p)
+        if i >= len(image_u)
+    ]
+    return len(basis), basis
 
 
 def is_standard(c):
     """True iff the representative factors through the cover map p."""
-    return _standard_witness(c) is not None
-
-
-def _standard_witness(c):
-    pres = c.presentation
-    maps = hom_space(pres.omega, pres.p_total)
-    coords = hom_coordinates([h.then(pres.p) for h in maps], c.representative)
-    return None if coords is None else combine(coords, maps, pres.omega, pres.p_total)
+    return factor_through(c.presentation.p, c.representative) is not None
 
 
 def standard_to_ladder(c, witness=None):
@@ -276,7 +235,7 @@ def standard_to_ladder(c, witness=None):
             raise QuivrepError("witness does not satisfy p o w' = f")
         wprime = witness
     else:
-        wprime = _standard_witness(c)
+        wprime = factor_through(pres.p, c.representative)
         if wprime is None:
             raise NotStandard("representative does not factor through the cover")
     return pres.u, wprime
@@ -290,8 +249,6 @@ def reduced_presentation_seed(c):
     exists.  Feeding these to ladder_extension rebuilds the extension when
     it is a ladder extension of this shape.
     """
-    from .rep import QuotientData
-
     pres = c.presentation
     f = c.representative
     k_rep, k_incl = kernel(f)
@@ -308,7 +265,7 @@ def reduced_presentation_seed(c):
     fbar = _induced_on_kernel(pres, qd, w0_rep, w0, f)
     if fbar is None:
         return None
-    v0 = ladder_mod._solve_factorization_through(qbar, fbar)
+    v0 = factor_through(qbar, fbar)
     if v0 is None:
         return None
     return qbar, v0

@@ -9,20 +9,14 @@ A commutative square
 
 is exact when 0 -> X -> Y1 + Y2 -> Z -> 0 (maps [f; g] and [g', -f']) is a
 short exact sequence, i.e. the square is simultaneously a pushout and a
-pullback.  Splitness is decided by exact linear solvability, never by
-randomized search.
+pullback.  Splitness is solved in hom-space coordinates: a retraction r of f
+solves f.then(r) == id (`rep.factor_from`) and a section s solves
+s.then(f) == id (`rep.factor_through`), each exactly inside the hom space,
+never by randomized search.
 """
 
 from .errors import EdgeMismatch, NotExact, QuivrepError
-from .linalg import Mat
-from .rep import (
-    ModHom,
-    QuotientData,
-    direct_sum,
-    kernel,
-    _hom_offsets,
-    _unvec_hom,
-)
+from .rep import ModHom, QuotientData, direct_sum, factor_from, factor_through, kernel
 
 
 class Square:
@@ -245,90 +239,19 @@ def is_split_mono(f):
     """Retraction r with r o f = id, or None; decided by exact solving."""
     if not f.is_injective():
         return None
-    return _solve_one_sided(f, side="retraction")
+    one = ModHom.identity(f.source)
+    r = factor_from(f, one)
+    if r is not None and f.then(r) != one:
+        raise QuivrepError("solved retraction is not a one-sided inverse")
+    return r
 
 
 def is_split_epi(f):
     """Section s with f o s = id, or None; decided by exact solving."""
     if not f.is_surjective():
         return None
-    return _solve_one_sided(f, side="section")
-
-
-def _solve_one_sided(f, side):
-    """Solve r*f = 1 (retraction) or f*s = 1 (section) inside the hom space."""
-    m, n = f.source, f.target
-    # unknown map goes N -> M in both cases
-    dom, cod = n, m
-    field = m.algebra.field
-    if sum(dom.dims.values()) * sum(cod.dims.values()) == 0:
-        h = ModHom.zero_hom(dom, cod)
-        good = f.then(h) == ModHom.identity(m) if side == "retraction" else h.then(f) == ModHom.identity(n)
-        return h if good else None
-    offsets, nvars = _hom_offsets(dom, cod)
-    rows = []
-    rhs = []
-    zero = field.zero()
-    # commutation constraints
-    for a, s, t in m.algebra.quiver.arrows:
-        ca = cod.action[a]
-        da = dom.action[a]
-        for r in range(cod.dims[t]):
-            for c in range(dom.dims[s]):
-                row = [zero] * nvars
-                base_s = offsets[s]
-                for k in range(cod.dims[s]):
-                    coef = ca.rows[r][k]
-                    if coef != zero:
-                        row[base_s + k * dom.dims[s] + c] = coef
-                base_t = offsets[t]
-                for k in range(dom.dims[t]):
-                    coef = da.rows[k][c]
-                    if coef != zero:
-                        idx = base_t + r * dom.dims[t] + k
-                        row[idx] = field.sub(row[idx], coef)
-                rows.append(row)
-                rhs.append(zero)
-    # unit constraints
-    one = field.one()
-    for v in m.dims:
-        if side == "retraction":
-            # (R_v F_v)[i, j] = delta_ij ; R_v is cod x dom = m.dims x n.dims
-            fv = f.blocks[v]
-            for i in range(m.dims[v]):
-                for j in range(m.dims[v]):
-                    row = [zero] * nvars
-                    base = offsets[v]
-                    for k in range(n.dims[v]):
-                        coef = fv.rows[k][j]
-                        if coef != zero:
-                            row[base + i * dom.dims[v] + k] = coef
-                    rows.append(row)
-                    rhs.append(one if i == j else zero)
-        else:
-            # (F_v S_v)[i, j] = delta_ij ; S_v is m.dims x n.dims
-            fv = f.blocks[v]
-            for i in range(n.dims[v]):
-                for j in range(n.dims[v]):
-                    row = [zero] * nvars
-                    base = offsets[v]
-                    for k in range(m.dims[v]):
-                        coef = fv.rows[i][k]
-                        if coef != zero:
-                            row[base + k * dom.dims[v] + j] = coef
-                    rows.append(row)
-                    rhs.append(one if i == j else zero)
-    if not rows:
-        return ModHom(dom, cod, {}, check=False) if nvars == 0 else None
-    mat = Mat.from_rows(field, rows, nvars)
-    sol = mat.solve_right(Mat.column(field, rhs))
-    if sol is None:
-        return None
-    h = _unvec_hom(dom, cod, sol.col(0))
-    if side == "retraction":
-        ok = f.then(h) == ModHom.identity(m)
-    else:
-        ok = h.then(f) == ModHom.identity(n)
-    if not ok:
-        raise QuivrepError("solved %s is not a one-sided inverse" % side)
-    return h
+    one = ModHom.identity(f.target)
+    sec = factor_through(f, one)
+    if sec is not None and sec.then(f) != one:
+        raise QuivrepError("solved section is not a one-sided inverse")
+    return sec

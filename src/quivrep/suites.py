@@ -375,7 +375,7 @@ def suite_selfext(seed=0):
         pres_m = selfext.Presentation(m)
         maps = rep.hom_space(pres_m.omega, pres_m.p_total)
         through_p = [x.then(pres_m.p) for x in maps]
-        img_u = [x for x in selfext._hom_u_image(pres_m, m) if not x.is_zero()]
+        img_u = [x for x in selfext.hom_u_image(pres_m, m) if not x.is_zero()]
         for hh in img_u:
             if rep.hom_coordinates(through_p, hh) is None:
                 ok_chain = False

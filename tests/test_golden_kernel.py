@@ -16,6 +16,11 @@ change a verdict, a certificate or a witness.  Over small prime fields a
 local module may move from the exhaustive certificate to an earlier one, so
 those fields hash split modules only.
 
+The `split` cases hash the retractions and sections of `is_split_mono` and
+`is_split_epi`, and the ladder seeds, classes and quotient seeds that solve
+inside a hom space; their digests were recorded while splitness still had
+its own commutation-system solver.
+
 To re-derive a digest after an intended change of output, print
 `_digest(CASES[name](field))` for the case and field.
 """
@@ -38,11 +43,27 @@ from quivrep.degen import (
     make_steering_nilpotent,
     rz_to_prufer,
 )
-from quivrep.ladder import Ladder, Truncation, build_ladder, chessboard
+from quivrep.ladder import (
+    Ladder,
+    Truncation,
+    build_ladder,
+    chessboard,
+    ladder_extension,
+    ladder_seed_from_simple,
+)
 from quivrep.linalg import GF, QQ, Mat
-from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_space
-from quivrep.selfext import ExtClass, Presentation, ext1, standard_subspace
-from quivrep.squares import ShortExact, Square
+from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_space, socle
+from quivrep.selfext import (
+    ExtClass,
+    Presentation,
+    class_to_sequence,
+    ext1,
+    ext_class_of_sequence,
+    reduced_presentation_seed,
+    standard_subspace,
+    standard_to_ladder,
+)
+from quivrep.squares import ShortExact, Square, is_split_epi, is_split_mono
 
 FIELDS = {"QQ": QQ, "GF3": GF(3), "GF32003": GF(32003)}
 
@@ -263,6 +284,86 @@ def case_decomp_split(field):
     return [_decomp_run(m) for m in _split_modules(field)]
 
 
+def _one_sided_inverses(f):
+    """The retraction and the section of f, and the section of its cokernel
+    projection (None where none exists)."""
+    out = [is_split_mono(f), is_split_epi(f)]
+    out.append(is_split_epi(cokernel(f)[1]))
+    return out
+
+
+def _split_witnesses(field):
+    """One-sided inverses of seeded random monos and of direct-sum maps."""
+    rng = random.Random(9001)
+    algs = [
+        fx.kronecker(field),
+        fx.three_kronecker(field),
+        fx.d4_subspace(field),
+        fx.commuting_square_tower(field),
+        fx.loop_beta(field),
+        fx.loop_square(field),
+    ]
+    out = []
+    for i in range(60):
+        alg = algs[i % len(algs)]
+        m = suites._random_module(alg, rng, maxdim=2)
+        n = suites._random_module(alg, rng, maxdim=2)
+        total, injs, projs = direct_sum([m, n])
+        for f in injs:
+            out += [is_split_mono(f), is_split_epi(f)]
+        for p in projs:
+            out += [is_split_mono(p), is_split_epi(p)]
+        for tgt in (total, n):
+            f = suites._random_mono(m, tgt, rng)
+            out += [None] if f is None else [f, _one_sided_inverses(f)]
+    return out
+
+
+def _selfext_seeds(field):
+    """Ladder seeds from simples, standard seeds, classes of sequences and
+    reduced presentation seeds on the Kronecker, loop and tower fixtures."""
+    out = []
+    kron = fx.kronecker(field)
+    w0, _ = fx.kronecker_regular_seed(kron)
+    h = cokernel(w0)[0]
+    pres = Presentation(h)
+    _, classes = ext1(h, h, pres)
+    s_incl = socle(h).inclusion_rep()[1]
+    zero = ExtClass(h, h, ModHom.zero_hom(pres.omega, h), pres)
+    for c in classes + [zero]:
+        out.append(ladder_seed_from_simple(class_to_sequence(c), s_incl))
+        u, wprime = standard_to_ladder(c)
+        ext, _ = ladder_extension(pres.p, wprime)
+        out += [u, wprime, ext_class_of_sequence(ext, pres)]
+        out.append(reduced_presentation_seed(c))
+    sq = fx.loop_square(field)
+    s = Rep.simple(sq, "v")
+    for c in ext1(s, s)[1]:
+        out.append(ladder_seed_from_simple(class_to_sequence(c), ModHom.identity(s)))
+    tower = fx.commuting_square_tower(field)
+    ht = Rep(tower, {"a": 1, "b": 1}, {"beta": Mat(field, [[1]])})
+    loop = fx.loop_beta(field)
+    hl = Rep(
+        loop,
+        {"a": 1, "b": 2},
+        {"alpha": Mat(field, [[1], [0]]), "beta": Mat(field, [[0, 0], [1, 0]])},
+    )
+    for m in (ht, hl):
+        pres_m = Presentation(m)
+        for c in ext1(m, m, pres_m)[1]:
+            seed = reduced_presentation_seed(c)
+            out.append(seed)
+            out.append(ext_class_of_sequence(class_to_sequence(c), pres_m))
+            if seed is not None:
+                out.append(ext_class_of_sequence(ladder_extension(*seed)[0], pres_m))
+    return out
+
+
+def case_split(field):
+    """Split witnesses and the seeds that are solved inside a hom space."""
+    return [_split_witnesses(field), _selfext_seeds(field)]
+
+
 CASES = {
     "kronecker": case_kronecker,
     "random_kronecker": case_random_kronecker,
@@ -273,6 +374,7 @@ CASES = {
     "corpus": case_corpus,
     "decomp": case_decomp,
     "decomp_split": case_decomp_split,
+    "split": case_split,
 }
 
 GOLDEN = {
@@ -310,6 +412,12 @@ GOLDEN = {
         "6c17737ce802dd5ef29ac2e7b60752ef955b62748347d20469a7371676a305c2",
     ("decomp_split", "GF32003"):
         "35cea0e2122bdd090949026b7e3897405c6d25620612d12793bb6b0f2f5e7981",
+    ("split", "QQ"):
+        "f28a9944164879ce7a7d1690de2c0a6b19e6911ca3b022d385519ba8ac36ec3c",
+    ("split", "GF3"):
+        "c825a4aed283495079d8233748917cad2ee4e69e70d142d5ebf0616c216a9aa5",
+    ("split", "GF32003"):
+        "7b99a2f3639921e3477b7849d3b2b63f8ea7df33ef0c13c184e1e1cfbaa34e53",
 }
 
 

@@ -11,9 +11,12 @@ from quivrep.rep import (
     cokernel,
     combine,
     direct_sum,
+    factor_from,
+    factor_through,
     hom_coordinates,
     hom_space,
     image,
+    independent_indices,
     is_faithful,
     is_generated_by,
     kernel,
@@ -228,3 +231,43 @@ def test_hom_coordinates_with_empty_hom_vectors(kronecker):
     sa, sb = Rep.simple(kronecker, "a"), Rep.simple(kronecker, "b")
     zero = ModHom.zero_hom(sa, sb)
     assert hom_coordinates([zero, zero], zero) == [QQ.zero(), QQ.zero()]
+
+
+def _greedy_independent(homs):
+    """The per-candidate rank loop `independent_indices` replaces."""
+    picked, cols = [], []
+    for i, h in enumerate(homs):
+        trial = cols + [[x for v in h.blocks for r in h.blocks[v].rows for x in r]]
+        field = h.source.algebra.field
+        mat = Mat(field, [list(r) for r in zip(*trial)], len(trial[0]), len(trial))
+        if mat.rank() > len(cols):
+            cols, picked = trial, picked + [i]
+    return picked
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_independent_indices_matches_greedy_rank_loop(field):
+    alg = fx.kronecker(field)
+    w0, _ = fx.kronecker_regular_seed(alg)
+    h = cokernel(w0)[0]
+    m = direct_sum([h, h])[0]
+    basis = hom_space(m, m)
+    rng = random.Random(11)
+    for _ in range(6):
+        homs = [combine([field.conv(rng.randint(-1, 1)) for _ in basis], basis, m, m)
+                for _ in range(rng.randint(1, 2 * len(basis)))]
+        homs.insert(rng.randrange(len(homs)), ModHom.zero_hom(m, m))
+        assert independent_indices(homs) == _greedy_independent(homs)
+    assert independent_indices([]) == []
+
+
+def test_factorizations_solve_or_refuse(kron_seed):
+    w0, _ = kron_seed
+    h, q = cokernel(w0)
+    x = factor_through(q, q)
+    assert x is not None and x.then(q) == q
+    assert factor_through(ModHom.zero_hom(q.source, h), q) is None
+    t = factor_from(w0, w0)
+    assert t is not None and w0.then(t) == w0
+    # q is not injective, so the identity does not factor through it
+    assert factor_from(q, ModHom.identity(q.source)) is None
