@@ -98,6 +98,7 @@ class AlgebraPresentation:
             rels.append(tuple(terms))
         self.relations = tuple(rels)
         self._basis = None
+        self._projectives = {}  # vertex -> projective(self, vertex)
 
     def is_hereditary(self):
         return not self.relations
@@ -306,10 +307,14 @@ def projective(alg, vertex):
 
     P(vertex)_j has basis the classes of paths vertex -> j; arrows act by
     right concatenation, reduced through the path basis.
-    Returns (Rep, index of the empty path inside P(vertex)_vertex).
+    Returns (Rep, index of the empty path inside P(vertex)_vertex), computed
+    once per algebra and vertex.
     """
     from .rep import Rep
 
+    cached = alg._projectives.get(vertex)
+    if cached is not None:
+        return cached
     pb = alg.path_basis()
     quiver = alg.quiver
     if vertex not in quiver.vertices:
@@ -322,10 +327,10 @@ def projective(alg, vertex):
     index = {v: {w: i for i, w in enumerate(by_target[v])} for v in quiver.vertices}
     action = {}
     for a, s, t in quiver.arrows:
-        m = Mat.zeros(alg.field, dims[t], dims[s])
+        rows = [[alg.field.zero()] * dims[s] for _ in range(dims[t])]
         for w, col in index[s].items():
             for w2, c in pb.multiply(w, (a,)).items():
-                m.rows[index[t][w2]][col] = c
-        action[a] = m
-    rep = Rep(alg, dims, action)
-    return rep, index[vertex][()]
+                rows[index[t][w2]][col] = c
+        action[a] = Mat.wrap(alg.field, rows, dims[t], dims[s])
+    out = alg._projectives[vertex] = (Rep(alg, dims, action), index[vertex][()])
+    return out

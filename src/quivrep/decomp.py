@@ -31,7 +31,7 @@ import random
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, Inconclusive, QuivrepError, ZeroModule
-from .linalg import Mat
+from .linalg import Mat, block_diagonal
 from .rep import (
     ModHom,
     Submodule,
@@ -51,14 +51,11 @@ class EndAlgebra:
         self.module = module
         self.basis = hom_space(module, module)
         self.dim = len(self.basis)
-        field = module.algebra.field
-        cols = [vec_hom(b) for b in self.basis]
-        if cols and cols[0]:
-            self._coord_mat = Mat(
-                field, [list(r) for r in zip(*cols)], len(cols[0]), len(cols)
-            )
-        else:
-            self._coord_mat = None
+        # The hom_space basis is canonical: element k is 1 at its free
+        # coordinate, its last nonzero one, and every other element is 0 there.
+        self._free = [
+            max(i for i, x in enumerate(vec_hom(b)) if x) for b in self.basis
+        ]
         self.table = {}
         for i, f in enumerate(self.basis):
             for j, g in enumerate(self.basis):
@@ -68,13 +65,14 @@ class EndAlgebra:
             self.one = self.coordinates(ModHom.identity(module))
 
     def coordinates(self, h):
-        field = self.module.algebra.field
-        if self._coord_mat is None:
+        """Coordinates of h in the basis, read off at the free coordinates."""
+        if not self.basis:
             return []
-        sol = self._coord_mat.solve_right(Mat.column(field, vec_hom(h)))
-        if sol is None:
+        vec = vec_hom(h)
+        coords = [vec[i] for i in self._free]
+        if self.from_coordinates(coords) != h:
             raise QuivrepError("endomorphism outside the computed basis")
-        return sol.col(0)
+        return coords
 
     def from_coordinates(self, coords):
         return combine(coords, self.basis, self.module, self.module)
@@ -86,17 +84,8 @@ def end_algebra(m):
 
 def total_matrix(h):
     """The block-diagonal matrix of an endomorphism on the total space."""
-    field = h.source.algebra.field
-    verts = h.source.algebra.quiver.vertices
-    blocks = [h.blocks[v] for v in verts]
-    n = sum(b.nrows for b in blocks)
-    out = Mat.zeros(field, n, n)
-    off = 0
-    for b in blocks:
-        for i in range(b.nrows):
-            out.rows[off + i][off : off + b.ncols] = list(b.rows[i])
-        off += b.nrows
-    return out
+    alg = h.source.algebra
+    return block_diagonal(alg.field, [h.blocks[v] for v in alg.quiver.vertices])
 
 
 def minimal_polynomial(mat):

@@ -239,10 +239,8 @@ def _last_block_projection(lad, rz, n):
     for v in un.dims:
         d = un.dims[v]
         du = rz.u.dims[v]
-        m = Mat.zeros(field, du, d)
-        for i in range(du):
-            m.rows[i][d - du + i] = field.one()
-        blocks[v] = m
+        rows = [[int(j == d - du + i) for j in range(d)] for i in range(du)]
+        blocks[v] = Mat.from_ints(field, rows, 1, du, d)
     return ModHom(un, rz.u, blocks, check=False)
 
 
@@ -316,17 +314,11 @@ def cokernel_degeneration(w0, v0, seed=0):
     _require_rigid(w_mod, "coker(w0)")
     bound = selfext.ext1(w_mod, w0.source)[0]
     lad = build_ladder(w0, v0, depth=bound + 1)
-    n0 = None
-    for n in range(bound + 1):
-        if is_split_mono(lad.w_maps[n]) is not None:
-            n0 = n
-            break
-    if n0 is None:
-        raise QuivrepError(
-            "internal error: no split stage within the Ext bound %d" % bound
-        )
-    rz = _rz_from_split_stage(lad, n0)
-    return rz, n0
+    for n0 in range(bound + 1):
+        r = is_split_mono(lad.w_maps[n0])
+        if r is not None:
+            return _rz_from_split_stage(lad, n0, r), n0
+    raise QuivrepError("internal error: no split stage within the Ext bound %d" % bound)
 
 
 def _v_coker_ident(lad, n):
@@ -341,11 +333,9 @@ def _v_coker_ident(lad, n):
     return cur, cds[0].rep
 
 
-def _rz_from_split_stage(lad, n):
-    """Assemble 0 -> U_n -> W + U_n -> W' -> 0 from the split w_n."""
-    r = is_split_mono(lad.w_maps[n])
-    if r is None:
-        raise QuivrepError("stage %d does not split" % n)
+def _rz_from_split_stage(lad, n, r):
+    """Assemble 0 -> U_n -> W + U_n -> W' -> 0 from the split w_n with
+    retraction r."""
     w_mod = lad.basis_module
     u_n = lad.modules[n]
     to_w = lad.cokernels()[n].proj.then(lad.coker_ident(n))  # U_{n+1} -> W

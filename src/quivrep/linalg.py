@@ -5,24 +5,42 @@ over the rationals and plain ints reduced mod p over GF(p); there is no
 floating point anywhere.  Pivoting is deterministic (first nonzero entry in
 column order) so all outputs are reproducible bit for bit.
 
-A `Mat` over Q stores rows of `Fraction`, but the two hot operations do no
-`Fraction` arithmetic inside their loops.  The product turns each row of the
-left factor and each column of the right factor into integer numerators over
-one common denominator (the lcm of the entries' denominators), takes every
-entry as one integer dot product, and builds a single `Fraction` from it.
-Row reduction scales each row to primitive integers and runs Gauss-Jordan
-fraction-free, in the spirit of Bareiss (1968): a pivot p clears an entry f
-of another row by `row <- (p/g) row - (f/g) pivot_row` with g = gcd(p, f),
-after which the row is divided by the gcd of its entries.  Only at the end
-is each pivot row divided by its pivot.  Scaling a row by a nonzero integer
-leaves its zero pattern unchanged, so the pivots and row swaps are those of
-the `Fraction` algorithm; and the reduced row echelon form of a matrix is
-unique, so the result, and with it every null-space, solution and quotient
-basis built from it, is the same matrix bit for bit.  GF(p) keeps its direct
-modular loops.
+A `Mat` over Q has two forms of one value.  `rows`, the form callers read,
+holds `Fraction`s.  The integer form (`int_form`) holds integer rows over one
+positive denominator D with gcd(D, entries) = 1, so D is the lcm of the
+entries' denominators; this form is unique, and `==` compares it directly.
+Products, sums, transposes, stacking, row reduction and the null-space,
+solution and quotient bases built on it all work on integer forms and do no
+`Fraction` arithmetic.  A matrix built from rows makes its integer form on
+first use and keeps it.  A matrix made by integer work (`Mat.from_ints`) is
+an `_IntMat`: it builds its `Fraction` rows only when they are first read,
+and then gives up its integer form, so that a matrix read as output holds
+one form; it makes it again from its rows if it is used in arithmetic after
+that.  Either way is only sound because nothing writes into `rows` after
+construction.
+
+The product of A = N/D and B = M/E is the integer product NM over DE,
+reduced by the gcd of DE and its entries.  Row reduction scales each row to
+primitive integers and runs Gauss-Jordan fraction-free, in the spirit of
+Bareiss (1968): a pivot p clears an entry f of another row by
+`row <- (p/g) row - (f/g) pivot_row` with g = gcd(p, f), after which the row
+is divided by the gcd of its entries.  At the end every nonzero row is
+primitive, so row i over its pivot p_i is in lowest terms over |p_i|, and
+the integer form of the result is read off over the lcm of the pivots.
+Scaling a row by a nonzero integer leaves its zero pattern unchanged, so the
+pivots and row swaps are those of the `Fraction` algorithm; and the reduced
+row echelon form of a matrix is unique, so the result, and with it every
+null-space, solution and quotient basis built from it, is the same matrix
+bit for bit.
+
+GF(p) matrices keep plain rows of ints mod p and their direct modular
+loops: they are plain `Mat`s, so reading their rows costs a slot read.
+Their integer form is their rows over 1, which lets one code path build
+bases over both kinds of field.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 import operator
 
@@ -155,13 +173,14 @@ def GF(p):
 
 
 class Mat:
-    """Dense matrix over a Field; immutable by convention after construction.
+    """Dense matrix over a Field, immutable after construction: nothing
+    writes into `rows`, so a form of a value over Q, once made, stays valid.
 
     Zero-row and zero-column matrices are first class: shape information is
     kept even when there are no entries.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_ints")
 
     def __init__(self, field, rows, nrows=None, ncols=None):
         if nrows is None:
@@ -190,22 +209,49 @@ class Mat:
         return m
 
     @staticmethod
-    def zeros(field, nrows, ncols):
-        z = field.zero()
-        m = Mat.__new__(Mat)
-        m.field = field
-        m.nrows = nrows
-        m.ncols = ncols
-        m.rows = [[z] * ncols for _ in range(nrows)]
+    def from_ints(field, rows, den, nrows, ncols):
+        """The matrix rows / den, for integer rows and a positive integer den.
+
+        Over GF(p) den must be 1 and the rows already reduced mod p; they are
+        taken as given.  Over Q the form is made canonical, and the `Fraction`
+        rows are built when first read.
+        """
+        if field.p:
+            return Mat.wrap(field, rows, nrows, ncols)
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(rows))
+            if g != 1:
+                den //= g
+                rows = [[x // g for x in row] for row in rows]
+        m = _IntMat.__new__(_IntMat)
+        m.field, m.nrows, m.ncols, m._ints = field, nrows, ncols, (rows, den)
         return m
+
+    def int_form(self):
+        """(integer rows, den) with rows / den this matrix.
+
+        Over Q it is the canonical form: den > 0 is the lcm of the entries'
+        denominators, so gcd(den, entries) = 1; it is kept once made.
+        Over GF(p) it is (rows, 1).  The rows must not be written.
+        """
+        if self.field.p:
+            return self.rows, 1
+        try:
+            return self._ints
+        except AttributeError:
+            self._ints = _canonical(self.rows)
+            return self._ints
+
+    @staticmethod
+    def zeros(field, nrows, ncols):
+        return Mat.from_ints(field, [[0] * ncols for _ in range(nrows)], 1, nrows, ncols)
 
     @staticmethod
     def identity(field, n):
-        m = Mat.zeros(field, n, n)
-        one = field.one()
+        rows = [[0] * n for _ in range(n)]
         for i in range(n):
-            m.rows[i][i] = one
-        return m
+            rows[i][i] = 1
+        return Mat.from_ints(field, rows, 1, n, n)
 
     @staticmethod
     def from_rows(field, rows, ncols=None):
@@ -221,32 +267,18 @@ class Mat:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def copy_rows(self):
-        return [row[:] for row in self.rows]
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def row(self, i):
-        return list(self.rows[i])
-
     def col(self, j):
-        return [self.rows[i][j] for i in range(self.nrows)]
+        return [row[j] for row in self.rows]
 
     def columns(self):
         return [self.col(j) for j in range(self.ncols)]
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(x == z for row in self.rows for x in row)
+        return not any(map(any, self.int_form()[0]))
 
     def transpose(self):
-        t = Mat.__new__(Mat)
-        t.field = self.field
-        t.nrows = self.ncols
-        t.ncols = self.nrows
-        t.rows = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return t
+        rows, den = self.int_form()
+        return Mat.from_ints(self.field, _transposed(rows, self.ncols), den, self.ncols, self.nrows)
 
     def __eq__(self, other):
         return (
@@ -254,43 +286,43 @@ class Mat:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.int_form() == other.int_form()
         )
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        add = self.field.add
-        out = Mat.__new__(Mat)
-        out.field, out.nrows, out.ncols = self.field, self.nrows, self.ncols
-        out.rows = [
-            [add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ]
-        return out
+        return self._sum(other, 1)
 
     def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
         self._check_same_shape(other)
-        sub = self.field.sub
-        out = Mat.__new__(Mat)
-        out.field, out.nrows, out.ncols = self.field, self.nrows, self.ncols
-        out.rows = [
-            [sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ]
-        return out
+        f = self.field
+        if f.p:
+            p = f.p
+            rows = [
+                [(a + sign * b) % p for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
+            ]
+            return Mat.wrap(f, rows, self.nrows, self.ncols)
+        (a, da), (b, db) = self.int_form(), other.int_form()
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        rows = [[x * sa + y * sb for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        return Mat.from_ints(f, rows, den, self.nrows, self.ncols)
 
     def __neg__(self):
-        neg = self.field.neg
-        out = Mat.__new__(Mat)
-        out.field, out.nrows, out.ncols = self.field, self.nrows, self.ncols
-        out.rows = [[neg(a) for a in row] for row in self.rows]
-        return out
+        return self.scale(-1)
 
     def scale(self, c):
-        c = self.field.conv(c)
-        mul = self.field.mul
-        out = Mat.__new__(Mat)
-        out.field, out.nrows, out.ncols = self.field, self.nrows, self.ncols
-        out.rows = [[mul(c, a) for a in row] for row in self.rows]
-        return out
+        f = self.field
+        c = f.conv(c)
+        if f.p:
+            p = f.p
+            return Mat.wrap(f, [[c * x % p for x in row] for row in self.rows], self.nrows, self.ncols)
+        rows, den = self.int_form()
+        num = c.numerator
+        rows = [[num * x for x in row] for row in rows]
+        return Mat.from_ints(f, rows, den * c.denominator, self.nrows, self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -307,24 +339,9 @@ class Mat:
                 [sum(a * b for a, b in zip(row, col)) % p for col in bt]
                 for row in self.rows
             ]
-        else:
-            rows = _mul_q(self.rows, other.rows, other.ncols)
-        out = Mat.__new__(Mat)
-        out.field, out.nrows, out.ncols = f, self.nrows, other.ncols
-        out.rows = rows
-        return out
-
-    def power(self, k):
-        if self.nrows != self.ncols:
-            raise QuivrepError("power of non-square matrix")
-        result = Mat.identity(self.field, self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+            return Mat.wrap(f, rows, self.nrows, other.ncols)
+        (a, da), (b, db) = self.int_form(), other.int_form()
+        return Mat.from_ints(f, _mul_ints(a, b, other.ncols), da * db, self.nrows, other.ncols)
 
     def _check_same_shape(self, other):
         if self.field != other.field or self.shape != other.shape:
@@ -339,12 +356,11 @@ class Mat:
         f = self.field
         nrows, ncols = self.nrows, self.ncols
         if f.p:
-            r, pivots, m = _rref_gf(f, self.copy_rows(), nrows, ncols)
+            r, pivots, m = _rref_gf(f, [row[:] for row in self.rows], nrows, ncols)
+            den = 1
         else:
-            r, pivots, m = _rref_q(self.rows, nrows, ncols)
-        out = Mat.__new__(Mat)
-        out.field, out.nrows, out.ncols, out.rows = f, nrows, ncols, m
-        return r, pivots, out
+            r, pivots, m, den = _rref_q(self.int_form()[0], nrows, ncols)
+        return r, pivots, Mat.from_ints(f, m, den, nrows, ncols)
 
     def rank(self):
         return self.rref()[0]
@@ -353,39 +369,33 @@ class Mat:
         """Matrix whose columns form the canonical basis of {x : A x = 0}."""
         f = self.field
         rank, pivots, red = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = Mat.zeros(f, self.ncols, len(free))
-        one = f.one()
+        m, den = red.int_form()
+        pivset = set(pivots)
+        free = [c for c in range(self.ncols) if c not in pivset]
+        basis = [[0] * len(free) for _ in range(self.ncols)]
         for k, c in enumerate(free):
-            basis.rows[c][k] = one
+            basis[c][k] = den
             for r, pc in enumerate(pivots):
-                basis.rows[pc][k] = f.neg(red.rows[r][c])
-        return basis
+                basis[pc][k] = f.neg(m[r][c])
+        return Mat.from_ints(f, basis, den, self.ncols, len(free))
 
     def solve_right(self, b):
         """Deterministic solution X of A X = B, or None if inconsistent.
 
         Free variables are set to zero, so the answer is canonical.
         """
-        f = self.field
-        zero = f.zero()
         if b.nrows != self.nrows:
             raise QuivrepError("solve: row mismatch")
-        aug = Mat.__new__(Mat)
-        aug.field = f
-        aug.nrows = self.nrows
-        aug.ncols = self.ncols + b.ncols
-        aug.rows = [self.rows[i] + b.rows[i] for i in range(self.nrows)]
-        rank, pivots, red = aug.rref()
         n = self.ncols
-        for r in range(rank):
-            if pivots[r] >= n:
-                return None
-        x = Mat.zeros(f, n, b.ncols)
+        rank, pivots, red = self.hstack(b).rref()
+        if rank and pivots[-1] >= n:
+            return None
+        m, den = red.int_form()
+        x = [[0] * b.ncols for _ in range(n)]
         for r, pc in enumerate(pivots):
-            x.rows[pc] = red.rows[r][n:]
+            x[pc] = m[r][n:]
         # rows below rank are zero by construction; consistency already checked
-        return x
+        return Mat.from_ints(self.field, x, den, n, b.ncols)
 
     def inverse(self):
         """Inverse matrix, or None when singular."""
@@ -401,24 +411,24 @@ class Mat:
     def column_space(self):
         """Canonical (echelonized) basis of the column space, as columns."""
         rank, _, red = self.transpose().rref()
-        rows = red.rows[:rank]
-        return Mat(self.field, rows, rank, self.nrows).transpose()
+        m, den = red.int_form()
+        return Mat.from_ints(self.field, m[:rank], den, rank, self.nrows).transpose()
 
     def hstack(self, other):
         if self.nrows != other.nrows or self.field != other.field:
             raise QuivrepError("hstack mismatch")
-        out = Mat.__new__(Mat)
-        out.field, out.nrows, out.ncols = self.field, self.nrows, self.ncols + other.ncols
-        out.rows = [self.rows[i] + other.rows[i] for i in range(self.nrows)]
-        return out
+        (a, da), (b, db) = self.int_form(), other.int_form()
+        den = lcm(da, db)
+        rows = [x + y for x, y in zip(_scaled(a, den // da), _scaled(b, den // db))]
+        return Mat.from_ints(self.field, rows, den, self.nrows, self.ncols + other.ncols)
 
     def vstack(self, other):
         if self.ncols != other.ncols or self.field != other.field:
             raise QuivrepError("vstack mismatch")
-        out = Mat.__new__(Mat)
-        out.field, out.nrows, out.ncols = self.field, self.nrows + other.nrows, self.ncols
-        out.rows = [row[:] for row in self.rows] + [row[:] for row in other.rows]
-        return out
+        (a, da), (b, db) = self.int_form(), other.int_form()
+        den = lcm(da, db)
+        rows = _scaled(a, den // da) + _scaled(b, den // db)
+        return Mat.from_ints(self.field, rows, den, self.nrows + other.nrows, self.ncols)
 
     def fmt(self):
         f = self.field
@@ -426,6 +436,32 @@ class Mat:
 
     def __repr__(self):
         return "Mat(%s, %dx%d)" % (self.field, self.nrows, self.ncols)
+
+
+_ROWS = Mat.rows  # the slot that holds the rows
+
+
+class _IntMat(Mat):
+    """A Mat over Q made from its integer form (`Mat.from_ints`): its
+    `Fraction` rows are built when first read.  Matrices over GF(p) and
+    matrices built from rows are plain `Mat`s, so reading their rows costs
+    no more than reading a slot."""
+
+    __slots__ = ()
+
+    @property
+    def rows(self):
+        try:
+            return _ROWS.__get__(self)
+        except AttributeError:
+            ints, den = self._ints
+            rows = [[_fraction(x, den) if x else _ZERO for x in row] for row in ints]
+            _ROWS.__set__(self, rows)
+            del self._ints  # hold one form; int_form() remakes it if needed
+            return rows
+
+    def __reduce__(self):  # for pickle and copy, which would set `rows`
+        return Mat.from_ints, (self.field, *self.int_form(), self.nrows, self.ncols)
 
 
 # Shared values for small integers: most entries of the paper's matrices are
@@ -442,35 +478,36 @@ def _fraction(num, den=1):
     return Fraction(num, den)
 
 
-def _int_row(row):
-    """(integer numerators, common denominator) of a row of rationals."""
-    dens = [x.denominator for x in row]
-    den = lcm(*dens)
-    nums = [x.numerator for x in row]
+def _canonical(rows):
+    """The canonical integer form (integer rows, den) of rows of rationals."""
+    den = lcm(*{x.denominator for row in rows for x in row})
     if den == 1:
-        return nums, 1
-    return [n * (den // d) for n, d in zip(nums, dens)], den
+        return [[x.numerator for x in row] for row in rows], 1
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _mul_q(a_rows, b_rows, ncols):
-    """Rows of A * B over Q, A and B given by their rows, B with ncols columns."""
-    if not b_rows:
-        return [[_ZERO] * ncols for _ in a_rows]
-    cols = []
-    for col in zip(*b_rows):
-        ints, den = _int_row(col)
-        cols.append((ints, den) if any(ints) else None)
+def _transposed(rows, ncols):
+    """The columns of `rows` (ncols of them) as lists."""
+    if not rows:
+        return [[] for _ in range(ncols)]
+    return [list(col) for col in zip(*rows)]
+
+
+def _scaled(rows, s):
+    return rows if s == 1 else [[x * s for x in row] for row in rows]
+
+
+def _mul_ints(a, b, ncols):
+    """Rows of the integer product A B, B with ncols columns."""
+    if not b:
+        return [[0] * ncols for _ in a]
+    cols = [col if any(col) else None for col in zip(*b)]
     out = []
-    for row in a_rows:
-        ra, da = _int_row(row)
-        if not any(ra):
-            out.append([_ZERO] * ncols)
-            continue
-        out_row = []
-        for col in cols:
-            dot = sum(map(operator.mul, ra, col[0])) if col is not None else 0
-            out_row.append(_fraction(dot, da * col[1]) if dot else _ZERO)
-        out.append(out_row)
+    for row in a:
+        if any(row):
+            out.append([sum(map(operator.mul, row, col)) if col else 0 for col in cols])
+        else:
+            out.append([0] * ncols)
     return out
 
 
@@ -506,13 +543,14 @@ def _rref_gf(f, m, nrows, ncols):
     return r, pivots, m
 
 
-def _rref_q(rows, nrows, ncols):
-    """(rank, pivots, rows of the RREF) over Q, by fraction-free Gauss-Jordan."""
+def _rref_q(ints, nrows, ncols):
+    """(rank, pivots, integer rows, den) of the RREF over Q of the integer
+    rows `ints` (any common denominator; row scaling leaves the RREF as it
+    is), by fraction-free Gauss-Jordan.  The input rows are not written."""
     m = []
-    for row in rows:
-        ints = _int_row(row)[0]
-        g = gcd(*ints)
-        m.append([x // g for x in ints] if g > 1 else ints)
+    for row in ints:
+        g = gcd(*row)
+        m.append([x // g for x in row] if g > 1 else row)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -538,13 +576,15 @@ def _rref_q(rows, nrows, ncols):
         r += 1
         if r == nrows:
             break
+    # Every nonzero row is primitive, so row i over its pivot has lowest
+    # terms over |pivot|, and the lcm of the pivots is the canonical den.
+    den = lcm(*(m[i][pivots[i]] for i in range(r)))
     out = []
     for i in range(r):
-        row = m[i]
-        p = row[pivots[i]]
-        out.append([_fraction(x, p) if x else _ZERO for x in row])
-    out += [[_ZERO] * ncols for _ in range(r, nrows)]
-    return r, pivots, out
+        s = den // m[i][pivots[i]]
+        out.append(m[i] if s == 1 else [x * s for x in m[i]])
+    out += [[0] * ncols for _ in range(r, nrows)]
+    return r, pivots, out, den
 
 
 def rref(a):
@@ -568,18 +608,32 @@ def quotient_maps(span):
     f = span.field
     d = span.nrows
     rank, pivots, red = span.transpose().rref()
-    nonpiv = [c for c in range(d) if c not in pivots]
+    m, den = red.int_form()
+    pivset = set(pivots)
+    nonpiv = [c for c in range(d) if c not in pivset]
     q = len(nonpiv)
-    proj = Mat.zeros(f, q, d)
-    one = f.one()
+    proj = [[0] * d for _ in range(q)]
+    section = [[0] * q for _ in range(d)]
     for i, c in enumerate(nonpiv):
-        proj.rows[i][c] = one
+        proj[i][c] = den
         for r, pc in enumerate(pivots):
-            proj.rows[i][pc] = f.neg(red.rows[r][c])
-    section = Mat.zeros(f, d, q)
-    for i, c in enumerate(nonpiv):
-        section.rows[c][i] = one
-    return proj, section
+            proj[i][pc] = f.neg(m[r][c])
+        section[c][i] = 1
+    return Mat.from_ints(f, proj, den, q, d), Mat.from_ints(f, section, 1, d, q)
+
+
+def block_diagonal(field, blocks):
+    """The block-diagonal matrix with the given blocks down its diagonal."""
+    forms = [b.int_form() for b in blocks]
+    den = lcm(*(d for _, d in forms))
+    ncols = sum(b.ncols for b in blocks)
+    rows = []
+    left = 0
+    for b, (ints, d) in zip(blocks, forms):
+        right = ncols - left - b.ncols
+        rows += [[0] * left + row + [0] * right for row in _scaled(ints, den // d)]
+        left += b.ncols
+    return Mat.from_ints(field, rows, den, len(rows), ncols)
 
 
 class SNFResult:

@@ -6,8 +6,10 @@ the arrow actions.  Submodules are stored by canonical echelonized spanning
 sets so every derived object (kernel, image, quotient) is reproducible.
 """
 
+from math import lcm
+
 from .errors import AlgebraMismatch, QuivrepError
-from .linalg import Mat, quotient_maps
+from .linalg import Mat, block_diagonal, quotient_maps
 
 
 class Rep:
@@ -243,8 +245,8 @@ def hom_space(m, n):
     Solves the commutation system T_a B_i = B_j S_a for all arrows a: i->j.
     """
     _check_same_algebra(m, n)
-    basis_vecs = _hom_solution_basis(m, n)
-    return [_unvec_hom(m, n, col) for col in basis_vecs]
+    ints, den = _hom_solution_basis(m, n).int_form()
+    return [_unvec_hom(m, n, col, den) for col in zip(*ints)]
 
 
 def _hom_offsets(m, n):
@@ -257,59 +259,83 @@ def _hom_offsets(m, n):
 
 
 def _hom_solution_basis(m, n):
+    """The canonical basis of the commutation system's solutions, as columns.
+
+    The system is built on the integer forms of the actions: each equation
+    is scaled by the lcm of the two denominators, which leaves its solutions
+    as they are.
+    """
     field = m.algebra.field
     offsets, nvars = _hom_offsets(m, n)
     rows = []
-    zero = field.zero()
     for a, s, t in m.algebra.quiver.arrows:
-        na = n.action[a]  # n.dims[t] x n.dims[s]
-        ma = m.action[a]  # m.dims[t] x m.dims[s]
+        na, dn = n.action[a].int_form()  # n.dims[t] x n.dims[s]
+        ma, dm = m.action[a].int_form()  # m.dims[t] x m.dims[s]
+        den = lcm(dn, dm)
+        sn, sm = den // dn, den // dm
         for r in range(n.dims[t]):
             for c in range(m.dims[s]):
-                row = [zero] * nvars
+                row = [0] * nvars
                 # (T_a B_s)[r, c] = sum_k T_a[r, k] B_s[k, c]
                 base_s = offsets[s]
                 for k in range(n.dims[s]):
-                    coef = na.rows[r][k]
-                    if coef != zero:
-                        row[base_s + k * m.dims[s] + c] = coef
+                    coef = na[r][k]
+                    if coef:
+                        row[base_s + k * m.dims[s] + c] = coef * sn
                 # -(B_t S_a)[r, c] = -sum_k B_t[r, k] S_a[k, c]
                 base_t = offsets[t]
                 for k in range(m.dims[t]):
-                    coef = ma.rows[k][c]
-                    if coef != zero:
+                    coef = ma[k][c]
+                    if coef:
                         idx = base_t + r * m.dims[t] + k
-                        row[idx] = field.sub(row[idx], coef)
-                if any(x != zero for x in row):
+                        row[idx] = field.sub(row[idx], coef * sm)
+                if any(row):
                     rows.append(row)
     if not rows:
-        null = Mat.identity(field, nvars)
-        return [null.col(j) for j in range(nvars)]
-    mat = Mat.from_rows(field, rows, nvars)
-    basis = mat.null_space()
-    return [basis.col(j) for j in range(basis.ncols)]
+        return Mat.identity(field, nvars)
+    return Mat.from_ints(field, rows, 1, len(rows), nvars).null_space()
 
 
-def _unvec_hom(m, n, vec):
+def _unvec_hom(m, n, vec, den):
+    """The hom whose coordinate vector is the integers `vec` over den."""
     field = m.algebra.field
     offsets, _ = _hom_offsets(m, n)
     blocks = {}
     for v in m.algebra.quiver.vertices:
-        rows_v = []
-        base = offsets[v]
-        for r in range(n.dims[v]):
-            rows_v.append(vec[base + r * m.dims[v] : base + (r + 1) * m.dims[v]])
-        blocks[v] = Mat(field, rows_v, n.dims[v], m.dims[v])
+        base, width = offsets[v], m.dims[v]
+        rows_v = [list(vec[base + r * width : base + (r + 1) * width]) for r in range(n.dims[v])]
+        blocks[v] = Mat.from_ints(field, rows_v, den, n.dims[v], width)
     return ModHom(m, n, blocks, check=False)
+
+
+def _stacked(field, groups, ncols):
+    """The Mat whose row i holds the entries of the matrices groups[i],
+    each flattened row by row, one after the other: ncols entries a row."""
+    forms = [[mat.int_form() for mat in group] for group in groups]
+    den = lcm(*(d for group in forms for _, d in group))
+    rows = []
+    for group in forms:
+        row = []
+        for ints, d in group:
+            s = den // d
+            for r in ints:
+                row.extend(r if s == 1 else [x * s for x in r])
+        rows.append(row)
+    return Mat.from_ints(field, rows, den, len(rows), ncols)
+
+
+def _coordinate_rows(homs):
+    """The matrix whose rows are the coordinate vectors `vec_hom` of the
+    homs, all from one source to one target."""
+    src, tgt = homs[0].source, homs[0].target
+    verts = src.algebra.quiver.vertices
+    length = _hom_offsets(src, tgt)[1]
+    return _stacked(src.algebra.field, [[h.blocks[v] for v in verts] for h in homs], length)
 
 
 def vec_hom(h):
     """Flatten a ModHom into the coordinate vector used by hom_space."""
-    out = []
-    for v in h.source.algebra.quiver.vertices:
-        for row in h.blocks[v].rows:
-            out.extend(row)
-    return out
+    return _coordinate_rows([h]).rows[0]
 
 
 def combine(coeffs, homs, source, target):
@@ -328,11 +354,10 @@ def combine(coeffs, homs, source, target):
         for v in source.algebra.quiver.vertices:
             nrows, ncols = target.dims[v], source.dims[v]
             if nrows and ncols:
-                stacked = [[x for r in h.blocks[v].rows for x in r] for _, h in terms]
-                flat = (row * Mat.wrap(field, stacked, len(terms), nrows * ncols)).rows[0]
-                blocks[v] = Mat.wrap(
-                    field, [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)], nrows, ncols
-                )
+                stacked = _stacked(field, [[h.blocks[v]] for _, h in terms], nrows * ncols)
+                (flat,), den = (row * stacked).int_form()
+                rows = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+                blocks[v] = Mat.from_ints(field, rows, den, nrows, ncols)
     return ModHom(source, target, blocks, check=False)
 
 
@@ -342,11 +367,7 @@ def hom_coordinates(basis, h):
     answer is canonical; `combine` maps it back to h."""
     if not basis:
         return [] if h.is_zero() else None
-    field = h.source.algebra.field
-    rhs = vec_hom(h)
-    cols = [vec_hom(b) for b in basis]
-    mat = Mat.wrap(field, [list(r) for r in zip(*cols)], len(rhs), len(cols))
-    sol = mat.solve_right(Mat.wrap(field, [[x] for x in rhs], len(rhs), 1))
+    sol = _coordinate_rows(basis).transpose().solve_right(_coordinate_rows([h]).transpose())
     return None if sol is None else sol.col(0)
 
 
@@ -355,10 +376,7 @@ def independent_indices(homs):
     columns of the matrix whose columns are their coordinate vectors."""
     if not homs:
         return []
-    cols = [vec_hom(h) for h in homs]
-    field = homs[0].source.algebra.field
-    mat = Mat.wrap(field, [list(r) for r in zip(*cols)], len(cols[0]), len(cols))
-    return mat.rref()[1]
+    return _coordinate_rows(homs).transpose().rref()[1]
 
 
 def factor_through(given, target):
@@ -481,16 +499,8 @@ def direct_sum(parts, algebra=None):
     field = alg.field
     dims = {v: sum(p.dims[v] for p in parts) for v in alg.quiver.vertices}
     action = {}
-    for a, s, t in alg.quiver.arrows:
-        m = Mat.zeros(field, dims[t], dims[s])
-        roff = coff = 0
-        for p in parts:
-            b = p.action[a]
-            for r in range(b.nrows):
-                m.rows[roff + r][coff : coff + b.ncols] = list(b.rows[r])
-            roff += b.nrows
-            coff += b.ncols
-        action[a] = m
+    for a, _, _ in alg.quiver.arrows:
+        action[a] = block_diagonal(field, [p.action[a] for p in parts])
     total = Rep(alg, dims, action, check=False)
     injections = []
     projections = []
@@ -499,13 +509,9 @@ def direct_sum(parts, algebra=None):
         inj_blocks = {}
         proj_blocks = {}
         for v in dims:
-            inj = Mat.zeros(field, dims[v], p.dims[v])
-            pr = Mat.zeros(field, p.dims[v], dims[v])
-            for i in range(p.dims[v]):
-                inj.rows[roffs[v] + i][i] = field.one()
-                pr.rows[i][roffs[v] + i] = field.one()
-            inj_blocks[v] = inj
-            proj_blocks[v] = pr
+            rows = [[int(r == roffs[v] + i) for i in range(p.dims[v])] for r in range(dims[v])]
+            inj_blocks[v] = Mat.from_ints(field, rows, 1, dims[v], p.dims[v])
+            proj_blocks[v] = inj_blocks[v].transpose()
         injections.append(ModHom(p, total, inj_blocks, check=False))
         projections.append(ModHom(total, p, proj_blocks, check=False))
         for v in dims:
@@ -533,13 +539,10 @@ def submodule_closure(ambient, generators):
     span = {}
     for v in ambient.dims:
         vecs = generators.get(v, [])
-        cols = Mat.zeros(field, ambient.dims[v], len(vecs))
-        for j, vec in enumerate(vecs):
-            if len(vec) != ambient.dims[v]:
-                raise QuivrepError("generator length mismatch at vertex %s" % v)
-            for i, x in enumerate(vec):
-                cols.rows[i][j] = field.conv(x)
-        span[v] = cols.column_space()
+        if any(len(vec) != ambient.dims[v] for vec in vecs):
+            raise QuivrepError("generator length mismatch at vertex %s" % v)
+        rows = [[vec[i] for vec in vecs] for i in range(ambient.dims[v])]
+        span[v] = Mat(field, rows, ambient.dims[v], len(vecs)).column_space()
     changed = True
     while changed:
         changed = False

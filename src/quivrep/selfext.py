@@ -7,6 +7,8 @@ Hom(Omega M, N) / Im(Hom(u, N)); two representatives are equal as classes
 iff their difference lies in that image.
 """
 
+from operator import mul
+
 from .algebra import path_target, projective
 from .errors import NotStandard, QuivrepError, ZeroModule
 from .linalg import Mat
@@ -44,8 +46,7 @@ def projective_cover(m):
             parts.append((p_v, gen_idx, v, lifts.col(j)))
     summands = [p for p, _, _, _ in parts]
     total, injs, _ = direct_sum(summands)
-    blocks = {v: Mat.zeros(alg.field, m.dims[v], total.dims[v]) for v in m.dims}
-    offset = {v: 0 for v in m.dims}
+    columns = {v: [] for v in m.dims}  # of the block at v, in order
     pb = alg.path_basis()
     for p_v, gen_idx, src, lift in parts:
         # the generator e_src goes to the lifted top vector; every basis path
@@ -55,21 +56,17 @@ def projective_cover(m):
         for w in pb.words_from(src):
             words[path_target(alg.quiver, w)].append(w)
         for t in m.dims:
-            for col, w in enumerate(words[t]):
+            for w in words[t]:
                 if w == ():
-                    vec = lift
-                else:
-                    mat = m.path_action(w)
-                    vec = [
-                        sum(
-                            (alg.field.mul(mat.rows[i][k], lift[k]) for k in range(len(lift))),
-                            alg.field.zero(),
-                        )
-                        for i in range(mat.nrows)
-                    ]
-                for i, x in enumerate(vec):
-                    blocks[t].rows[i][offset[t] + col] = x
-            offset[t] += len(words[t])
+                    columns[t].append(lift)
+                    continue
+                rows = m.path_action(w).rows
+                columns[t].append([alg.field.conv(sum(map(mul, row, lift))) for row in rows])
+    blocks = {
+        v: Mat.wrap(alg.field, [[c[i] for c in columns[v]] for i in range(m.dims[v])],
+                    m.dims[v], total.dims[v])
+        for v in m.dims
+    }
     p = ModHom(total, m, blocks)
     if not p.is_surjective():
         raise QuivrepError("projective cover map is not surjective")

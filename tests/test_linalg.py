@@ -1,4 +1,8 @@
+import copy
+import pickle
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +14,7 @@ from quivrep.linalg import (
     GF,
     QQ,
     Mat,
+    block_diagonal,
     int_mat_mul,
     null_space,
     quotient_maps,
@@ -266,3 +271,115 @@ def test_q_inverse_matches_sympy(a):
         assert inv is None
     else:
         assert inv == _from_dm(_dm(a).inv())
+
+
+# ---------------------------------------------------------------------------
+# The integer form over Q.  Products, RREF and the bases built on them work
+# on integer rows over one denominator, and the matrices they make build their
+# Fraction rows only when read; these must be the same values as the
+# Fraction algorithm gives, with the same rows.
+
+
+def _fractions_only(a):
+    return all(type(x) is Fraction for row in a.rows for x in row)
+
+
+def _row_built(a):
+    """The value of `a` as a Mat built from its Fraction rows."""
+    return Mat(QQ, [list(row) for row in a.rows], a.nrows, a.ncols)
+
+
+def _int_built(a):
+    """The value of `a` as a Mat made by integer work."""
+    return a * Mat.identity(QQ, a.ncols)
+
+
+def _assert_canonical(a):
+    rows, den = a.int_form()
+    assert len(rows) == a.nrows and all(len(row) == a.ncols for row in rows)
+    assert den > 0 and all(type(x) is int for x in chain.from_iterable(rows))
+    assert gcd(den, *chain.from_iterable(rows)) == 1
+    if not any(chain.from_iterable(rows)):
+        assert den == 1
+    assert a.rows == [[Fraction(x, den) for x in row] for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_q_chained_products_match_sympy(data):
+    a = data.draw(q_matrices())
+    b = data.draw(q_matrices(nrows=a.ncols))
+    c = data.draw(q_matrices(nrows=b.ncols))
+    left = (a * b) * c
+    assert left == _from_dm((_dm(a) * _dm(b)) * _dm(c))
+    assert left == a * (b * c)
+    assert _fractions_only(left)
+    _assert_canonical(left)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_q_rref_null_space_and_solve_of_products_match_sympy(data):
+    a = data.draw(q_matrices())
+    b = data.draw(q_matrices(nrows=a.ncols))
+    prod = a * b
+    rank, pivots, red = prod.rref()
+    ref, ref_pivots = (_dm(a) * _dm(b)).rref()
+    assert (rank, pivots) == (len(ref_pivots), list(ref_pivots))
+    assert red == _from_dm(ref) and _fractions_only(red)
+    _assert_canonical(red)
+    basis = prod.null_space()
+    assert basis == _row_built(prod).null_space() and _fractions_only(basis)
+    assert (prod * basis).is_zero()
+    k = data.draw(st.integers(min_value=0, max_value=3))
+    rhs = prod * data.draw(q_matrices(nrows=prod.ncols, ncols=k))
+    x = prod.solve_right(rhs)
+    assert x is not None and _dm(prod) * _dm(x) == _dm(rhs)
+    assert x == _row_built(prod).solve_right(_row_built(rhs)) and _fractions_only(x)
+    _assert_canonical(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_matrices())
+def test_q_equality_between_row_built_and_int_built(a):
+    work = _int_built(a)
+    assert type(work) is not type(a)  # made from its integer form
+    assert work == a and a == work
+    assert _row_built(work) == work
+    assert (a.scale(2) == work) == a.is_zero()
+    assert work + work == a.scale(2) and work - a == Mat.zeros(QQ, *a.shape)
+    assert -work == a.scale(-1) and block_diagonal(QQ, [a, work]) == block_diagonal(QQ, [a, a])
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_matrices())
+def test_q_canonical_form(a):
+    for m in (a, _int_built(a), a.scale(Fraction(3, 7)), a - a, a.transpose(), a.hstack(a)):
+        _assert_canonical(m)
+    assert (a - a).int_form()[1] == 1
+    assert Mat.zeros(QQ, a.nrows, a.ncols).int_form() == ([[0] * a.ncols for _ in range(a.nrows)], 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_matrices())
+def test_q_is_zero_and_transpose_on_both_kinds(a):
+    zero = all(x == 0 for row in a.rows for x in row)
+    expected = [[a.rows[i][j] for i in range(a.nrows)] for j in range(a.ncols)]
+    for m in (a, _int_built(a)):
+        assert m.is_zero() == zero
+        t = m.transpose()
+        assert t.shape == (a.ncols, a.nrows)
+        assert t.rows == expected and _fractions_only(t)
+        assert t.transpose() == a
+
+
+def test_int_built_matrices_pickle_and_copy():
+    a = Mat(QQ, [[1, 2], [3, 4]]) * Mat(QQ, [["1/2", 0], [0, 1]])
+    for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert b == a and b.rows == [[Fraction(1, 2), 2], [Fraction(3, 2), 4]]
+
+
+def test_gf_int_form_is_the_rows():
+    a = Mat(GF(7), [[1, 2], [3, 4]])
+    assert a.int_form() == (a.rows, 1)
+    assert type(a * a) is Mat and (a * a).rows == [[0, 3], [1, 1]]
