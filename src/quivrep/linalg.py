@@ -15,9 +15,17 @@ solution and quotient bases built on it all work on integer forms and do no
 first use and keeps it.  A matrix made by integer work (`Mat.from_ints`) is
 an `_IntMat`: it builds its `Fraction` rows only when they are first read,
 and then gives up its integer form, so that a matrix read as output holds
-one form; it makes it again from its rows if it is used in arithmetic after
-that.  Either way is only sound because nothing writes into `rows` after
-construction.
+one form; `int_form()` makes it again from the rows if the matrix is used in
+arithmetic after that.  Either way is only sound because nothing writes into
+`rows` after construction.  Each form is made from the other as a pure
+function, the rows are set before the integer form is dropped, and a thread
+that finds a form gone reads the other, so threads that race on a first
+read all get the same value.
+
+The rest of the package reads `rows` and uses the operations, and never
+handles a denominator: `Mat.stack_flat` and `Mat.unstack_flat` flatten
+matrices into rows and back, and `block_diagonal` and `sylvester_system`
+assemble larger matrices from smaller ones.
 
 The product of A = N/D and B = M/E is the integer product NM over DE,
 reduced by the gcd of DE and its entries.  Row reduction scales each row to
@@ -28,10 +36,9 @@ is divided by the gcd of its entries.  At the end every nonzero row is
 primitive, so row i over its pivot p_i is in lowest terms over |p_i|, and
 the integer form of the result is read off over the lcm of the pivots.
 Scaling a row by a nonzero integer leaves its zero pattern unchanged, so the
-pivots and row swaps are those of the `Fraction` algorithm; and the reduced
-row echelon form of a matrix is unique, so the result, and with it every
-null-space, solution and quotient basis built from it, is the same matrix
-bit for bit.
+pivots are those of the `Fraction` algorithm; and the reduced row echelon
+form of a matrix is unique, so the result, and with it every null-space,
+solution and quotient basis built from it, is the same matrix bit for bit.
 
 GF(p) matrices keep plain rows of ints mod p and their direct modular
 loops: they are plain `Mat`s, so reading their rows costs a slot read.
@@ -231,7 +238,8 @@ class Mat:
         """(integer rows, den) with rows / den this matrix.
 
         Over Q it is the canonical form: den > 0 is the lcm of the entries'
-        denominators, so gcd(den, entries) = 1; it is kept once made.
+        denominators, so gcd(den, entries) = 1.  It is kept once made, but
+        a matrix made by integer work drops it when its rows are first read.
         Over GF(p) it is (rows, 1).  The rows must not be written.
         """
         if self.field.p:
@@ -239,8 +247,8 @@ class Mat:
         try:
             return self._ints
         except AttributeError:
-            self._ints = _canonical(self.rows)
-            return self._ints
+            form = self._ints = _canonical(self.rows)
+            return form
 
     @staticmethod
     def zeros(field, nrows, ncols):
@@ -278,7 +286,12 @@ class Mat:
 
     def transpose(self):
         rows, den = self.int_form()
-        return Mat.from_ints(self.field, _transposed(rows, self.ncols), den, self.ncols, self.nrows)
+        rows = _transposed(rows, self.ncols)
+        if self.field.p:
+            return Mat.wrap(self.field, rows, self.ncols, self.nrows)
+        m = _IntMat.__new__(_IntMat)  # the same entries over den: still canonical
+        m.field, m.nrows, m.ncols, m._ints = self.field, self.ncols, self.nrows, (rows, den)
+        return m
 
     def __eq__(self, other):
         return (
@@ -304,10 +317,8 @@ class Mat:
                 [(a + sign * b) % p for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
             ]
             return Mat.wrap(f, rows, self.nrows, self.ncols)
-        (a, da), (b, db) = self.int_form(), other.int_form()
-        den = lcm(da, db)
-        sa, sb = den // da, sign * (den // db)
-        rows = [[x * sa + y * sb for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        (a, b), den = _common([self.int_form(), other.int_form()])
+        rows = [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
         return Mat.from_ints(f, rows, den, self.nrows, self.ncols)
 
     def __neg__(self):
@@ -417,18 +428,46 @@ class Mat:
     def hstack(self, other):
         if self.nrows != other.nrows or self.field != other.field:
             raise QuivrepError("hstack mismatch")
-        (a, da), (b, db) = self.int_form(), other.int_form()
-        den = lcm(da, db)
-        rows = [x + y for x, y in zip(_scaled(a, den // da), _scaled(b, den // db))]
+        (a, b), den = _common([self.int_form(), other.int_form()])
+        rows = [x + y for x, y in zip(a, b)]
         return Mat.from_ints(self.field, rows, den, self.nrows, self.ncols + other.ncols)
 
     def vstack(self, other):
         if self.ncols != other.ncols or self.field != other.field:
             raise QuivrepError("vstack mismatch")
-        (a, da), (b, db) = self.int_form(), other.int_form()
-        den = lcm(da, db)
-        rows = _scaled(a, den // da) + _scaled(b, den // db)
-        return Mat.from_ints(self.field, rows, den, self.nrows + other.nrows, self.ncols)
+        (a, b), den = _common([self.int_form(), other.int_form()])
+        return Mat.from_ints(self.field, a + b, den, self.nrows + other.nrows, self.ncols)
+
+    @staticmethod
+    def stack_flat(field, groups, ncols):
+        """The matrix whose row i holds the entries of the matrices in
+        groups[i], each read row by row, one after the other: ncols a row."""
+        scaled, den = _common([m.int_form() for group in groups for m in group])
+        scaled = iter(scaled)
+        rows = []
+        for group in groups:
+            row = []
+            for _ in group:
+                for r in next(scaled):
+                    row.extend(r)
+            rows.append(row)
+        return Mat.from_ints(field, rows, den, len(rows), ncols)
+
+    def unstack_flat(self, shapes):
+        """The inverse of `stack_flat`: for each row, the matrices with the
+        given (nrows, ncols) shapes whose entries, read row by row, fill the
+        row one after the other."""
+        ints, den = self.int_form()
+        out = []
+        for row in ints:
+            mats = []
+            pos = 0
+            for h, w in shapes:
+                rows = [row[pos + i * w : pos + (i + 1) * w] for i in range(h)]
+                mats.append(Mat.from_ints(self.field, rows, den, h, w))
+                pos += h * w
+            out.append(mats)
+        return out
 
     def fmt(self):
         f = self.field
@@ -454,11 +493,18 @@ class _IntMat(Mat):
         try:
             return _ROWS.__get__(self)
         except AttributeError:
+            pass
+        try:
             ints, den = self._ints
-            rows = [[_fraction(x, den) if x else _ZERO for x in row] for row in ints]
-            _ROWS.__set__(self, rows)
-            del self._ints  # hold one form; int_form() remakes it if needed
-            return rows
+        except AttributeError:  # another thread built the rows and dropped the form
+            return _ROWS.__get__(self)
+        rows = [[_fraction(x, den) if x else _ZERO for x in row] for row in ints]
+        _ROWS.__set__(self, rows)
+        try:
+            del self._ints  # hold one form; int_form() makes it again if needed
+        except AttributeError:  # another thread dropped it first
+            pass
+        return rows
 
     def __reduce__(self):  # for pickle and copy, which would set `rows`
         return Mat.from_ints, (self.field, *self.int_form(), self.nrows, self.ncols)
@@ -493,8 +539,20 @@ def _transposed(rows, ncols):
     return [list(col) for col in zip(*rows)]
 
 
-def _scaled(rows, s):
-    return rows if s == 1 else [[x * s for x in row] for row in rows]
+def _common(forms):
+    """The integer rows of each (rows, den) form brought to one denominator,
+    the lcm of theirs, and that denominator."""
+    if not forms:
+        return [], 1
+    ints, dens = zip(*forms)
+    den = lcm(*dens)
+    if den == 1:
+        return ints, 1
+    scaled = []
+    for rows, d in forms:
+        s = den // d
+        scaled.append(rows if s == 1 else [[x * s for x in row] for row in rows])
+    return scaled, den
 
 
 def _mul_ints(a, b, ncols):
@@ -624,16 +682,55 @@ def quotient_maps(span):
 
 def block_diagonal(field, blocks):
     """The block-diagonal matrix with the given blocks down its diagonal."""
-    forms = [b.int_form() for b in blocks]
-    den = lcm(*(d for _, d in forms))
+    scaled, den = _common([b.int_form() for b in blocks])
     ncols = sum(b.ncols for b in blocks)
     rows = []
     left = 0
-    for b, (ints, d) in zip(blocks, forms):
+    for b, ints in zip(blocks, scaled):
         right = ncols - left - b.ncols
-        rows += [[0] * left + row + [0] * right for row in _scaled(ints, den // d)]
+        rows += [[0] * left + row + [0] * right for row in ints]
         left += b.ncols
     return Mat.from_ints(field, rows, den, len(rows), ncols)
+
+
+def sylvester_system(field, shapes, equations):
+    """The nonzero rows of the matrix of the linear map that sends matrices
+    X_0, X_1, ... of the given (nrows, ncols) shapes to the matrices
+    T X_i - X_j S, one for each equation (i, j, T, S): a system whose null
+    space is the set of solutions.  The X_k and the images are each
+    flattened row by row and stacked in order, so the equation's rows hold
+    T (x) I against X_i and -(I (x) S^T) against X_j."""
+    p = field.p
+    offsets = [0]
+    for h, w in shapes:
+        offsets.append(offsets[-1] + h * w)
+    nvars = offsets[-1]
+    forms = [(t.int_form(), s.int_form()) for _, _, t, s in equations]
+    den = lcm(*(d for pair in forms for _, d in pair))
+    rows = []
+    for (i, j, t, s), ((tints, dt), (sints, ds)) in zip(equations, forms):
+        if shapes[i] != (t.ncols, s.ncols) or shapes[j] != (t.nrows, s.nrows):
+            raise QuivrepError("Sylvester equation does not fit its unknowns")
+        st, ss = den // dt, den // ds
+        base_i, wi = offsets[i], s.ncols
+        base_j, wj = offsets[j], s.nrows
+        for r, trow in enumerate(tints):
+            for c in range(wi):
+                row = [0] * nvars
+                # (T X_i)[r, c] = sum_k T[r, k] X_i[k, c]
+                for k, x in enumerate(trow):
+                    if x:
+                        row[base_i + k * wi + c] = x * st
+                # -(X_j S)[r, c] = -sum_k X_j[r, k] S[k, c]
+                for k in range(wj):
+                    x = sints[k][c]
+                    if x:
+                        idx = base_j + r * wj + k
+                        v = row[idx] - x * ss
+                        row[idx] = v % p if p else v
+                if any(row):
+                    rows.append(row)
+    return Mat.from_ints(field, rows, den, len(rows), nvars)
 
 
 class SNFResult:

@@ -6,10 +6,8 @@ the arrow actions.  Submodules are stored by canonical echelonized spanning
 sets so every derived object (kernel, image, quotient) is reproducible.
 """
 
-from math import lcm
-
 from .errors import AlgebraMismatch, QuivrepError
-from .linalg import Mat, block_diagonal, quotient_maps
+from .linalg import Mat, block_diagonal, quotient_maps, sylvester_system
 
 
 class Rep:
@@ -245,83 +243,22 @@ def hom_space(m, n):
     Solves the commutation system T_a B_i = B_j S_a for all arrows a: i->j.
     """
     _check_same_algebra(m, n)
-    ints, den = _hom_solution_basis(m, n).int_form()
-    return [_unvec_hom(m, n, col, den) for col in zip(*ints)]
-
-
-def _hom_offsets(m, n):
-    offsets = {}
-    pos = 0
-    for v in m.algebra.quiver.vertices:
-        offsets[v] = pos
-        pos += n.dims[v] * m.dims[v]
-    return offsets, pos
+    verts = m.algebra.quiver.vertices
+    shapes = [(n.dims[v], m.dims[v]) for v in verts]
+    basis = _hom_solution_basis(m, n).transpose().unstack_flat(shapes)
+    return [ModHom(m, n, dict(zip(verts, blocks)), check=False) for blocks in basis]
 
 
 def _hom_solution_basis(m, n):
-    """The canonical basis of the commutation system's solutions, as columns.
-
-    The system is built on the integer forms of the actions: each equation
-    is scaled by the lcm of the two denominators, which leaves its solutions
-    as they are.
-    """
-    field = m.algebra.field
-    offsets, nvars = _hom_offsets(m, n)
-    rows = []
-    for a, s, t in m.algebra.quiver.arrows:
-        na, dn = n.action[a].int_form()  # n.dims[t] x n.dims[s]
-        ma, dm = m.action[a].int_form()  # m.dims[t] x m.dims[s]
-        den = lcm(dn, dm)
-        sn, sm = den // dn, den // dm
-        for r in range(n.dims[t]):
-            for c in range(m.dims[s]):
-                row = [0] * nvars
-                # (T_a B_s)[r, c] = sum_k T_a[r, k] B_s[k, c]
-                base_s = offsets[s]
-                for k in range(n.dims[s]):
-                    coef = na[r][k]
-                    if coef:
-                        row[base_s + k * m.dims[s] + c] = coef * sn
-                # -(B_t S_a)[r, c] = -sum_k B_t[r, k] S_a[k, c]
-                base_t = offsets[t]
-                for k in range(m.dims[t]):
-                    coef = ma[k][c]
-                    if coef:
-                        idx = base_t + r * m.dims[t] + k
-                        row[idx] = field.sub(row[idx], coef * sm)
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        return Mat.identity(field, nvars)
-    return Mat.from_ints(field, rows, 1, len(rows), nvars).null_space()
-
-
-def _unvec_hom(m, n, vec, den):
-    """The hom whose coordinate vector is the integers `vec` over den."""
-    field = m.algebra.field
-    offsets, _ = _hom_offsets(m, n)
-    blocks = {}
-    for v in m.algebra.quiver.vertices:
-        base, width = offsets[v], m.dims[v]
-        rows_v = [list(vec[base + r * width : base + (r + 1) * width]) for r in range(n.dims[v])]
-        blocks[v] = Mat.from_ints(field, rows_v, den, n.dims[v], width)
-    return ModHom(m, n, blocks, check=False)
-
-
-def _stacked(field, groups, ncols):
-    """The Mat whose row i holds the entries of the matrices groups[i],
-    each flattened row by row, one after the other: ncols entries a row."""
-    forms = [[mat.int_form() for mat in group] for group in groups]
-    den = lcm(*(d for group in forms for _, d in group))
-    rows = []
-    for group in forms:
-        row = []
-        for ints, d in group:
-            s = den // d
-            for r in ints:
-                row.extend(r if s == 1 else [x * s for x in r])
-        rows.append(row)
-    return Mat.from_ints(field, rows, den, len(rows), ncols)
+    """The canonical basis of the commutation system's solutions, as columns:
+    the blocks B_v, each flattened row by row, one vertex after the other,
+    with T_a B_s - B_t S_a = 0 for every arrow a: s -> t."""
+    verts = m.algebra.quiver.vertices
+    index = {v: i for i, v in enumerate(verts)}
+    shapes = [(n.dims[v], m.dims[v]) for v in verts]
+    arrows = m.algebra.quiver.arrows
+    equations = [(index[s], index[t], n.action[a], m.action[a]) for a, s, t in arrows]
+    return sylvester_system(m.algebra.field, shapes, equations).null_space()
 
 
 def _coordinate_rows(homs):
@@ -329,13 +266,13 @@ def _coordinate_rows(homs):
     homs, all from one source to one target."""
     src, tgt = homs[0].source, homs[0].target
     verts = src.algebra.quiver.vertices
-    length = _hom_offsets(src, tgt)[1]
-    return _stacked(src.algebra.field, [[h.blocks[v] for v in verts] for h in homs], length)
+    length = sum(tgt.dims[v] * src.dims[v] for v in verts)
+    return Mat.stack_flat(src.algebra.field, [[h.blocks[v] for v in verts] for h in homs], length)
 
 
 def vec_hom(h):
     """Flatten a ModHom into the coordinate vector used by hom_space."""
-    return _coordinate_rows([h]).rows[0]
+    return [x for v in h.source.algebra.quiver.vertices for row in h.blocks[v].rows for x in row]
 
 
 def combine(coeffs, homs, source, target):
@@ -354,10 +291,8 @@ def combine(coeffs, homs, source, target):
         for v in source.algebra.quiver.vertices:
             nrows, ncols = target.dims[v], source.dims[v]
             if nrows and ncols:
-                stacked = _stacked(field, [[h.blocks[v]] for _, h in terms], nrows * ncols)
-                (flat,), den = (row * stacked).int_form()
-                rows = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
-                blocks[v] = Mat.from_ints(field, rows, den, nrows, ncols)
+                stacked = Mat.stack_flat(field, [[h.blocks[v]] for _, h in terms], nrows * ncols)
+                blocks[v] = (row * stacked).unstack_flat([(nrows, ncols)])[0][0]
     return ModHom(source, target, blocks, check=False)
 
 

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import sys
+import threading
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -20,6 +22,7 @@ from quivrep.linalg import (
     quotient_maps,
     rref,
     smith_normal_form,
+    sylvester_system,
 )
 
 
@@ -383,3 +386,112 @@ def test_gf_int_form_is_the_rows():
     a = Mat(GF(7), [[1, 2], [3, 4]])
     assert a.int_form() == (a.rows, 1)
     assert type(a * a) is Mat and (a * a).rows == [[0, 3], [1, 1]]
+
+
+def test_int_built_rows_read_from_many_threads():
+    # The first read of `rows` builds them; racing first reads of one shared
+    # matrix, mixed with reads of its integer form, must all see the value.
+    # The matrix is large enough that building its rows spans many thread
+    # switches at the short switch interval.
+    n = 12
+    base = Mat(QQ, [[i * n + j for j in range(n)] for i in range(n)])
+    sixth = Mat(QQ, [["1/6" if i == j else 0 for j in range(n)] for i in range(n)])
+    expected = [[Fraction(i * n + j, 6) for j in range(n)] for i in range(n)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            shared = base * sixth
+            barrier = threading.Barrier(4)
+            seen, errors = [], []
+
+            def read(k, shared=shared, barrier=barrier, seen=seen, errors=errors):
+                try:
+                    barrier.wait()
+                    if k % 2:
+                        shared.int_form()
+                    seen.append(shared.rows)
+                except Exception as exc:  # collected for the assert below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert errors == []
+            assert seen == [expected] * 4
+            assert shared == base * sixth
+    finally:
+        sys.setswitchinterval(old)
+
+
+@st.composite
+def _flat_groups(draw):
+    """Groups of Q matrices with one list of shapes, one group per row."""
+    shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=3))
+    k = draw(st.integers(min_value=1, max_value=3))
+    return shapes, [[draw(q_matrices(nrows=h, ncols=w)) for h, w in shapes] for _ in range(k)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_flat_groups())
+def test_q_stack_flat_and_unstack_flat_are_inverse(data):
+    shapes, groups = data
+    width = sum(h * w for h, w in shapes)
+    stacked = Mat.stack_flat(QQ, groups, width)
+    assert stacked.shape == (len(groups), width)
+    assert stacked.rows == [[x for m in g for row in m.rows for x in row] for g in groups]
+    _assert_canonical(stacked)
+    back = stacked.unstack_flat(shapes)
+    assert back == groups
+    for mats in back:
+        for m in mats:
+            _assert_canonical(m)
+
+
+def _over(field, a):
+    """A Q matrix over `field`: over GF(p) the integer matrix den * a."""
+    return a if field == QQ else Mat(field, a.int_form()[0], a.nrows, a.ncols)
+
+
+def _sylvester_by_columns(field, shapes, equations):
+    """The nonzero rows of the map's matrix, whose column k is the image of
+    the k-th unit vector, the images T X_i - X_j S computed directly."""
+    nvars = sum(h * w for h, w in shapes)
+    cols = []
+    for k in range(nvars):
+        flat = [int(i == k) for i in range(nvars)]
+        xs, pos = [], 0
+        for h, w in shapes:
+            xs.append(Mat(field, [flat[pos + r * w : pos + (r + 1) * w] for r in range(h)], h, w))
+            pos += h * w
+        image = []
+        for i, j, t, s in equations:
+            image += [x for row in (t * xs[i] - xs[j] * s).rows for x in row]
+        cols.append(image)
+    rows = [list(row) for row in zip(*cols) if any(row)]
+    return Mat(field, rows, len(rows), nvars)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sylvester_system_holds_the_nonzero_rows_of_its_map(data):
+    for field in (QQ, GF(7)):
+        dims = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
+                                  max_size=3))
+        equations = []
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            i = data.draw(st.integers(0, len(dims) - 1))
+            j = data.draw(st.integers(0, len(dims) - 1))
+            (hi, wi), (hj, wj) = dims[i], dims[j]
+            t = data.draw(q_matrices(nrows=hj, ncols=hi))
+            s = data.draw(q_matrices(nrows=wj, ncols=wi))
+            equations.append((i, j, _over(field, t), _over(field, s)))
+        assert sylvester_system(field, dims, equations) == _sylvester_by_columns(field, dims, equations)
+
+
+def test_sylvester_system_checks_shapes():
+    t = Mat.identity(QQ, 2)
+    with pytest.raises(QuivrepError):
+        sylvester_system(QQ, [(2, 2), (3, 2)], [(0, 1, t, t)])
