@@ -3,7 +3,7 @@
 Subcommands: ladder, chessboard, ext, degenerate, degenerate-cokernels,
 decompose, zladder, example NAME, check.  Output is a single JSON report on
 stdout (optionally to --out); exit status 0 iff every claim passed, 1 on a
-mathematical failure, 2 on usage errors.
+mathematical failure, 2 on usage errors and malformed input files.
 """
 
 import argparse
@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import decomp, degen, io as qio, ladder, selfext, zladder
-from .errors import QuivrepError, UsageError
+from .errors import ParseError, QuivrepError, UsageError
 from .scenarios import SCENARIOS, Report
 from . import suites
 
@@ -292,7 +292,7 @@ def run(argv=None):
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
         _emit(doc, getattr(args, "out", None))
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     _emit(doc, getattr(args, "out", None))
     return 0 if doc.get("ok", True) else 1
 

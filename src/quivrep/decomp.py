@@ -52,9 +52,14 @@ class EndAlgebra:
         self.basis = hom_space(module, module)
         self.dim = len(self.basis)
         # The hom_space basis is canonical: element k is 1 at its free
-        # coordinate, its last nonzero one, and every other element is 0 there.
+        # coordinate, its last nonzero one in `vec_hom` order, and every
+        # other element is 0 there.
+        dims = module.dims
+        order = [(v, r, c) for v in module.algebra.quiver.vertices
+                 for r in range(dims[v]) for c in range(dims[v])]
         self._free = [
-            max(i for i, x in enumerate(vec_hom(b)) if x) for b in self.basis
+            next((v, r, c) for v, r, c in reversed(order) if b.blocks[v].entry(r, c))
+            for b in self.basis
         ]
         self.table = {}
         for i, f in enumerate(self.basis):
@@ -68,8 +73,7 @@ class EndAlgebra:
         """Coordinates of h in the basis, read off at the free coordinates."""
         if not self.basis:
             return []
-        vec = vec_hom(h)
-        coords = [vec[i] for i in self._free]
+        coords = [h.blocks[v].entry(r, c) for v, r, c in self._free]
         if self.from_coordinates(coords) != h:
             raise QuivrepError("endomorphism outside the computed basis")
         return coords

@@ -32,7 +32,7 @@ resolves names across them.
 import re
 
 from .algebra import AlgebraPresentation, Quiver
-from .errors import ParseError
+from .errors import ParseError, QuivrepError
 from .linalg import GF, QQ, Mat
 from .rep import ModHom, Rep
 
@@ -196,15 +196,15 @@ def _parse_module(lines, i, ns, origin):
             m = re.fullmatch(r"matrix\s+(\w+)\s*=\s*(.*)", line)
             if not m:
                 raise ParseError("%s:%d: expected 'matrix ARROW = [[...]]'" % (origin, i + 1))
-            mats[m.group(1)] = _parse_matrix_literal(m.group(2), origin, i + 1)
+            mats[m.group(1)] = (_parse_matrix_literal(m.group(2), origin, i + 1), i + 1)
         else:
             raise ParseError("%s:%d: unknown module line %r" % (origin, i + 1, head))
         i += 1
     action = {}
     for a, s, t in alg.quiver.arrows:
         if a in mats:
-            rows = mats[a]
-            action[a] = Mat(alg.field, rows, dims.get(t, 0), dims.get(s, 0))
+            rows, lineno = mats[a]
+            action[a] = _matrix(alg.field, rows, dims.get(t, 0), dims.get(s, 0), origin, lineno)
     try:
         ns.modules[name] = Rep(alg, dims, action)
     except Exception as exc:
@@ -240,7 +240,9 @@ def _parse_hom(lines, i, ns, origin):
                 raise ParseError("%s:%d: expected 'block VERTEX = [[...]]'" % (origin, i + 1))
             v = mm.group(1)
             rows = _parse_matrix_literal(mm.group(2), origin, i + 1)
-            blocks[v] = Mat(src.algebra.field, rows, tgt.dims.get(v, 0), src.dims.get(v, 0))
+            blocks[v] = _matrix(
+                src.algebra.field, rows, tgt.dims.get(v, 0), src.dims.get(v, 0), origin, i + 1
+            )
         else:
             raise ParseError("%s:%d: unknown hom line %r" % (origin, i + 1, head))
         i += 1
@@ -250,6 +252,13 @@ def _parse_hom(lines, i, ns, origin):
         raise ParseError("%s: hom %s invalid: %s" % (origin, name, exc)) from exc
     ns.origins["hom"][name] = origin
     return i
+
+
+def _matrix(field, rows, nrows, ncols, origin, lineno):
+    try:
+        return Mat(field, rows, nrows, ncols)
+    except (ValueError, QuivrepError) as exc:
+        raise ParseError("%s:%d: bad matrix: %s" % (origin, lineno, exc)) from exc
 
 
 def _parse_matrix_literal(text, origin, lineno):

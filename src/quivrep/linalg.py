@@ -27,29 +27,33 @@ handles a denominator: `Mat.stack_flat` and `Mat.unstack_flat` flatten
 matrices into rows and back, and `block_diagonal` and `sylvester_system`
 assemble larger matrices from smaller ones.
 
-The product of A = N/D and B = M/E is the integer product NM over DE,
-reduced by the gcd of DE and its entries.  Row reduction scales each row to
-primitive integers and runs Gauss-Jordan fraction-free, in the spirit of
-Bareiss (1968): a pivot p clears an entry f of another row by
-`row <- (p/g) row - (f/g) pivot_row` with g = gcd(p, f), after which the row
-is divided by the gcd of its entries.  At the end every nonzero row is
-primitive, so row i over its pivot p_i is in lowest terms over |p_i|, and
-the integer form of the result is read off over the lcm of the pivots.
-Scaling a row by a nonzero integer leaves its zero pattern unchanged, so the
-pivots are those of the `Fraction` algorithm; and the reduced row echelon
-form of a matrix is unique, so the result, and with it every null-space,
-solution and quotient basis built from it, is the same matrix bit for bit.
+Products over both fields run one integer kernel, after Gustavson (1978):
+row i of A B is the sum of x * (row k of B) over the nonzero entries
+x = A[i][k], so zero entries of A cost nothing and B is never transposed.
+Over Q the product of A = N/D and B = M/E is NM over DE, reduced by the gcd
+of DE and its entries; over GF(p) each entry is reduced mod p once, at the
+end of its row.
 
-GF(p) matrices keep plain rows of ints mod p and their direct modular
-loops: they are plain `Mat`s, so reading their rows costs a slot read.
-Their integer form is their rows over 1, which lets one code path build
-bases over both kinds of field.
+Row reduction scales each row to primitive integers and runs Gauss-Jordan
+fraction-free, in the spirit of Bareiss (1968): a pivot p clears an entry f
+of another row by `row <- (p/g) row - (f/g) pivot_row` with g = gcd(p, f),
+after which the row is divided by the gcd of its entries.  At the end every
+nonzero row is primitive, so row i over its pivot p_i is in lowest terms
+over |p_i|, and the integer form of the result is read off over the lcm of
+the pivots.  Scaling a row by a nonzero integer leaves its zero pattern
+unchanged, so the pivots are those of the `Fraction` algorithm; and the
+reduced row echelon form of a matrix is unique, so the result, and with it
+every null-space, solution and quotient basis built from it, is the same
+matrix bit for bit.
+
+GF(p) matrices are plain `Mat`s on rows of ints mod p, so reading their
+rows costs a slot read.  Their integer form is their rows over 1, which
+lets one code path multiply, and build bases, over both kinds of field.
 """
 
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-import operator
 
 from .errors import QuivrepError
 
@@ -70,10 +74,6 @@ class Field:
             raise QuivrepError("unknown field kind %r" % (kind,))
         self.kind = kind
         self.p = p
-
-    @property
-    def characteristic(self):
-        return self.p
 
     def zero(self):
         return 0 if self.p else Fraction(0)
@@ -96,9 +96,6 @@ class Field:
 
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
 
     def mul(self, a, b):
         return (a * b) % self.p if self.p else a * b
@@ -135,12 +132,6 @@ class Field:
         if a.denominator == 1:
             return str(a.numerator)
         return "%d/%d" % (a.numerator, a.denominator)
-
-    def elements(self):
-        """Iterate all field elements (prime fields only)."""
-        if not self.p:
-            raise QuivrepError("cannot enumerate Q")
-        return range(self.p)
 
     def random(self, rng, span=5):
         if self.p:
@@ -275,6 +266,15 @@ class Mat:
     def shape(self):
         return (self.nrows, self.ncols)
 
+    def entry(self, i, j):
+        """Entry (i, j), read from whichever form the matrix holds, so a
+        matrix made by integer work does not build its rows."""
+        try:
+            ints, den = self._ints
+        except AttributeError:  # the matrix holds only its rows
+            return self.rows[i][j]
+        return _fraction(ints[i][j], den)
+
     def col(self, j):
         return [row[j] for row in self.rows]
 
@@ -286,7 +286,7 @@ class Mat:
 
     def transpose(self):
         rows, den = self.int_form()
-        rows = _transposed(rows, self.ncols)
+        rows = [list(col) for col in zip(*rows)] if rows else [[] for _ in range(self.ncols)]
         if self.field.p:
             return Mat.wrap(self.field, rows, self.ncols, self.nrows)
         m = _IntMat.__new__(_IntMat)  # the same entries over den: still canonical
@@ -343,16 +343,8 @@ class Mat:
                 "shape mismatch in product: %s * %s" % (self.shape, other.shape)
             )
         f = self.field
-        if f.p:
-            p = f.p
-            bt = other.transpose().rows
-            rows = [
-                [sum(a * b for a, b in zip(row, col)) % p for col in bt]
-                for row in self.rows
-            ]
-            return Mat.wrap(f, rows, self.nrows, other.ncols)
         (a, da), (b, db) = self.int_form(), other.int_form()
-        return Mat.from_ints(f, _mul_ints(a, b, other.ncols), da * db, self.nrows, other.ncols)
+        return Mat.from_ints(f, _mul_ints(a, b, other.ncols, f.p), da * db, self.nrows, other.ncols)
 
     def _check_same_shape(self, other):
         if self.field != other.field or self.shape != other.shape:
@@ -532,13 +524,6 @@ def _canonical(rows):
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _transposed(rows, ncols):
-    """The columns of `rows` (ncols of them) as lists."""
-    if not rows:
-        return [[] for _ in range(ncols)]
-    return [list(col) for col in zip(*rows)]
-
-
 def _common(forms):
     """The integer rows of each (rows, den) form brought to one denominator,
     the lcm of theirs, and that denominator."""
@@ -555,17 +540,19 @@ def _common(forms):
     return scaled, den
 
 
-def _mul_ints(a, b, ncols):
-    """Rows of the integer product A B, B with ncols columns."""
-    if not b:
-        return [[0] * ncols for _ in a]
-    cols = [col if any(col) else None for col in zip(*b)]
+def _mul_ints(a, b, ncols, p=0):
+    """Rows of the integer product A B, B with ncols columns, each entry
+    reduced mod p when p is given: row i is the sum of x * (row k of B)
+    over the nonzero entries x = A[i][k]."""
     out = []
     for row in a:
-        if any(row):
-            out.append([sum(map(operator.mul, row, col)) if col else 0 for col in cols])
-        else:
-            out.append([0] * ncols)
+        acc = [0] * ncols
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append([v % p for v in acc] if p else acc)
     return out
 
 
@@ -862,7 +849,5 @@ def smith_normal_form(rows):
 
 
 def int_mat_mul(a, b):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in range(len(a))]
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """The product of integer matrices given as lists of rows."""
+    return _mul_ints(a, b, len(b[0]) if b else 0)

@@ -91,6 +91,41 @@ def test_hom_violating_commutation_names_arrow():
     assert "alpha" in str(err.value)
 
 
+BAD_MATRICES = [
+    ("an entry that is not a number", "Q", "matrix alpha = [[zz]]"),
+    ("a fraction over GF(5)", "GF(5)", "matrix alpha = [[1/2]]"),
+    ("a row of the wrong length", "Q", "matrix alpha = [[1, 0]]"),
+]
+
+
+@pytest.mark.parametrize("what, field, line", BAD_MATRICES, ids=[b[0] for b in BAD_MATRICES])
+def test_bad_module_matrix_is_a_parse_error(tmp_path, capsys, what, field, line):
+    alg = KRONECKER_TEXT.replace("over Q", "over " + field)
+    mod = "module M over kron\ndim a = 1\ndim b = 1\n" + line + "\n"
+    text = alg + mod
+    with pytest.raises(ParseError) as err:
+        qio.parse_text(text, origin="m.mod")
+    assert str(err.value).startswith("m.mod:%d:" % len(text.splitlines()))  # the last line
+    paths = [_write(tmp_path, "kron.alg", alg), _write(tmp_path, "m.mod", mod)]
+    assert cli.run(["ext", "--algebra", paths[0], "--module", paths[1], "--self"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("what, field, line", BAD_MATRICES, ids=[b[0] for b in BAD_MATRICES])
+def test_bad_hom_block_is_a_parse_error(tmp_path, capsys, what, field, line):
+    alg = KRONECKER_TEXT.replace("over Q", "over " + field)
+    hom = "hom h : Pb -> Pa\n" + line.replace("matrix alpha", "block b") + "\n"
+    text = alg + MODULES_TEXT + hom
+    with pytest.raises(ParseError) as err:
+        qio.parse_text(text, origin="h.hom")
+    assert str(err.value).startswith("h.hom:%d:" % len(text.splitlines()))  # the last line
+    paths = [_write(tmp_path, n, t) for n, t in
+             [("kron.alg", alg), ("mods.mod", MODULES_TEXT), ("w.hom", hom), ("v.hom", V_TEXT)]]
+    argv = ["ladder", "--algebra", paths[0], "--module", paths[1], "--w", paths[2], "--v", paths[3]]
+    assert cli.run(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
+
+
 def test_rational_literals_round_trip():
     text = KRONECKER_TEXT + (
         "module M over kron\ndim a = 1\ndim b = 1\nmatrix alpha = [[1/2]]\nmatrix beta = [[-3]]\n"

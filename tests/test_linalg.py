@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import QQ as SymQQ
+from sympy import GF as SymGF, QQ as SymQQ
 from sympy.polys.matrices import DomainMatrix
 
 from quivrep.errors import QuivrepError
@@ -386,6 +386,75 @@ def test_gf_int_form_is_the_rows():
     a = Mat(GF(7), [[1, 2], [3, 4]])
     assert a.int_form() == (a.rows, 1)
     assert type(a * a) is Mat and (a * a).rows == [[0, 3], [1, 1]]
+
+
+# Products of the sparse, small matrices the paper's constructions make:
+# mostly-zero rows, identity factors and 0/1 blocks, with empty shapes.
+
+
+@st.composite
+def sparse_matrices(draw, field, entry, nrows=None, ncols=None):
+    """Matrices over `field` whose nonzero entries are `entry` draws: the
+    identity pattern, a 0/1 block, or rows that are mostly zero."""
+    m = draw(st.integers(min_value=0, max_value=6)) if nrows is None else nrows
+    n = draw(st.integers(min_value=0, max_value=6)) if ncols is None else ncols
+    kind = draw(st.sampled_from(["identity", "zero-one", "sparse", "sparse"]))
+    if kind == "identity":
+        rows = [[int(i == j) for j in range(n)] for i in range(m)]
+    elif kind == "zero-one":
+        rows = [draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in range(m)]
+    else:
+        mostly_zero = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+        rows = [draw(st.lists(mostly_zero, min_size=n, max_size=n)) for _ in range(m)]
+    return Mat(field, rows, m, n)
+
+
+def _gf_dm(a):
+    dom = SymGF(a.field.p)
+    return DomainMatrix([[dom(x) for x in row] for row in a.rows], a.shape, dom)
+
+
+def _from_gf_dm(d, field):
+    return Mat(field, [[int(x) % field.p for x in row] for row in d.to_list()], *d.shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gf_product_matches_sympy(data):
+    field = GF(data.draw(st.sampled_from([2, 3, 32003])))
+    entry = st.integers(min_value=1, max_value=field.p - 1)
+    a = data.draw(sparse_matrices(field, entry))
+    b = data.draw(sparse_matrices(field, entry, nrows=a.ncols))
+    prod = a * b
+    assert prod.shape == (a.nrows, b.ncols)
+    assert prod.rows == _from_gf_dm(_gf_dm(a) * _gf_dm(b), field).rows
+    assert all(type(x) is int and 0 <= x < field.p for row in prod.rows for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gf_chained_products_match_sympy(data):
+    field = GF(data.draw(st.sampled_from([2, 3, 32003])))
+    entry = st.integers(min_value=1, max_value=field.p - 1)
+    a = data.draw(sparse_matrices(field, entry))
+    b = data.draw(sparse_matrices(field, entry, nrows=a.ncols))
+    c = data.draw(sparse_matrices(field, entry, nrows=b.ncols))
+    left = (a * b) * c
+    assert left == _from_gf_dm((_gf_dm(a) * _gf_dm(b)) * _gf_dm(c), field)
+    assert left == a * (b * c)
+    assert a * Mat.identity(field, a.ncols) == a == Mat.identity(field, a.nrows) * a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_q_sparse_product_matches_sympy(data):
+    a = data.draw(sparse_matrices(QQ, q_entry))
+    b = data.draw(sparse_matrices(QQ, q_entry, nrows=a.ncols))
+    prod = a * b
+    assert prod.shape == (a.nrows, b.ncols)
+    assert prod == _from_dm(_dm(a) * _dm(b))
+    assert _fractions_only(prod)
+    _assert_canonical(prod)
 
 
 def test_int_built_rows_read_from_many_threads():
