@@ -198,7 +198,7 @@ class PathBasis:
             if rows:
                 mat = Mat.from_rows(field, rows, len(wlist))
                 rank, pivots, red = mat.rref()
-                ech = [red.rows[i] for i in range(rank)]
+                ech = red.rows[:rank]
             else:
                 pivots, ech = [], []
             ideal_basis[deg] = ech
@@ -331,6 +331,6 @@ def projective(alg, vertex):
         for w, col in index[s].items():
             for w2, c in pb.multiply(w, (a,)).items():
                 rows[index[t][w2]][col] = c
-        action[a] = Mat.wrap(alg.field, rows, dims[t], dims[s])
+        action[a] = Mat(alg.field, rows, dims[t], dims[s])
     out = alg._projectives[vertex] = (Rep(alg, dims, action), index[vertex][()])
     return out

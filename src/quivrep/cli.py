@@ -213,6 +213,26 @@ def cmd_check(args):
     return {"scenario": "check", "reports": docs, "ok": ok}
 
 
+def _int_where(test, wanted):
+    """An argparse type: an int that passes `test`, else a usage error."""
+
+    def parse(text):
+        value = int(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError("%s, got %d" % (wanted, value))
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+OPTIONS = {
+    "depth": dict(type=_int_where(lambda n: n >= 1, "must be at least 1"), default=6),
+    "seed": dict(type=int, default=0),
+    "emit-matrices": dict(action="store_true"),
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="quivrep",
@@ -220,22 +240,21 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, homs=()):
+    def common(p, homs=(), options=()):
         p.add_argument("--algebra", help="algebra file")
         p.add_argument("--module", action="append", help="module file (repeatable)")
         for h in homs:
             p.add_argument("--" + h, help="%s hom file" % h)
-        p.add_argument("--depth", type=int, default=6)
-        p.add_argument("--seed", type=int, default=0)
+        for name in options:
+            p.add_argument("--" + name, **OPTIONS[name])
         p.add_argument("--out", help="write the JSON report to this file")
-        p.add_argument("--emit-matrices", action="store_true", dest="emit_matrices")
 
     p = sub.add_parser("ladder", help="build a ladder from a seed pair")
-    common(p, ("w", "v"))
+    common(p, ("w", "v"), ("depth", "emit-matrices"))
     p.set_defaults(fn=cmd_ladder)
 
     p = sub.add_parser("chessboard", help="both ladders of a pair of monos")
-    common(p, ("w", "v"))
+    common(p, ("w", "v"), ("depth",))
     p.set_defaults(fn=cmd_chessboard)
 
     p = sub.add_parser("ext", help="Ext^1 data of a module")
@@ -245,23 +264,24 @@ def build_parser():
     p.set_defaults(fn=cmd_ext)
 
     p = sub.add_parser("degenerate", help="validate and certify an RZ sequence")
-    common(p, ("mono", "epi"))
+    common(p, ("mono", "epi"), ("depth", "emit-matrices"))
     p.add_argument("--u", help="steering module file")
     p.add_argument("--x", help="X module file")
     p.set_defaults(fn=cmd_degenerate)
 
     p = sub.add_parser("degenerate-cokernels", help="rigid-cokernel degeneration")
-    common(p, ("w", "v"))
+    common(p, ("w", "v"), ("emit-matrices",))
     p.set_defaults(fn=cmd_degenerate_cokernels)
 
     p = sub.add_parser("decompose", help="Krull-Remak-Schmidt decomposition")
-    common(p)
+    common(p, options=("seed",))
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("zladder", help="integer ladder truncations")
-    p.add_argument("--w", type=int, required=True, dest="w_int")
+    p.add_argument("--w", type=_int_where(lambda n: n != 0, "must be nonzero"), required=True,
+                   dest="w_int")
     p.add_argument("--v", type=int, required=True, dest="v_int")
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", **OPTIONS["depth"])
     p.add_argument("--out")
     p.set_defaults(fn=cmd_zladder)
 

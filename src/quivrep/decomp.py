@@ -40,7 +40,6 @@ from .rep import (
     hom_coordinates,
     hom_space,
     independent_indices,
-    vec_hom,
 )
 
 
@@ -52,8 +51,8 @@ class EndAlgebra:
         self.basis = hom_space(module, module)
         self.dim = len(self.basis)
         # The hom_space basis is canonical: element k is 1 at its free
-        # coordinate, its last nonzero one in `vec_hom` order, and every
-        # other element is 0 there.
+        # coordinate, its last nonzero one with the blocks read row by row,
+        # vertex after vertex, and every other element is 0 there.
         dims = module.dims
         order = [(v, r, c) for v in module.algebra.quiver.vertices
                  for r in range(dims[v]) for c in range(dims[v])]
@@ -102,18 +101,15 @@ def minimal_polynomial(mat):
     powers = [Mat.identity(field, n)]
     while True:
         powers.append(powers[-1] * mat)
-        cols = [[x for row in p.rows for x in row] for p in powers]
-        m = Mat(field, [list(r) for r in zip(*cols)], n * n, len(cols))
-        rank = m.rank()
-        if rank < len(cols):
+        if Mat.stack_flat(field, [[p] for p in powers], n * n).rank() < len(powers):
             break
-    # solve for the last power in terms of the previous ones
-    prev = cols[:-1]
-    mprev = Mat(field, [list(r) for r in zip(*prev)], n * n, len(prev))
-    sol = mprev.solve_right(Mat.column(field, cols[-1]))
+    # solve for the last power in terms of the previous ones, each flattened
+    # into a column
+    prev = Mat.stack_flat(field, [[p] for p in powers[:-1]], n * n).transpose()
+    sol = prev.solve_right(Mat.stack_flat(field, [[powers[-1]]], n * n).transpose())
     if sol is None:
         raise QuivrepError("Krylov powers are dependent but the last is not in the span")
-    coeffs = [field.neg(sol.rows[i][0]) for i in range(len(prev))]
+    coeffs = [field.neg(c) for c in sol.col(0)]
     coeffs.append(field.one())
     return coeffs  # ascending: c0 + c1 x + ... + x^d
 
@@ -237,15 +233,16 @@ def _end_radical(end):
     """The kernel of the trace form of End, as a basis of endomorphisms.
 
     It is the Jacobson radical only once `_is_nilpotent_ideal` has verified
-    it.  The Gram matrix comes from the vertex blocks in one product:
+    it.  The Gram matrix is one product, of the flattened vertex blocks of
+    the basis with the flattened transposed blocks:
     tr(fg) = sum over vertices v and entries (k, l) of f_v[k][l] * g_v[l][k].
     """
     field = end.module.algebra.field
     verts = end.module.algebra.quiver.vertices
-    flat = [vec_hom(b) for b in end.basis]
-    flat_t = [[x for v in verts for c in b.blocks[v].columns() for x in c] for b in end.basis]
-    n, size = end.dim, len(flat[0])
-    gram = Mat.wrap(field, flat, n, size) * Mat.wrap(field, [list(r) for r in zip(*flat_t)], size, n)
+    size = sum(d * d for d in end.module.dims.values())
+    blocks = [[b.blocks[v] for v in verts] for b in end.basis]
+    transposed = [[m.transpose() for m in group] for group in blocks]
+    gram = Mat.stack_flat(field, blocks, size) * Mat.stack_flat(field, transposed, size).transpose()
     coords = gram.null_space()
     return [end.from_coordinates(coords.col(j)) for j in range(coords.ncols)]
 
@@ -268,8 +265,6 @@ def _is_nilpotent_ideal(end, rad):
 
 def _quotient_algebra(end, rad):
     """Structure constants of S = End/J on a chosen coset basis."""
-    field = end.module.algebra.field
-    rad_cols = [vec_hom(r) for r in rad]
     chosen = [
         end.basis[i - len(rad)] for i in independent_indices(rad + end.basis) if i >= len(rad)
     ]
@@ -277,12 +272,10 @@ def _quotient_algebra(end, rad):
 
     def reduce_coords(h):
         # coordinates of h modulo J in the chosen basis
-        allcols = [vec_hom(c) for c in chosen] + rad_cols
-        mat = Mat(field, [list(r) for r in zip(*allcols)], len(allcols[0]), len(allcols))
-        sol = mat.solve_right(Mat.column(field, vec_hom(h)))
-        if sol is None:
+        coords = hom_coordinates(chosen + rad, h)
+        if coords is None:
             raise QuivrepError("element outside End")
-        return [sol.rows[i][0] for i in range(dim_s)]
+        return coords[:dim_s]
 
     mult = {}
     for i in range(dim_s):

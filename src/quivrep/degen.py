@@ -298,7 +298,7 @@ def _require_rigid(module, label):
         raise NotRigid("%s has Ext^1(W, W) of dimension %d" % (label, dim))
 
 
-def cokernel_degeneration(w0, v0, seed=0):
+def cokernel_degeneration(w0, v0):
     """Bautista-Perez path: the cokernel of v0 as a degeneration of coker(w0).
 
     Requires both maps injective with common endpoints and coker(w0) rigid.

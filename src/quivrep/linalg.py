@@ -5,22 +5,18 @@ over the rationals and plain ints reduced mod p over GF(p); there is no
 floating point anywhere.  Pivoting is deterministic (first nonzero entry in
 column order) so all outputs are reproducible bit for bit.
 
-A `Mat` over Q has two forms of one value.  `rows`, the form callers read,
-holds `Fraction`s.  The integer form (`int_form`) holds integer rows over one
-positive denominator D with gcd(D, entries) = 1, so D is the lcm of the
-entries' denominators; this form is unique, and `==` compares it directly.
+A `Mat` holds one form, set when it is made and never rebound: integer rows
+over one positive denominator D with gcd(D, entries) = 1, so D is the lcm of
+the entries' denominators.  This form is unique, so `==` compares it
+directly.  Over GF(p) the rows are ints mod p and D is 1.  A matrix built
+from rows of field elements (`Mat(...)`) is brought to this form once, in
+its constructor; integer work makes the form directly (`Mat.from_ints`).
 Products, sums, transposes, stacking, row reduction and the null-space,
-solution and quotient bases built on it all work on integer forms and do no
-`Fraction` arithmetic.  A matrix built from rows makes its integer form on
-first use and keeps it.  A matrix made by integer work (`Mat.from_ints`) is
-an `_IntMat`: it builds its `Fraction` rows only when they are first read,
-and then gives up its integer form, so that a matrix read as output holds
-one form; `int_form()` makes it again from the rows if the matrix is used in
-arithmetic after that.  Either way is only sound because nothing writes into
-`rows` after construction.  Each form is made from the other as a pure
-function, the rows are set before the integer form is dropped, and a thread
-that finds a form gone reads the other, so threads that race on a first
-read all get the same value.
+solution and quotient bases built on them all work on this form, over both
+kinds of field, and do no `Fraction` arithmetic.  Over GF(p) `rows` is the
+stored rows; over Q reading `rows` builds new `Fraction` rows on every read,
+and `entry` and `col` read single entries.  Nothing is cached, so a matrix
+never changes after construction and threads can share it without locks.
 
 The rest of the package reads `rows` and uses the operations, and never
 handles a denominator: `Mat.stack_flat` and `Mat.unstack_flat` flatten
@@ -45,10 +41,6 @@ unchanged, so the pivots are those of the `Fraction` algorithm; and the
 reduced row echelon form of a matrix is unique, so the result, and with it
 every null-space, solution and quotient basis built from it, is the same
 matrix bit for bit.
-
-GF(p) matrices are plain `Mat`s on rows of ints mod p, so reading their
-rows costs a slot read.  Their integer form is their rows over 1, which
-lets one code path multiply, and build bases, over both kinds of field.
 """
 
 from fractions import Fraction
@@ -171,14 +163,15 @@ def GF(p):
 
 
 class Mat:
-    """Dense matrix over a Field, immutable after construction: nothing
-    writes into `rows`, so a form of a value over Q, once made, stays valid.
+    """Dense matrix over a Field, immutable after construction: it holds one
+    form, its canonical integer rows over a positive denominator, set when it
+    is made and never rebound or written.
 
     Zero-row and zero-column matrices are first class: shape information is
     kept even when there are no entries.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_ints")
+    __slots__ = ("field", "nrows", "ncols", "_ints", "_den")
 
     def __init__(self, field, rows, nrows=None, ncols=None):
         if nrows is None:
@@ -196,50 +189,39 @@ class Mat:
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = data
-
-    @staticmethod
-    def wrap(field, rows, nrows, ncols):
-        """A Mat on `rows` as given: the entries must already be elements of
-        `field`, since they are neither coerced nor copied."""
-        m = Mat.__new__(Mat)
-        m.field, m.nrows, m.ncols, m.rows = field, nrows, ncols, rows
-        return m
+        self._ints, self._den = (data, 1) if field.p else _canonical(data)
 
     @staticmethod
     def from_ints(field, rows, den, nrows, ncols):
         """The matrix rows / den, for integer rows and a positive integer den.
 
-        Over GF(p) den must be 1 and the rows already reduced mod p; they are
-        taken as given.  Over Q the form is made canonical, and the `Fraction`
-        rows are built when first read.
+        Over GF(p) den must be 1 and the rows already reduced mod p.  The rows
+        are taken as given, and over Q divided by their gcd with den.
         """
-        if field.p:
-            return Mat.wrap(field, rows, nrows, ncols)
         if den != 1:
             g = gcd(den, *chain.from_iterable(rows))
             if g != 1:
                 den //= g
                 rows = [[x // g for x in row] for row in rows]
-        m = _IntMat.__new__(_IntMat)
-        m.field, m.nrows, m.ncols, m._ints = field, nrows, ncols, (rows, den)
+        m = Mat.__new__(Mat)
+        m.field, m.nrows, m.ncols, m._ints, m._den = field, nrows, ncols, rows, den
         return m
 
-    def int_form(self):
-        """(integer rows, den) with rows / den this matrix.
-
-        Over Q it is the canonical form: den > 0 is the lcm of the entries'
-        denominators, so gcd(den, entries) = 1.  It is kept once made, but
-        a matrix made by integer work drops it when its rows are first read.
-        Over GF(p) it is (rows, 1).  The rows must not be written.
-        """
+    @property
+    def rows(self):
+        """The entries, row by row.  Over GF(p) these are the stored integer
+        rows, which must not be written; over Q new `Fraction` rows on every
+        read."""
         if self.field.p:
-            return self.rows, 1
-        try:
             return self._ints
-        except AttributeError:
-            form = self._ints = _canonical(self.rows)
-            return form
+        den = self._den
+        return [[_fraction(x, den) for x in row] for row in self._ints]
+
+    def int_form(self):
+        """(integer rows, den) with rows / den this matrix: den > 0 is the lcm
+        of the entries' denominators, so gcd(den, entries) = 1, and it is 1
+        over GF(p).  The rows must not be written."""
+        return self._ints, self._den
 
     @staticmethod
     def zeros(field, nrows, ncols):
@@ -267,31 +249,23 @@ class Mat:
         return (self.nrows, self.ncols)
 
     def entry(self, i, j):
-        """Entry (i, j), read from whichever form the matrix holds, so a
-        matrix made by integer work does not build its rows."""
-        try:
-            ints, den = self._ints
-        except AttributeError:  # the matrix holds only its rows
-            return self.rows[i][j]
-        return _fraction(ints[i][j], den)
+        """Entry (i, j) as a field element, without building `rows`."""
+        x = self._ints[i][j]
+        return x if self.field.p else _fraction(x, self._den)
 
     def col(self, j):
-        return [row[j] for row in self.rows]
-
-    def columns(self):
-        return [self.col(j) for j in range(self.ncols)]
+        if self.field.p:
+            return [row[j] for row in self._ints]
+        den = self._den
+        return [_fraction(row[j], den) for row in self._ints]
 
     def is_zero(self):
-        return not any(map(any, self.int_form()[0]))
+        return not any(map(any, self._ints))
 
     def transpose(self):
-        rows, den = self.int_form()
-        rows = [list(col) for col in zip(*rows)] if rows else [[] for _ in range(self.ncols)]
-        if self.field.p:
-            return Mat.wrap(self.field, rows, self.ncols, self.nrows)
-        m = _IntMat.__new__(_IntMat)  # the same entries over den: still canonical
-        m.field, m.nrows, m.ncols, m._ints = self.field, self.ncols, self.nrows, (rows, den)
-        return m
+        ints = self._ints
+        rows = [list(col) for col in zip(*ints)] if ints else [[] for _ in range(self.ncols)]
+        return Mat.from_ints(self.field, rows, self._den, self.ncols, self.nrows)
 
     def __eq__(self, other):
         return (
@@ -299,7 +273,8 @@ class Mat:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.int_form() == other.int_form()
+            and self._den == other._den
+            and self._ints == other._ints
         )
 
     def __add__(self, other):
@@ -310,16 +285,13 @@ class Mat:
 
     def _sum(self, other, sign):
         self._check_same_shape(other)
-        f = self.field
-        if f.p:
-            p = f.p
-            rows = [
-                [(a + sign * b) % p for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-            ]
-            return Mat.wrap(f, rows, self.nrows, self.ncols)
+        p = self.field.p
         (a, b), den = _common([self.int_form(), other.int_form()])
-        rows = [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        return Mat.from_ints(f, rows, den, self.nrows, self.ncols)
+        if p:
+            rows = [[(x + sign * y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        else:
+            rows = [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        return Mat.from_ints(self.field, rows, den, self.nrows, self.ncols)
 
     def __neg__(self):
         return self.scale(-1)
@@ -328,12 +300,11 @@ class Mat:
         f = self.field
         c = f.conv(c)
         if f.p:
-            p = f.p
-            return Mat.wrap(f, [[c * x % p for x in row] for row in self.rows], self.nrows, self.ncols)
-        rows, den = self.int_form()
+            rows = [[c * x % f.p for x in row] for row in self._ints]
+            return Mat.from_ints(f, rows, 1, self.nrows, self.ncols)
         num = c.numerator
-        rows = [[num * x for x in row] for row in rows]
-        return Mat.from_ints(f, rows, den * c.denominator, self.nrows, self.ncols)
+        rows = [[num * x for x in row] for row in self._ints]
+        return Mat.from_ints(f, rows, self._den * c.denominator, self.nrows, self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -343,8 +314,8 @@ class Mat:
                 "shape mismatch in product: %s * %s" % (self.shape, other.shape)
             )
         f = self.field
-        (a, da), (b, db) = self.int_form(), other.int_form()
-        return Mat.from_ints(f, _mul_ints(a, b, other.ncols, f.p), da * db, self.nrows, other.ncols)
+        prod = _mul_ints(self._ints, other._ints, other.ncols, f.p)
+        return Mat.from_ints(f, prod, self._den * other._den, self.nrows, other.ncols)
 
     def _check_same_shape(self, other):
         if self.field != other.field or self.shape != other.shape:
@@ -359,10 +330,10 @@ class Mat:
         f = self.field
         nrows, ncols = self.nrows, self.ncols
         if f.p:
-            r, pivots, m = _rref_gf(f, [row[:] for row in self.rows], nrows, ncols)
+            r, pivots, m = _rref_gf(f, [row[:] for row in self._ints], nrows, ncols)
             den = 1
         else:
-            r, pivots, m, den = _rref_q(self.int_form()[0], nrows, ncols)
+            r, pivots, m, den = _rref_q(self._ints, nrows, ncols)
         return r, pivots, Mat.from_ints(f, m, den, nrows, ncols)
 
     def rank(self):
@@ -469,48 +440,14 @@ class Mat:
         return "Mat(%s, %dx%d)" % (self.field, self.nrows, self.ncols)
 
 
-_ROWS = Mat.rows  # the slot that holds the rows
-
-
-class _IntMat(Mat):
-    """A Mat over Q made from its integer form (`Mat.from_ints`): its
-    `Fraction` rows are built when first read.  Matrices over GF(p) and
-    matrices built from rows are plain `Mat`s, so reading their rows costs
-    no more than reading a slot."""
-
-    __slots__ = ()
-
-    @property
-    def rows(self):
-        try:
-            return _ROWS.__get__(self)
-        except AttributeError:
-            pass
-        try:
-            ints, den = self._ints
-        except AttributeError:  # another thread built the rows and dropped the form
-            return _ROWS.__get__(self)
-        rows = [[_fraction(x, den) if x else _ZERO for x in row] for row in ints]
-        _ROWS.__set__(self, rows)
-        try:
-            del self._ints  # hold one form; int_form() makes it again if needed
-        except AttributeError:  # another thread dropped it first
-            pass
-        return rows
-
-    def __reduce__(self):  # for pickle and copy, which would set `rows`
-        return Mat.from_ints, (self.field, *self.int_form(), self.nrows, self.ncols)
-
-
 # Shared values for small integers: most entries of the paper's matrices are
 # 0 or small integers, and a Fraction is immutable.
 _SMALL = {i: Fraction(i) for i in range(-64, 65)}
-_ZERO = _SMALL[0]
 
 
-def _fraction(num, den=1):
+def _fraction(num, den):
     """Fraction(num, den), shared when it is a small integer."""
-    if den == 1:
+    if den == 1 or not num:
         x = _SMALL.get(num)
         return x if x is not None else Fraction(num)
     return Fraction(num, den)

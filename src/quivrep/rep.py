@@ -262,17 +262,13 @@ def _hom_solution_basis(m, n):
 
 
 def _coordinate_rows(homs):
-    """The matrix whose rows are the coordinate vectors `vec_hom` of the
-    homs, all from one source to one target."""
+    """The matrix whose row k holds the coordinates of homs[k], as in
+    `hom_space`: its blocks, each read row by row, one vertex after the
+    other.  The homs all go from one source to one target."""
     src, tgt = homs[0].source, homs[0].target
     verts = src.algebra.quiver.vertices
     length = sum(tgt.dims[v] * src.dims[v] for v in verts)
     return Mat.stack_flat(src.algebra.field, [[h.blocks[v] for v in verts] for h in homs], length)
-
-
-def vec_hom(h):
-    """Flatten a ModHom into the coordinate vector used by hom_space."""
-    return [x for v in h.source.algebra.quiver.vertices for row in h.blocks[v].rows for x in row]
 
 
 def combine(coeffs, homs, source, target):
@@ -287,7 +283,7 @@ def combine(coeffs, homs, source, target):
     terms = [(c, h) for c, h in zip(map(field.conv, coeffs), homs) if c]
     blocks = {}
     if terms:
-        row = Mat.wrap(field, [[c for c, _ in terms]], 1, len(terms))
+        row = Mat(field, [[c for c, _ in terms]], 1, len(terms))
         for v in source.algebra.quiver.vertices:
             nrows, ncols = target.dims[v], source.dims[v]
             if nrows and ncols:
@@ -587,12 +583,7 @@ def annihilator_dimension(m):
         basis_vecs = Mat.from_rows(field, eq_rows, len(elements)).null_space()
     ann_basis = []
     for j in range(basis_vecs.ncols):
-        combo = []
-        for i, e in enumerate(elements):
-            c = basis_vecs.rows[i][j]
-            if c != zero:
-                combo.append((c, e))
-        ann_basis.append(combo)
+        ann_basis.append([(c, e) for c, e in zip(basis_vecs.col(j), elements) if c != zero])
     return len(ann_basis), ann_basis
 
 

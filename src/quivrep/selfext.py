@@ -63,8 +63,8 @@ def projective_cover(m):
                 rows = m.path_action(w).rows
                 columns[t].append([alg.field.conv(sum(map(mul, row, lift))) for row in rows])
     blocks = {
-        v: Mat.wrap(alg.field, [[c[i] for c in columns[v]] for i in range(m.dims[v])],
-                    m.dims[v], total.dims[v])
+        v: Mat(alg.field, [[c[i] for c in columns[v]] for i in range(m.dims[v])],
+               m.dims[v], total.dims[v])
         for v in m.dims
     }
     p = ModHom(total, m, blocks)

@@ -57,15 +57,6 @@ class AbGroup:
         return "AbGroup(%s)" % self.describe()
 
 
-class ZLadderStep:
-    """One rung of the integer ladder: group data plus the two maps onward."""
-
-    def __init__(self, group, w_matrix, v_matrix):
-        self.group = group
-        self.w_matrix = w_matrix
-        self.v_matrix = v_matrix
-
-
 def _pushout_group(a, b, c, w, v):
     """Pushout of w: A -> B, v: A -> C in abelian groups (generator matrices).
 

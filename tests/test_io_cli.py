@@ -179,6 +179,41 @@ def test_cli_example_and_exit_codes(capsys):
     assert cli.run(["example", "nosuch"]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["zladder", "--w", "2", "--v", "3", "--depth", "0"], "--depth"),
+    (["zladder", "--w", "0", "--v", "3"], "--w"),
+    (["ladder", "--depth", "0"], "--depth"),
+    (["chessboard", "--depth", "0"], "--depth"),
+    (["degenerate", "--depth", "-1"], "--depth"),
+])
+def test_bad_flag_values_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s" % flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ladder", "--seed", "1"],
+    ["chessboard", "--seed", "1"],
+    ["chessboard", "--emit-matrices"],
+    ["ext", "--depth", "2"],
+    ["ext", "--seed", "1"],
+    ["ext", "--emit-matrices"],
+    ["degenerate", "--seed", "1"],
+    ["degenerate-cokernels", "--depth", "2"],
+    ["degenerate-cokernels", "--seed", "1"],
+    ["decompose", "--depth", "2"],
+    ["decompose", "--emit-matrices"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_zladder(capsys):
     assert cli.run(["zladder", "--w", "2", "--v", "3", "--depth", "4"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -278,9 +278,9 @@ def test_q_inverse_matches_sympy(a):
 
 # ---------------------------------------------------------------------------
 # The integer form over Q.  Products, RREF and the bases built on them work
-# on integer rows over one denominator, and the matrices they make build their
-# Fraction rows only when read; these must be the same values as the
-# Fraction algorithm gives, with the same rows.
+# on integer rows over one denominator, and `rows` builds Fraction rows from
+# them on each read; these must be the same values as the Fraction algorithm
+# gives, with the same rows.
 
 
 def _fractions_only(a):
@@ -346,7 +346,6 @@ def test_q_rref_null_space_and_solve_of_products_match_sympy(data):
 @given(q_matrices())
 def test_q_equality_between_row_built_and_int_built(a):
     work = _int_built(a)
-    assert type(work) is not type(a)  # made from its integer form
     assert work == a and a == work
     assert _row_built(work) == work
     assert (a.scale(2) == work) == a.is_zero()
@@ -380,6 +379,23 @@ def test_int_built_matrices_pickle_and_copy():
     a = Mat(QQ, [[1, 2], [3, 4]]) * Mat(QQ, [["1/2", 0], [0, 1]])
     for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
         assert b == a and b.rows == [[Fraction(1, 2), 2], [Fraction(3, 2), 4]]
+
+
+def test_reads_and_arithmetic_leave_a_matrix_as_made():
+    # A Mat holds one form, bound once: reading it in every way and using it
+    # in products and row reduction rebinds no slot and writes no row.
+    q = Mat(QQ, [[1, "1/2", 0], [3, 0, "-2/3"]])
+    g = Mat(GF(7), [[1, 4, 0], [3, 0, 5]])
+    made = [q, q * Mat.identity(QQ, 3), g, g * Mat.identity(GF(7), 3)]
+    slots = [[getattr(a, name, None) for name in Mat.__slots__] for a in made]
+    values = copy.deepcopy(slots)
+    for a in made:
+        a.rows, a.entry(1, 2), a.col(1), a.fmt(), a.int_form()
+        assert a == copy.deepcopy(a) and a.rows == a.rows
+        a * a.transpose(), a.transpose() * a, a.rref(), a.null_space(), a + a
+    for a, before, value in zip(made, slots, values):
+        after = [getattr(a, name, None) for name in Mat.__slots__]
+        assert all(x is y for x, y in zip(after, before)) and after == value
 
 
 def test_gf_int_form_is_the_rows():
@@ -458,10 +474,10 @@ def test_q_sparse_product_matches_sympy(data):
 
 
 def test_int_built_rows_read_from_many_threads():
-    # The first read of `rows` builds them; racing first reads of one shared
-    # matrix, mixed with reads of its integer form, must all see the value.
-    # The matrix is large enough that building its rows spans many thread
-    # switches at the short switch interval.
+    # Reading `rows` builds them from the integer form; racing reads of one
+    # shared matrix, mixed with reads of its integer form, must all see the
+    # value.  The matrix is large enough that building its rows spans many
+    # thread switches at the short switch interval.
     n = 12
     base = Mat(QQ, [[i * n + j for j in range(n)] for i in range(n)])
     sixth = Mat(QQ, [["1/6" if i == j else 0 for j in range(n)] for i in range(n)])

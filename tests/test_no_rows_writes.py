@@ -1,9 +1,11 @@
-"""Nothing writes into a matrix's `rows` after construction.
+"""Nothing changes a matrix after construction.
 
-Over Q a `Mat` keeps its canonical integer form, made once from its rows or
-the other way round, so a write into `rows` would leave the two forms of one
-matrix disagreeing.  Library code assembles row lists first and builds the
-`Mat` from them; only `linalg`'s constructors bind `rows`.
+A `Mat` holds one form, its integer rows over a denominator (`_ints` and
+`_den`), bound in `Mat.__init__` or `Mat.from_ints` and never again.  Its
+`rows` are read from that form (over GF(p) they are the stored rows
+themselves), so a write into `rows` or `_ints` would change a value that
+other code already holds.  Library code assembles row lists first and builds
+the `Mat` from them.
 """
 
 import ast
@@ -14,28 +16,60 @@ import quivrep
 SOURCES = sorted(Path(quivrep.__file__).parent.rglob("*.py"))
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
 WRITE = (ast.Store, ast.Del)
+FORM = {"_ints", "_den"}
+BUILDERS = {"__init__", "from_ints"}
 
 
 def _reaches_rows(node):
-    """True iff node is `<expr>.rows`, possibly subscripted."""
+    """True iff node is `<expr>.rows` or `<expr>._ints`, possibly subscripted."""
     while isinstance(node, ast.Subscript):
         node = node.value
-    return isinstance(node, ast.Attribute) and node.attr == "rows"
+    return isinstance(node, ast.Attribute) and node.attr in ("rows", "_ints")
 
 
-def _rows_writes(tree, may_bind=False):
-    """Line numbers of every write into `.rows`: item or slice assignment,
-    augmented assignment and deletion through `.rows[...]`, a mutating list
-    method called on `.rows` or one of its rows, and, unless `may_bind`, a
-    binding of `.rows` itself."""
+def _in_builders(tree):
+    """The ids of the nodes inside `Mat.__init__` and `Mat.from_ints`."""
+    inside = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "Mat":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in BUILDERS:
+                    inside.update(map(id, ast.walk(fn)))
+    return inside
+
+
+def _setattr_name(node):
+    """The attribute name a `setattr(obj, "name", ...)` or
+    `<expr>.__setattr__(obj, "name", ...)` call sets, else None."""
+    func = node.func
+    if not (isinstance(func, ast.Name) and func.id == "setattr"
+            or isinstance(func, ast.Attribute) and func.attr == "__setattr__"):
+        return None
+    if len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+        return node.args[1].value
+    return None
+
+
+def _rows_writes(tree):
+    """Line numbers of every write into a matrix: item or slice assignment,
+    augmented assignment and deletion through `.rows[...]` or `._ints[...]`,
+    a mutating list method called on them or one of their rows, a binding of
+    `.rows`, and a binding of `._ints` or `._den` outside `Mat.__init__` and
+    `Mat.from_ints`, also through `setattr`."""
+    builders = _in_builders(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, WRITE):
             hit = _reaches_rows(node)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, WRITE):
-            hit = node.attr == "rows" and not may_bind
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            hit = node.func.attr in MUTATORS and _reaches_rows(node.func.value)
+            hit = node.attr == "rows" or node.attr in FORM and id(node) not in builders
+        elif isinstance(node, ast.Call):
+            func = node.func
+            hit = _setattr_name(node) in FORM | {"rows"} or (
+                isinstance(func, ast.Attribute)
+                and func.attr in MUTATORS
+                and _reaches_rows(func.value)
+            )
         else:
             hit = False
         if hit:
@@ -55,13 +89,35 @@ def test_detects_rows_writes():
         "y = [r[:] for r in m.rows[:k]]\n"
     )
     assert _rows_writes(tree) == [1, 2, 3, 4, 5, 7]
-    assert _rows_writes(tree, may_bind=True) == [1, 2, 3, 4, 7]
+
+
+def test_detects_form_bindings_outside_the_constructors():
+    tree = ast.parse(
+        "class Mat:\n"
+        "    def __init__(self, rows):\n"
+        "        self._ints, self._den = rows, 1\n"
+        "    @staticmethod\n"
+        "    def from_ints(rows, den):\n"
+        "        m = Mat.__new__(Mat)\n"
+        "        m._ints, m._den = rows, den\n"
+        "    def remake(self):\n"
+        "        self._ints = []\n"
+        "        del self._den\n"
+        "        self._ints[0][0] = 1\n"
+        "        self._ints[0].append(1)\n"
+        "def f(m, other):\n"
+        "    m._den = 2\n"
+        "    setattr(m, '_ints', [])\n"
+        "    object.__setattr__(m, '_den', 1)\n"
+        "    m._ints += [[1]]\n"
+        "    x = m._ints[0][0] + other._den\n"
+    )
+    assert _rows_writes(tree) == [9, 10, 11, 12, 14, 15, 16, 17]
 
 
 def test_no_writes_into_rows():
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += ["%s:%d" % (path.name, line)
-                  for line in _rows_writes(tree, may_bind=path.name == "linalg.py")]
+        found += ["%s:%d" % (path.name, line) for line in _rows_writes(tree)]
     assert found == []
