@@ -109,7 +109,7 @@ class AlgebraPresentation:
         return self._basis
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, AlgebraPresentation)
             and self.quiver == other.quiver
             and self.field == other.field

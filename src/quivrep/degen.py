@@ -19,7 +19,7 @@ from .errors import (
     NotRigid,
     QuivrepError,
 )
-from .ladder import Ladder, build_ladder, h1_ident, h1_into
+from .ladder import Ladder, build_ladder, coker_transport
 from .linalg import Mat
 from .rep import (
     ModHom,
@@ -28,7 +28,7 @@ from .rep import (
     hom_from_blocks,
     image,
     kernel,
-    restrict_to_submodule,
+    lift_through_mono,
 )
 from .squares import (
     ShortExact,
@@ -103,7 +103,9 @@ def make_steering_nilpotent(rz):
         cols = k_incl.blocks[v].hstack(i_incl.blocks[v])
         if cols.nrows != cols.ncols or cols.inverse() is None:
             raise QuivrepError("generalized kernel/image do not decompose U")
-    phi_k = restrict_to_submodule(phi, (k_rep, k_incl), (k_rep, k_incl))
+    phi_k = lift_through_mono(k_incl, k_incl.then(phi))
+    if phi_k is None:
+        raise QuivrepError("steering map does not preserve its generalized kernel")
     g_k = k_incl.then(rz.g)
     middle_k, injs_k, _ = direct_sum([rz.x, k_rep])
     mono_k = g_k.then(injs_k[0]) + phi_k.then(injs_k[1])
@@ -184,7 +186,7 @@ def rz_to_prufer(rz, depth=6):
     ident_c = cd.induce_from(rz.epi)  # coker(w0) -> Y
     if not ident_c.is_isomorphism():
         raise QuivrepError("epi does not identify coker(mono) with Y")
-    h1_to_y = h1_ident(ladder).then(ident_c)
+    h1_to_y = ladder.truncation(1).pi_to_h.then(ident_c)
     return DegenerationCertificate(rz, t, ladder, h1_to_y)
 
 
@@ -255,7 +257,7 @@ def co_rz(cert):
         raise QuivrepError("ladder too shallow for the dual sequence")
     omega = eventual_splitting(cert, t)  # Y[t] + X -> Y[t+1]
     tn1 = lad.truncation(t + 1)
-    iota = h1_into(lad, t + 1)  # Y[1] -> Y[t+1]
+    iota = tn1.h1_incl  # Y[1] -> Y[t+1]
     y_to_h1 = cert.h1_to_y.inverse()
     left = y_to_h1.then(iota).then(omega.inverse())
     right = omega.then(tn1.phi)
@@ -321,18 +323,6 @@ def cokernel_degeneration(w0, v0):
     raise QuivrepError("internal error: no split stage within the Ext bound %d" % bound)
 
 
-def _v_coker_ident(lad, n):
-    """Iso coker(v_n) -> coker(v_0) transported along the horizontal maps."""
-    cds = [cokernel_data(v) for v in lad.v_maps[: n + 1]]
-    cur = ModHom.identity(cds[n].rep)
-    for i in range(n - 1, -1, -1):
-        step = cds[i].induce(lad.w_maps[i + 1], cds[i + 1])
-        if not step.is_isomorphism():
-            raise QuivrepError("vertical cokernel transport is not an isomorphism")
-        cur = cur.then(step.inverse())
-    return cur, cds[0].rep
-
-
 def _rz_from_split_stage(lad, n, r):
     """Assemble 0 -> U_n -> W + U_n -> W' -> 0 from the split w_n with
     retraction r."""
@@ -344,9 +334,11 @@ def _rz_from_split_stage(lad, n, r):
     if not psi.is_isomorphism():
         raise QuivrepError("splitting does not give an isomorphism with W + U_n")
     mono = lad.v_maps[n].then(psi)
-    ident, w_prime = _v_coker_ident(lad, n)
-    epi = psi.inverse().then(cokernel_data(lad.v_maps[n]).proj).then(ident)
-    return RZSequence(u_n, w_mod, w_prime, mono, epi)
+    # coker(v_n) -> coker(v_0) = W' along the horizontal maps
+    v_cds = [cokernel_data(v) for v in lad.v_maps[: n + 1]]
+    ident = coker_transport(v_cds, lad.w_maps, "vertical cokernel transport")[n]
+    epi = psi.inverse().then(v_cds[n].proj).then(ident)
+    return RZSequence(u_n, w_mod, v_cds[0].rep, mono, epi)
 
 
 def rigid_cokernel_iso(w0, v0, seed=0):

@@ -5,6 +5,11 @@ A seed is a pair w0, v0: U0 -> U1 with w0 injective and coker(w0) nonzero.
 Iterated pushouts produce rungs U_i with maps w_i, v_i; the truncations
 H[n] = U_n / U_0 carry a surjection phi: H[n] -> H[n-1] whose kernel is a
 copy of H = coker(w0), and an inclusion H[n-1] -> H[n] with cokernel H.
+
+A ladder computes its stages lazily.  Stage n is built from the finished
+stage n-1, whose composites to H and from H[1] it extends by one map, and
+is published in the ladder's stage table only once both of its exact
+sequences are verified, so no caller ever sees a partial stage.
 """
 
 from .errors import (
@@ -39,8 +44,8 @@ class Ladder:
         if not (len(self.modules) == len(self.w_maps) + 1 == len(self.v_maps) + 1):
             raise QuivrepError("ladder map/module counts inconsistent")
         self._coker_data = None
-        self._coker_chain = None
-        self._trunc = {}
+        self._coker_idents = None
+        self._stages = {}
         if verify:
             self.verify()
 
@@ -63,26 +68,11 @@ class Ladder:
         """H = coker(w0), the basis of the associated truncation family."""
         return self.cokernels()[0].rep
 
-    def coker_chain(self):
-        """Isos coker(w_{i-1}) -> coker(w_i) induced by the vertical maps."""
-        if self._coker_chain is None:
-            cds = self.cokernels()
-            chain = []
-            for i in range(1, len(self.w_maps)):
-                step = cds[i - 1].induce(self.v_maps[i], cds[i])
-                if not step.is_isomorphism():
-                    raise QuivrepError("cokernel transport map is not an isomorphism")
-                chain.append(step)
-            self._coker_chain = chain
-        return self._coker_chain
-
     def coker_ident(self, i):
-        """Iso coker(w_i) -> H obtained by inverting the transport chain."""
-        chain = self.coker_chain()
-        cur = ModHom.identity(self.cokernels()[i].rep)
-        for k in range(i - 1, -1, -1):
-            cur = cur.then(chain[k].inverse())
-        return cur
+        """Iso coker(w_i) -> H transported back along the vertical maps."""
+        if self._coker_idents is None:
+            self._coker_idents = coker_transport(self.cokernels(), self.v_maps)
+        return self._coker_idents[i]
 
     def embedded_seed_image(self, n):
         """The composite w_{n-1} ... w_0 : U_0 -> U_n (identity for n = 0)."""
@@ -155,29 +145,23 @@ class Ladder:
     def truncation(self, n):
         if n < 0 or n > self.depth:
             raise OutOfRange("truncation stage %d outside 0..%d" % (n, self.depth))
-        if n not in self._trunc:
-            t = Truncation.__new__(Truncation)
-            self._trunc[n] = t  # register first: stage 1 refers to itself
-            try:
-                t._init(self, n)
-            except BaseException:
-                del self._trunc[n]
-                raise
-        return self._trunc[n]
+        t = self._stages.get(n)
+        if t is None:
+            t = self._stages.setdefault(n, Truncation(self, n))
+        return t
 
 
 class Truncation:
-    """H[n] = U_n / U_0 with its structure maps.
+    """H[n] = U_n / U_0 with its structure maps, built from stage n-1.
 
     Exact rows, verified on construction:
-        0 -> H[1] -> H[n] -phi-> H[n-1] -> 0
-        0 -> H[n-1] -incl-> H[n] -> H -> 0
+        0 -> H[1] -h1_incl-> H[n] -phi-> H[n-1] -> 0
+        0 -> H[n-1] -incl-> H[n] -to_h-> H -> 0
+    pi_to_h: H[n] -> H[1] -> H iterates phi down to H[1] and identifies it
+    with H; h1_incl: H[1] -> H[n] composes the inclusions.
     """
 
     def __init__(self, ladder, n):
-        self._init(ladder, n)
-
-    def _init(self, ladder, n):
         self.ladder = ladder
         self.n = n
         emb = ladder.embedded_seed_image(n)
@@ -187,15 +171,12 @@ class Truncation:
         self.rep = self.quot.rep
         self.proj = self.quot.proj
         if n == 0:
-            self.phi = None
-            self.incl = None
-            self.pi_to_h = None
+            self.phi = self.incl = self.pi_to_h = self.h1_incl = self._to_h = None
             return
         prev = ladder.truncation(n - 1)
         # phi = (v-bar)^{-1} o p with p: U_n/U_0 -> U_n/U_1 and
         # v-bar: U_{n-1}/U_0 -> U_n/U_1 induced by v_{n-1}
-        u1_in_un = _shifted_image(ladder, 1, n)
-        bq = QuotientData(ladder.modules[n], u1_in_un)
+        bq = QuotientData(ladder.modules[n], _shifted_image(ladder, 1, n))
         p_bar = self.quot.induce_from(bq.proj)
         vbar = prev.quot.induce(ladder.v_maps[n - 1], bq)
         if not vbar.is_isomorphism():
@@ -205,34 +186,21 @@ class Truncation:
         self.incl = prev.quot.induce(ladder.w_maps[n - 1], self.quot)
         if not self.incl.is_injective():
             raise QuivrepError("truncation inclusion is not injective")
-        # pi_to_h: iterate phi down to H[1], then identify with H
-        step = prev
-        cur = self.phi
-        while step.n > 1:
-            cur = cur.then(step.phi)
-            step = ladder.truncation(step.n - 1)
-        if self.n == 1:
-            cur = ModHom.identity(self.rep)
-        self.pi_to_h = cur.then(h1_ident(ladder))
-        self._verify()
-
-    def _verify(self):
-        lad, n = self.ladder, self.n
-        h = lad.basis_module
-        h1 = lad.truncation(1).rep
-        # 0 -> H[1] -> H[n] -> H[n-1] -> 0 via the composed inclusion and phi
-        iota = h1_into(lad, n)
-        ShortExact(h1, self.rep, lad.truncation(n - 1).rep, iota, self.phi)
-        # 0 -> H[n-1] -> H[n] -> H -> 0 via incl and the cokernel identification
-        epi = _trunc_to_h(lad, n)
-        ShortExact(lad.truncation(n - 1).rep, self.rep, h, self.incl, epi)
-        # phi^n kills everything: composite to H[0] = 0 is automatic since
-        # H[0] is the zero module; check ker(phi) = image of H[1] happens in
-        # the first sequence above.
+        # epi H[n] -> coker(w_{n-1}) -> H, the transport back to coker(w_0)
+        to_cn = self.quot.induce_from(ladder.cokernels()[n - 1].proj)
+        self._to_h = to_cn.then(ladder.coker_ident(n - 1))
+        if n == 1:
+            self.h1_incl = ModHom.identity(self.rep)
+            self.pi_to_h = self._to_h
+        else:
+            self.h1_incl = prev.h1_incl.then(self.incl)
+            self.pi_to_h = self.phi.then(prev.pi_to_h)
+        ShortExact(self.h1_incl.source, self.rep, prev.rep, self.h1_incl, self.phi)
+        ShortExact(prev.rep, self.rep, ladder.basis_module, self.incl, self._to_h)
 
     def to_h(self):
         """The epimorphism H[n] -> H with kernel the included H[n-1]."""
-        return _trunc_to_h(self.ladder, self.n)
+        return self._to_h
 
 
 def _shifted_image(ladder, lo, n):
@@ -243,28 +211,20 @@ def _shifted_image(ladder, lo, n):
     return {v: f.blocks[v].column_space() for v in f.blocks}
 
 
-def h1_ident(ladder):
-    """Isomorphism H[1] = U_1/U_0 -> H = coker(w_0)."""
-    t1 = ladder.truncation(1)
-    cd = ladder.cokernels()[0]
-    # both are quotients of U_1 by the same subspace; induce the identity
-    return t1.quot.induce(ModHom.identity(ladder.modules[1]), cd)
+def coker_transport(cokernels, along, what="cokernel transport map"):
+    """Isos coker_k -> coker_0 for every cokernel datum in the list.
 
-
-def h1_into(ladder, n):
-    """The composed inclusion H[1] -> H[n]."""
-    f = ModHom.identity(ladder.truncation(1).rep)
-    for k in range(2, n + 1):
-        f = f.then(ladder.truncation(k).incl)
-    return f
-
-
-def _trunc_to_h(ladder, n):
-    """Epi H[n] -> H: quotient to coker(w_{n-1}) then walk the chain back."""
-    tn = ladder.truncation(n)
-    cd = ladder.cokernels()[n - 1]
-    to_cn = tn.quot.induce_from(cd.proj)
-    return to_cn.then(ladder.coker_ident(n - 1))
+    along[k] induces coker_{k-1} -> coker_k, which must be an isomorphism;
+    the k-th iso inverts it and continues with the (k-1)-th.  `what` names
+    the transport in the error raised when a step is not an isomorphism.
+    """
+    idents = [ModHom.identity(cokernels[0].rep)]
+    for k in range(1, len(cokernels)):
+        step = cokernels[k - 1].induce(along[k], cokernels[k])
+        if not step.is_isomorphism():
+            raise QuivrepError("%s is not an isomorphism" % what)
+        idents.append(step.inverse().then(idents[-1]))
+    return idents
 
 
 def build_ladder(w0, v0, depth=6):
@@ -320,7 +280,7 @@ def ladder_extension(q, v0):
     ident = cd.induce_from(q)  # coker(w0) -> H_ext
     if not ident.is_isomorphism():
         raise QuivrepError("q does not identify coker(w0) with its target")
-    left = ident.inverse().then(h1_ident(lad).inverse()).then(h1_into(lad, 2))
+    left = ident.inverse().then(lad.truncation(1).pi_to_h.inverse()).then(t2.h1_incl)
     right = t2.to_h().then(ident)
     ext = ShortExact(q.target, h2, q.target, left, right)
     return ext, h2

@@ -337,12 +337,7 @@ def image(f):
     basis = {v: f.blocks[v].column_space() for v in f.source.dims}
     sub = Submodule(f.target, basis)
     img, incl = sub.inclusion_rep()
-    proj_blocks = {}
-    for v in f.source.dims:
-        coeff = basis[v].solve_right(f.blocks[v])
-        proj_blocks[v] = coeff
-    proj = ModHom(f.source, img, proj_blocks)
-    return img, incl, proj
+    return img, incl, lift_through_mono(incl, f)
 
 
 class QuotientData:
@@ -605,15 +600,13 @@ def is_generated_by(m, gens):
     return all(closure.dims[v] == m.dims[v] for v in m.dims)
 
 
-def restrict_to_submodule(f, sub_src, sub_tgt):
-    """Restrict f to given sub-reps on both sides (solves the coordinate change)."""
-    src_rep, src_incl = sub_src
-    tgt_rep, tgt_incl = sub_tgt
+def lift_through_mono(mono, f):
+    """g with g.then(mono) == f, solved vertex by vertex; None when f does
+    not land in the image of the injective map mono."""
     blocks = {}
     for v in f.blocks:
-        mapped = f.blocks[v] * src_incl.blocks[v]
-        sol = tgt_incl.blocks[v].solve_right(mapped)
+        sol = mono.blocks[v].solve_right(f.blocks[v])
         if sol is None:
-            raise QuivrepError("map does not preserve the submodules")
+            return None
         blocks[v] = sol
-    return ModHom(src_rep, tgt_rep, blocks)
+    return ModHom(f.source, mono.source, blocks)

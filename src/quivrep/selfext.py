@@ -21,6 +21,7 @@ from .rep import (
     hom_space,
     independent_indices,
     kernel,
+    lift_through_mono,
     radical,
     submodule_from_hom_image,
     top_data,
@@ -178,19 +179,10 @@ def ext_class_of_sequence(ses, presentation=None):
         raise QuivrepError("projective lifting failed (epi not surjective?)")
     # restrict to Omega M: lands in ker(p) = im(i); express through i
     omega_to_e = pres.u.then(lift)
-    rep = _through_mono(ses.i, omega_to_e)
+    rep = lift_through_mono(ses.i, omega_to_e)
+    if rep is None:
+        raise QuivrepError("map does not land in the mono image")
     return ExtClass(m, n, rep, pres)
-
-
-def _through_mono(mono, f):
-    """Express f = mono o g and return g (solves exactly; mono injective)."""
-    blocks = {}
-    for v in f.blocks:
-        sol = mono.blocks[v].solve_right(f.blocks[v])
-        if sol is None:
-            raise QuivrepError("map does not land in the mono image")
-        blocks[v] = sol
-    return ModHom(f.source, mono.source, blocks)
 
 
 def standard_subspace(m, presentation=None):
@@ -254,12 +246,12 @@ def reduced_presentation_seed(c):
     qbar = qd.induce_from(pres.p)  # PM/u(K) -> M
     if not qbar.is_surjective():
         return None
-    w0_rep, w0 = kernel(qbar)
+    w0 = kernel(qbar)[1]
     # the induced f-bar on ker(qbar): transport f along u and the quotient
     # solve v0: ker(qbar) -> PM/u(K) with qbar o v0 = fbar where fbar is the
     # map induced by f through u
-    # fbar on w0_rep: w0_rep sits inside PM/u(K); its preimages come from Omega
-    fbar = _induced_on_kernel(pres, qd, w0_rep, w0, f)
+    # ker(qbar) sits inside PM/u(K); its preimages come from Omega
+    fbar = _induced_on_kernel(pres, qd, w0, f)
     if fbar is None:
         return None
     v0 = factor_through(qbar, fbar)
@@ -268,17 +260,13 @@ def reduced_presentation_seed(c):
     return qbar, v0
 
 
-def _induced_on_kernel(pres, qd, w0_rep, w0, f):
+def _induced_on_kernel(pres, qd, w0, f):
     """The map ker(qbar) -> M induced by f via Omega -> Omega/K = ker(qbar)."""
-    theta_blocks = {}
     omega_in_quot = pres.u.then(qd.proj)  # Omega -> PM/u(K), image = ker(qbar)
-    # corestrict to w0_rep: solve w0 * theta = omega_in_quot
-    for v in omega_in_quot.blocks:
-        sol = w0.blocks[v].solve_right(omega_in_quot.blocks[v])
-        if sol is None:
-            return None
-        theta_blocks[v] = sol
-    theta = ModHom(pres.omega, w0_rep, theta_blocks)  # epi with kernel K
+    # corestrict to ker(qbar): solve w0 * theta = omega_in_quot
+    theta = lift_through_mono(w0, omega_in_quot)  # epi with kernel K
+    if theta is None:
+        return None
     # f factors through theta since K = ker f: find fbar with fbar o theta = f
     # solve per vertex: fbar * theta = f
     fbar_blocks = {}
@@ -287,7 +275,7 @@ def _induced_on_kernel(pres, qd, w0_rep, w0, f):
         if sol is None:
             return None
         fbar_blocks[v] = sol
-    fbar = ModHom(w0_rep, f.target, fbar_blocks)
+    fbar = ModHom(w0.source, f.target, fbar_blocks)
     if theta.then(fbar) != f:
         return None
     return fbar

@@ -16,6 +16,11 @@ change a verdict, a certificate or a witness.  Over small prime fields a
 local module may move from the exhaustive certificate to an earlier one, so
 those fields hash split modules only.
 
+The `stage_maps` case hashes, at every stage of three chessboards, the
+epimorphism H[n] -> H, the composed inclusion H[1] -> H[n] and the cokernel
+identification coker(w_(n-1)) -> H; its digests were recorded while each
+stage still rebuilt these composites from every earlier stage.
+
 The `split` cases hash the retractions and sections of `is_split_mono` and
 `is_split_epi`, and the ladder seeds, classes and quotient seeds that solve
 inside a hom space; their digests were recorded while splitness still had
@@ -284,6 +289,23 @@ def case_decomp_split(field):
     return [_decomp_run(m) for m in _split_modules(field)]
 
 
+def case_stage_maps(field):
+    """`to_h()`, `h1_incl` and `coker_ident(n - 1)` at every stage of the
+    horizontal and vertical ladders of a Kronecker, D4 and tower chessboard."""
+    seeds = [
+        fx.kronecker_regular_seed(fx.kronecker(field)),
+        fx.d4_seed(fx.d4_subspace(field)),
+        _random_seed(fx.commuting_square_tower(field), "c", "ab", random.Random(1414)),
+    ]
+    out = []
+    for w0, v0 in seeds:
+        for lad in chessboard(w0, v0, depth=3):
+            for n in range(1, lad.depth + 1):
+                t = lad.truncation(n)
+                out += [t.to_h(), t.h1_incl, lad.coker_ident(n - 1)]
+    return out
+
+
 def _one_sided_inverses(f):
     """The retraction and the section of f, and the section of its cokernel
     projection (None where none exists)."""
@@ -375,6 +397,7 @@ CASES = {
     "decomp": case_decomp,
     "decomp_split": case_decomp_split,
     "split": case_split,
+    "stage_maps": case_stage_maps,
 }
 
 GOLDEN = {
@@ -418,6 +441,12 @@ GOLDEN = {
         "c825a4aed283495079d8233748917cad2ee4e69e70d142d5ebf0616c216a9aa5",
     ("split", "GF32003"):
         "7b99a2f3639921e3477b7849d3b2b63f8ea7df33ef0c13c184e1e1cfbaa34e53",
+    ("stage_maps", "QQ"):
+        "dc41fee46c48b0a2191af47fb57298084b3eeec49d34e501e49c17e830458fb4",
+    ("stage_maps", "GF3"):
+        "36eba3a29bc7f0675b6a697dbf9fff304ab9f243e1b9a2c7b703d4a1b7d68f6c",
+    ("stage_maps", "GF32003"):
+        "3c521aa9ace16637d16a262b71bf0b9213cfa63cfdf432c827ac13ed96fcaa51",
 }
 
 

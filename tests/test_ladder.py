@@ -1,10 +1,14 @@
+import threading
 from fractions import Fraction
 
 import pytest
 
+from quivrep import ladder
 from quivrep.decomp import are_isomorphic
-from quivrep.errors import NotEpi, NotMono, OutOfRange, ZeroCokernel
+from quivrep.errors import NotEpi, NotMono, OutOfRange, QuivrepError, ZeroCokernel
 from quivrep.ladder import (
+    Ladder,
+    Truncation,
     build_ladder,
     chessboard,
     ladder_extension,
@@ -66,6 +70,70 @@ def test_truncation_kernel_of_phi(kron_seed):
     assert k.dims == {"a": 1, "b": 1}
     # phi iterated down to H ends surjective
     assert t3.pi_to_h.is_surjective()
+
+
+STAGE_MAPS = ("rep", "proj", "phi", "incl", "pi_to_h", "h1_incl")
+
+
+def test_stage_order_does_not_change_matrices(d4_seed):
+    w0, v0 = d4_seed
+    in_order = build_ladder(w0, v0, depth=4)
+    last_first = build_ladder(w0, v0, depth=4)
+    last_first.truncation(4)
+    for n in range(1, 5):
+        a, b = in_order.truncation(n), last_first.truncation(n)
+        direct = Truncation(in_order, n)  # built from the table's stage n-1
+        for name in STAGE_MAPS:
+            assert getattr(a, name) == getattr(b, name) == getattr(direct, name)
+        assert a.to_h() == b.to_h() == direct.to_h()
+
+
+def test_failed_stage_raises_again_and_is_not_stored(d4_seed):
+    w0, v0 = d4_seed
+    lad = build_ladder(w0, v0, depth=3)
+    m, w, v = lad.modules, lad.w_maps, lad.v_maps
+    # v_2 + w_2 g agrees with v_2 on the cokernels, but g moves the image of
+    # U_0 in U_2 out of w_1(U_1), so stage 3 cannot induce its phi
+    g = hom_space(m[2], m[2])[0]
+    bad = Ladder(m, w, [v[0], v[1], v[2] + g.then(w[2])], verify=False)
+    t2 = bad.truncation(2)
+    for _ in range(2):
+        with pytest.raises(QuivrepError, match="does not descend"):
+            bad.truncation(3)
+        assert sorted(bad._stages) == [0, 1, 2]
+    assert bad.truncation(2) is t2
+
+
+def test_no_caller_sees_a_half_built_stage(kron_seed, monkeypatch):
+    # the first builder of stage 2 stops inside its first quotient; a second
+    # thread asking for stage 2 meanwhile must get a complete stage
+    w0, v0 = kron_seed
+    lad = build_ladder(w0, v0, depth=3)
+    lad.truncation(1)
+    paused, release = threading.Event(), threading.Event()
+    real = ladder.QuotientData
+
+    def pausing_quotient(*args):
+        if threading.current_thread() is builder and not paused.is_set():
+            paused.set()
+            release.wait(60)
+        return real(*args)
+
+    monkeypatch.setattr(ladder, "QuotientData", pausing_quotient)
+    got = {}
+    builder = threading.Thread(target=lambda: got.update(first=lad.truncation(2)))
+    second = threading.Thread(target=lambda: got.update(second=lad.truncation(2)))
+    builder.start()
+    try:
+        assert paused.wait(60)
+        second.start()
+        second.join(60)
+        t = got["second"]
+        assert all(getattr(t, name, None) is not None for name in ("rep", "phi", "incl"))
+    finally:
+        release.set()
+        builder.join(60)
+    assert got["first"] is t is lad.truncation(2)
 
 
 def test_phi_tower_kernels(kron_seed):
