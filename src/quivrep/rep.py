@@ -170,10 +170,10 @@ class ModHom:
         return all(b.is_zero() for b in self.blocks.values())
 
     def is_injective(self):
-        return all(b.rank() == b.ncols for b in self.blocks.values())
+        return all(b.nrows >= b.ncols and b.rank() == b.ncols for b in self.blocks.values())
 
     def is_surjective(self):
-        return all(b.rank() == b.nrows for b in self.blocks.values())
+        return all(b.ncols >= b.nrows and b.rank() == b.nrows for b in self.blocks.values())
 
     def is_isomorphism(self):
         return all(
@@ -435,9 +435,13 @@ def direct_sum(parts, algebra=None):
         inj_blocks = {}
         proj_blocks = {}
         for v in dims:
-            rows = [[int(r == roffs[v] + i) for i in range(p.dims[v])] for r in range(dims[v])]
-            inj_blocks[v] = Mat.from_ints(field, rows, 1, dims[v], p.dims[v])
-            proj_blocks[v] = inj_blocks[v].transpose()
+            k, off, n = p.dims[v], roffs[v], dims[v]
+            inj = [[0] * k for _ in range(n)]
+            proj = [[0] * n for _ in range(k)]
+            for i in range(k):
+                inj[off + i][i] = proj[i][off + i] = 1
+            inj_blocks[v] = Mat.from_ints(field, inj, 1, n, k)
+            proj_blocks[v] = Mat.from_ints(field, proj, 1, k, n)
         injections.append(ModHom(p, total, inj_blocks, check=False))
         projections.append(ModHom(total, p, proj_blocks, check=False))
         for v in dims:

@@ -43,7 +43,7 @@ def _sha(text):
 
 @pytest.mark.parametrize("seed", sorted(CHECK_DIGESTS))
 def test_check_output_is_unchanged(seed, capsys):
-    cli.run(["check", "--seed", str(seed)])
+    assert cli.run(["check", "--seed", str(seed)]) == 0
     assert _sha(capsys.readouterr().out) == CHECK_DIGESTS[seed]
 
 

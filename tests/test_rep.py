@@ -2,6 +2,8 @@ import pytest
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from quivrep.errors import AlgebraMismatch, QuivrepError
 from quivrep.linalg import GF, QQ, Mat
 from quivrep.rep import (
@@ -83,6 +85,43 @@ def test_direct_sum_d4_dims(d4):
     u0, u1, mu_b, mu_c, mu_d = fx.d4_modules(d4)
     total = direct_sum([u1, u1, u0])[0]
     assert total.dims == {"a": 5, "b": 2, "c": 2, "d": 2}
+
+
+def test_direct_sum_structure_maps(d4):
+    u0, u1, mu_b, mu_c, mu_d = fx.d4_modules(d4)
+    parts = [u1, Rep.zero(d4), u0, u1]
+    total, injs, projs = direct_sum(parts)
+    for inj, proj in zip(injs, projs):
+        assert inj.commutes() and proj.commutes()
+    for i, proj in enumerate(projs):
+        for j, inj in enumerate(injs):
+            want = ModHom.identity(parts[i]) if i == j else ModHom.zero_hom(parts[j], parts[i])
+            assert inj.then(proj) == want
+    resolved = ModHom.zero_hom(total, total)
+    for inj, proj in zip(injs, projs):
+        resolved = resolved + proj.then(inj)
+    assert resolved == ModHom.identity(total)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_injective_and_surjective_follow_the_rank(data):
+    """Wide, tall and zero-dimensional blocks: the shape test before the rank
+    gives the answer of the rank alone."""
+    alg = fx.kronecker(data.draw(st.sampled_from([QQ, GF(3)])))
+    dim = st.integers(min_value=0, max_value=3)
+    m = Rep(alg, {"a": data.draw(dim), "b": data.draw(dim)}, {})
+    n = Rep(alg, {"a": data.draw(dim), "b": data.draw(dim)}, {})
+    blocks = {}
+    for v in ("a", "b"):
+        nrows, ncols = n.dims[v], m.dims[v]
+        entry = st.integers(min_value=-2, max_value=2)
+        rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows))
+        blocks[v] = Mat(alg.field, rows, nrows, ncols)
+    h = ModHom(m, n, blocks)
+    assert h.is_injective() == all(b.rank() == b.ncols for b in blocks.values())
+    assert h.is_surjective() == all(b.rank() == b.nrows for b in blocks.values())
 
 
 def test_submodule_closure_whole(kron_regular):
