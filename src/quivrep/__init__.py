@@ -63,6 +63,7 @@ from .rep import (
     radical,
     socle,
     submodule_closure,
+    sum_module,
     top,
 )
 from .selfext import (

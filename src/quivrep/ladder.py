@@ -28,7 +28,6 @@ from .rep import (
     factor_from,
     factor_through,
     kernel,
-    submodule_from_hom_image,
 )
 from .selfext import ext1
 from .squares import ShortExact, Square, is_exact_square, is_split_epi, pushout, pullback
@@ -109,20 +108,22 @@ class Ladder:
         if h.is_zero():
             raise ZeroCokernel("ladder seed has zero cokernel")
         hd = h.dims
-        k_dims = kernel(v0)[0].dims
-        q_dims = None
         for i, w in enumerate(self.w_maps):
             if not w.is_injective():
                 raise NotMono("ladder map w_%d is not injective" % i)
             cd = self.cokernels()[i]
             if cd.rep.dims != hd:
                 raise QuivrepError("coker(w_%d) has wrong dimension vector" % i)
+        # dim ker(v) = ncols - rank and dim coker(v) = nrows - rank, block by block
+        k_dims = q_dims = None
         for i, v in enumerate(self.v_maps):
-            if kernel(v)[0].dims != k_dims:
+            ranks = {x: b.rank() for x, b in v.blocks.items()}
+            kv = {x: v.blocks[x].ncols - r for x, r in ranks.items()}
+            cv = {x: v.blocks[x].nrows - r for x, r in ranks.items()}
+            if k_dims is None:
+                k_dims, q_dims = kv, cv
+            elif kv != k_dims:
                 raise QuivrepError("ker(v_%d) dimension vector changed" % i)
-            cv = cokernel_data(v).rep.dims
-            if q_dims is None:
-                q_dims = cv
             elif cv != q_dims:
                 raise QuivrepError("coker(v_%d) dimension vector changed" % i)
         for i in range(self.depth - 1):
@@ -164,10 +165,7 @@ class Truncation:
     def __init__(self, ladder, n):
         self.ladder = ladder
         self.n = n
-        emb = ladder.embedded_seed_image(n)
-        self.quot = QuotientData(
-            ladder.modules[n], {v: emb.blocks[v].column_space() for v in emb.blocks}
-        )
+        self.quot = QuotientData(ladder.modules[n], ladder.embedded_seed_image(n).blocks)
         self.rep = self.quot.rep
         self.proj = self.quot.proj
         if n == 0:
@@ -204,11 +202,11 @@ class Truncation:
 
 
 def _shifted_image(ladder, lo, n):
-    """Span of the image of U_lo inside U_n under the w-composites."""
+    """Blocks spanning the image of U_lo inside U_n under the w-composites."""
     f = ModHom.identity(ladder.modules[lo])
     for i in range(lo, n):
         f = f.then(ladder.w_maps[i])
-    return {v: f.blocks[v].column_space() for v in f.blocks}
+    return f.blocks
 
 
 def coker_transport(cokernels, along, what="cokernel transport map"):
@@ -307,7 +305,7 @@ def ladder_seed_from_simple(ext, s_incl):
     if ext1(s, s)[0] != 0:
         return None
     # factor H -> H/S through E: solve t o i = can
-    hs = QuotientData(h, submodule_from_hom_image(s_incl).basis)
+    hs = QuotientData(h, s_incl.blocks)
     can = hs.proj
     t = factor_from(ext.i, can)
     if t is None:

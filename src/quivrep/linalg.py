@@ -41,6 +41,17 @@ unchanged, so the pivots are those of the `Fraction` algorithm; and the
 reduced row echelon form of a matrix is unique, so the result, and with it
 every null-space, solution and quotient basis built from it, is the same
 matrix bit for bit.
+
+`rank` builds no reduced matrix: it eliminates forward only, with no
+back-substitution, on the integer rows.  Over Q it clears fraction-free
+as above, each new row kept primitive by the gcd of its entries; over
+GF(p) it cross-multiplies, `row <- a row - f pivot_row` mod p with a
+the pivot, so it takes no modular inverse.
+
+`quotient_maps` takes any columns spanning the subspace, dependent or
+not: it row-reduces their transpose, whose RREF depends only on the row
+space, so the blocks of a hom give the same quotient maps as an
+echelonized basis of its image.
 """
 
 from fractions import Fraction
@@ -337,7 +348,9 @@ class Mat:
         return r, pivots, Mat.from_ints(f, m, den, nrows, ncols)
 
     def rank(self):
-        return self.rref()[0]
+        """The rank, by forward elimination on the integer rows (see
+        `_rank_ints`); no reduced matrix is built."""
+        return _rank_ints(self._ints, self.ncols, self.field.p)
 
     def null_space(self):
         """Matrix whose columns form the canonical basis of {x : A x = 0}."""
@@ -525,6 +538,49 @@ def _rref_gf(f, m, nrows, ncols):
     return r, pivots, m
 
 
+def _rank_ints(ints, ncols, p):
+    """Rank of the integer rows `ints` (over GF(p) when p, else over Q),
+    by forward elimination without back-substitution.  The pivot row of a
+    column is the first remaining row nonzero there, with entry a; it
+    clears the entry f of each other row, over GF(p) by
+    `row <- a row - f pivot_row` mod p, so no inverse is taken, and over Q
+    by `row <- (a/g) row - (f/g) pivot_row` with g = gcd(a, f), after which
+    the row is divided by the gcd of its entries.  Rows that become zero
+    are dropped.  The input rows are not written."""
+    rows = [row for row in ints if any(row)]
+    rank = 0
+    for c in range(ncols):
+        for k, piv in enumerate(rows):
+            if piv[c]:
+                break
+        else:
+            continue
+        del rows[k]
+        rank += 1
+        a = piv[c]
+        rest = []
+        for row in rows:
+            f = row[c]
+            if not f:
+                rest.append(row)
+                continue
+            if p:
+                new = [(a * x - f * y) % p for x, y in zip(row, piv)]
+            else:
+                g = gcd(a, f)
+                s, t = a // g, f // g
+                new = [s * x - t * y for x, y in zip(row, piv)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+            if any(new):
+                rest.append(new)
+        rows = rest
+        if not rows:
+            break
+    return rank
+
+
 def _rref_q(ints, nrows, ncols):
     """(rank, pivots, integer rows, den) of the RREF over Q of the integer
     rows `ints` (any common denominator; row scaling leaves the RREF as it
@@ -585,7 +641,8 @@ def quotient_maps(span):
 
     Returns (proj, section): proj is q x d with kernel exactly S, section is
     d x q with proj * section = identity.  The quotient basis is the set of
-    non-pivot coordinates of the echelonized span, so it is canonical.
+    non-pivot coordinates of the echelonized span, so it is canonical, and
+    the same for any columns that span S.
     """
     f = span.field
     d = span.nrows

@@ -181,14 +181,14 @@ class ModHom:
         )
 
     def inverse(self):
-        if not self.is_isomorphism():
-            raise QuivrepError("inverse of a non-isomorphism")
-        return ModHom(
-            self.target,
-            self.source,
-            {v: self.blocks[v].inverse() for v in self.blocks},
-            check=False,
-        )
+        """The inverse hom, block by block; raises when a block is not an
+        invertible square matrix."""
+        blocks = {}
+        for v, b in self.blocks.items():
+            blocks[v] = b.inverse()
+            if blocks[v] is None:
+                raise QuivrepError("inverse of a non-isomorphism")
+        return ModHom(self.target, self.source, blocks, check=False)
 
     def __repr__(self):
         return "ModHom(%s -> %s)" % (self.source.dims, self.target.dims)
@@ -341,15 +341,19 @@ def image(f):
 
 
 class QuotientData:
-    """Quotient of a Rep by a submodule, with projection and a linear section."""
+    """Quotient of a Rep by a submodule, with projection and a linear section.
 
-    def __init__(self, ambient, span_basis):
+    `span` maps each vertex to a matrix whose columns span the submodule
+    there: any spanning columns, such as the blocks of a hom whose image it
+    is, since the quotient maps depend only on their column space.
+    """
+
+    def __init__(self, ambient, span):
         self.ambient = ambient
-        field = ambient.algebra.field
         proj_blocks = {}
         self.section = {}
         for v in ambient.dims:
-            p, s = quotient_maps(span_basis[v])
+            p, s = quotient_maps(span[v])
             proj_blocks[v] = p
             self.section[v] = s
         dims = {v: proj_blocks[v].nrows for v in ambient.dims}
@@ -407,27 +411,34 @@ def cokernel(f):
 
 
 def cokernel_data(f):
-    span = {v: f.blocks[v].column_space() for v in f.target.dims}
-    return QuotientData(f.target, span)
+    return QuotientData(f.target, f.blocks)
 
 
-def direct_sum(parts, algebra=None):
-    """(S, injections, projections) with block-diagonal actions.
+def sum_module(parts, algebra=None):
+    """The direct sum of the modules, with block-diagonal actions.
 
     The empty sum is the zero module; it needs the algebra passed explicitly.
     """
     if not parts:
         if algebra is None:
             raise QuivrepError("empty direct sum needs an explicit algebra")
-        return Rep.zero(algebra), [], []
+        return Rep.zero(algebra)
     _check_same_algebra(*parts)
     alg = parts[0].algebra
-    field = alg.field
     dims = {v: sum(p.dims[v] for p in parts) for v in alg.quiver.vertices}
     action = {}
     for a, _, _ in alg.quiver.arrows:
-        action[a] = block_diagonal(field, [p.action[a] for p in parts])
-    total = Rep(alg, dims, action, check=False)
+        action[a] = block_diagonal(alg.field, [p.action[a] for p in parts])
+    return Rep(alg, dims, action, check=False)
+
+
+def direct_sum(parts, algebra=None):
+    """(S, injections, projections): `sum_module` with the structure maps."""
+    total = sum_module(parts, algebra)
+    if not parts:
+        return total, [], []
+    field = total.algebra.field
+    dims = total.dims
     injections = []
     projections = []
     roffs = {v: 0 for v in dims}
@@ -485,12 +496,6 @@ def submodule_closure(ambient, generators):
                 span[t] = combined
                 changed = True
     return Submodule(ambient, span)
-
-
-def submodule_from_hom_image(f):
-    """Image of a ModHom as a Submodule of its target."""
-    basis = {v: f.blocks[v].column_space() for v in f.target.dims}
-    return Submodule(f.target, basis)
 
 
 def quotient(m, sub):

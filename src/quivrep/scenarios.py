@@ -61,7 +61,7 @@ def scenario_kronecker(depth=6, seed=0):
     ok_split = True
     for n in range(1, min(depth, 4) + 1):
         hn = lad2.truncation(n).rep
-        hsum = rep.direct_sum([h] * n)[0] if n > 1 else h
+        hsum = rep.sum_module([h] * n) if n > 1 else h
         ok_split = ok_split and decomp.are_isomorphic(hn, hsum, seed=seed).verdict == "isomorphic"
     rp.claim("for v0 in k*w0: H[n] ~ H^n", "decomp.are_isomorphic", ok_split)
     gens_ok = all(
@@ -143,7 +143,7 @@ def scenario_d4(seed=0):
         "squares.is_split_mono",
         squares.is_split_mono(lad.w_maps[1]) is None,
     )
-    u2w = rep.direct_sum([u2, w_mod])[0]
+    u2w = rep.sum_module([u2, w_mod])
     iso = decomp.are_isomorphic(lad.modules[3], u2w, seed=seed)
     rp.claim("U3 ~ U2 + W", "decomp.are_isomorphic", iso.verdict == "isomorphic")
     rz, n0 = degen.cokernel_degeneration(w0, v0)

@@ -23,7 +23,6 @@ from .rep import (
     kernel,
     lift_through_mono,
     radical,
-    submodule_from_hom_image,
     top_data,
 )
 from .squares import ShortExact, pushout, pushout_factor
@@ -242,7 +241,7 @@ def reduced_presentation_seed(c):
     f = c.representative
     k_rep, k_incl = kernel(f)
     uk = k_incl.then(pres.u)  # K -> PM
-    qd = QuotientData(pres.p_total, submodule_from_hom_image(uk).basis)
+    qd = QuotientData(pres.p_total, uk.blocks)
     qbar = qd.induce_from(pres.p)  # PM/u(K) -> M
     if not qbar.is_surjective():
         return None

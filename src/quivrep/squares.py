@@ -79,18 +79,9 @@ def pushout(w, v):
     if w.source != v.source:
         raise QuivrepError("pushout needs a common source")
     y1, y2 = w.target, v.target
-    total, injs, projs = direct_sum([y1, y2])
-    graph = ModHom(
-        w.source,
-        total,
-        {
-            s: injs[0].blocks[s] * w.blocks[s] - injs[1].blocks[s] * v.blocks[s]
-            for s in w.blocks
-        },
-        check=False,
-    )
-    span = {s: graph.blocks[s].column_space() for s in graph.blocks}
-    q = QuotientData(total, span)
+    total, injs, _ = direct_sum([y1, y2])
+    # the image of x |-> (w(x), -v(x)) is spanned by the columns of [w; -v]
+    q = QuotientData(total, {s: w.blocks[s].vstack(-v.blocks[s]) for s in w.blocks})
     gp = injs[0].then(q.proj)
     fp = injs[1].then(q.proj)
     return Square(w.source, y1, y2, q.rep, w, v, gp, fp)
@@ -126,13 +117,13 @@ def is_exact_square(s):
     if not s.commutes():
         return False
     for v in s.x.dims:
-        stacked = s.f.blocks[v].vstack(s.g.blocks[v])
-        if stacked.rank() != s.x.dims[v]:
+        r_in = s.f.blocks[v].vstack(s.g.blocks[v]).rank()
+        if r_in != s.x.dims[v]:
             return False
-        spread = s.gp.blocks[v].hstack((-s.fp.blocks[v]))
-        if spread.rank() != s.z.dims[v]:
+        r_out = s.gp.blocks[v].hstack(-s.fp.blocks[v]).rank()
+        if r_out != s.z.dims[v]:
             return False
-        if stacked.rank() + spread.rank() != s.y1.dims[v] + s.y2.dims[v]:
+        if r_in + r_out != s.y1.dims[v] + s.y2.dims[v]:
             return False
     return True
 

@@ -104,6 +104,31 @@ def test_failed_stage_raises_again_and_is_not_stored(d4_seed):
     assert bad.truncation(2) is t2
 
 
+def test_verify_catches_a_kernel_that_changes(kron_seed):
+    w0, v0 = kron_seed
+    lad = build_ladder(w0, v0, depth=3)
+    m, w, v = lad.modules, lad.w_maps, lad.v_maps
+    # v_0 is injective; the zero map U_1 -> U_2 kills all of U_1
+    bad = Ladder(m, w, [v[0], ModHom.zero_hom(m[1], m[2]), v[2]], verify=False)
+    with pytest.raises(QuivrepError, match=r"^ker\(v_1\) dimension vector changed$"):
+        bad.verify()
+
+
+def test_verify_catches_a_cokernel_that_changes(kron_seed, kron_projectives):
+    w0, v0 = kron_seed
+    pa, _ = kron_projectives
+    lad = build_ladder(w0, v0, depth=3)
+    m, w, v = lad.modules, lad.w_maps, lad.v_maps
+    # With every coker(w_i) of dimension dim H, coker(v_i) has dimension
+    # dim H + dim ker(v_i) whenever v_i: U_i -> U_(i+1), so only a v_1 off
+    # the rungs can break the cokernel alone: v_0 followed by U_1 -> U_1 + P(a)
+    # keeps the kernel of v_0 and grows its cokernel by P(a).
+    _, injs, _ = direct_sum([m[1], pa])
+    bad = Ladder(m, w, [v[0], v[0].then(injs[0]), v[2]], verify=False)
+    with pytest.raises(QuivrepError, match=r"^coker\(v_1\) dimension vector changed$"):
+        bad.verify()
+
+
 def test_no_caller_sees_a_half_built_stage(kron_seed, monkeypatch):
     # the first builder of stage 2 stops inside its first quotient; a second
     # thread asking for stage 2 meanwhile must get a complete stage

@@ -535,6 +535,39 @@ def test_q_stack_flat_and_unstack_flat_are_inverse(data):
             _assert_canonical(m)
 
 
+@st.composite
+def rank_matrices(draw):
+    """Matrices over Q, GF(2), GF(3) and GF(32003) of 0-5 rows and columns,
+    with zero rows and rows dependent on earlier ones; over Q with entries
+    of non-unit denominator."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    if field == QQ:
+        return draw(q_matrices())
+    p = field.p
+    entry = st.integers(min_value=0, max_value=p - 1)
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["free", "free", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "dependent" and rows:
+            i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            j = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            c = draw(entry)
+            rows.append([(c * x + y) % p for x, y in zip(rows[i], rows[j])])
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return Mat(field, rows, m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_matrices())
+def test_rank_is_the_rank_of_the_rref(a):
+    assert a.rank() == a.rref()[0]
+    assert a.transpose().rank() == a.rank()
+
+
 def _over(field, a):
     """A Q matrix over `field`: over GF(p) the integer matrix den * a."""
     return a if field == QQ else Mat(field, a.int_form()[0], a.nrows, a.ncols)

@@ -8,6 +8,7 @@ from quivrep.errors import AlgebraMismatch, QuivrepError
 from quivrep.linalg import GF, QQ, Mat
 from quivrep.rep import (
     ModHom,
+    QuotientData,
     Rep,
     annihilator_dimension,
     cokernel,
@@ -26,10 +27,13 @@ from quivrep.rep import (
     radical,
     socle,
     submodule_closure,
+    sum_module,
     top,
 )
+from quivrep.algebra import projective
 from quivrep.ladder import build_ladder
 from quivrep import fixtures as fx
+from quivrep import suites
 
 
 def test_hom_to_zero_module(kronecker, kron_projectives):
@@ -310,3 +314,62 @@ def test_factorizations_solve_or_refuse(kron_seed):
     assert t is not None and w0.then(t) == w0
     # q is not injective, so the identity does not factor through it
     assert factor_from(q, ModHom.identity(q.source)) is None
+
+
+def test_sum_module_is_the_module_of_direct_sum(d4):
+    u0, u1, _, _, _ = fx.d4_modules(d4)
+    parts = [u1, Rep.zero(d4), u0]
+    assert sum_module(parts) == direct_sum(parts)[0]
+    assert sum_module([], algebra=d4) == Rep.zero(d4)
+    with pytest.raises(QuivrepError):
+        sum_module([])
+
+
+def test_inverse_of_a_singular_square_block_raises(kronecker):
+    s = Rep.simple(kronecker, "a")
+    with pytest.raises(QuivrepError, match="inverse of a non-isomorphism"):
+        ModHom.zero_hom(s, s).inverse()
+
+
+def test_inverse_of_a_non_square_block_raises(kron_projectives):
+    pa, pb = kron_projectives
+    _, injs, projs = direct_sum([pa, pb])
+    for f in (injs[0], projs[1]):
+        with pytest.raises(QuivrepError, match="inverse of a non-isomorphism"):
+            f.inverse()
+
+
+def _quotient_fixture_groups():
+    """Groups of modules over one algebra each, over Q and GF(3)."""
+    groups = []
+    for field in (QQ, GF(3)):
+        alg = fx.kronecker(field)
+        pa, pb = projective(alg, "a")[0], projective(alg, "b")[0]
+        h = cokernel(fx.kronecker_regular_seed(alg)[0])[0]
+        groups.append([pa, pb, h, sum_module([h, pa]), sum_module([pb, pb])])
+        alg = fx.d4_subspace(field)
+        u0, u1, _, _, _ = fx.d4_modules(alg)
+        groups.append([u0, u1, sum_module([u1, u0])])
+        alg = fx.loop_beta(field)
+        ps = [projective(alg, v)[0] for v in alg.quiver.vertices]
+        groups.append(ps + [sum_module(ps)])
+    return groups
+
+
+QUOTIENT_GROUPS = _quotient_fixture_groups()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_quotient_by_hom_blocks_is_the_quotient_by_their_column_space(data):
+    """The blocks of a hom, dependent columns and all, give the quotient that
+    an echelonized basis of its image gives."""
+    group = data.draw(st.sampled_from(QUOTIENT_GROUPS))
+    m, n = data.draw(st.sampled_from(group)), data.draw(st.sampled_from(group))
+    f = suites._random_hom(m, n, random.Random(data.draw(st.integers(0, 2**32))))
+    by_blocks = QuotientData(n, f.blocks)
+    by_space = QuotientData(n, {v: b.column_space() for v, b in f.blocks.items()})
+    assert by_blocks.proj.blocks == by_space.proj.blocks
+    assert by_blocks.section == by_space.section
+    assert by_blocks.rep.action == by_space.rep.action
+    assert by_blocks.proj == by_space.proj
