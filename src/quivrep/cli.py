@@ -24,31 +24,29 @@ def _hom_matrices(h):
     return {v: _mat_strings(h.blocks[v]) for v in h.blocks}
 
 
-def _load(args, needed):
-    paths = []
-    if getattr(args, "algebra", None):
-        paths.append(args.algebra)
-    for p in getattr(args, "module", None) or []:
-        paths.append(p)
-    for flag in needed:
-        val = getattr(args, flag, None)
-        if val:
-            paths.append(val)
-    ns = qio.parse_inputs(paths)
-    return ns
+def _load(args, required):
+    """Parse the files the input flags name; every flag in `required` must
+    be given, else a usage error."""
+    for flag in required:
+        if not getattr(args, flag, None):
+            raise UsageError("%s needs --%s" % (args.command, flag))
+    paths = [args.algebra] if args.algebra else []
+    paths += args.module or []
+    paths += [getattr(args, flag) for flag in required if flag != "module"]
+    return qio.parse_inputs(paths)
 
 
 def _hom_from_file(ns, path):
     names = ns.names_from("hom", str(path))
     if len(names) != 1:
-        raise QuivrepError("%s must declare exactly one hom" % path)
+        raise ParseError("%s must declare exactly one hom" % path)
     return ns.homs[names[0]]
 
 
 def _module_from_file(ns, path):
     names = ns.names_from("module", str(path))
     if not names:
-        raise QuivrepError("%s declares no module" % path)
+        raise ParseError("%s declares no module" % path)
     return ns.modules[names[-1]]
 
 
@@ -93,10 +91,8 @@ def cmd_chessboard(args):
 
 
 def cmd_ext(args):
-    ns = _load(args, [])
-    m = _module_from_file(ns, args.module[0]) if args.module else None
-    if m is None:
-        raise QuivrepError("ext needs --module")
+    ns = _load(args, ["module"])
+    m = _module_from_file(ns, args.module[0])
     rp = Report("ext")
     pres = selfext.Presentation(m)
     rp.claim("projective cover dims", "selfext.projective_cover", True, pres.p_total.dims)
@@ -167,9 +163,7 @@ def cmd_degenerate_cokernels(args):
 
 
 def cmd_decompose(args):
-    ns = _load(args, [])
-    if not args.module:
-        raise QuivrepError("decompose needs --module")
+    ns = _load(args, ["module"])
     m = _module_from_file(ns, args.module[0])
     parts = decomp.decompose(m, seed=args.seed)
     rp = Report("decompose", {"seed": args.seed})

@@ -53,8 +53,12 @@ class Namespace:
 def parse_inputs(paths):
     ns = Namespace()
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ParseError("%s: cannot read: %s" % (path, reason)) from exc
         parse_text(text, ns, origin=str(path))
     return ns
 

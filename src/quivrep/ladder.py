@@ -7,9 +7,11 @@ H[n] = U_n / U_0 carry a surjection phi: H[n] -> H[n-1] whose kernel is a
 copy of H = coker(w0), and an inclusion H[n-1] -> H[n] with cokernel H.
 
 A ladder computes its stages lazily.  Stage n is built from the finished
-stage n-1, whose composites to H and from H[1] it extends by one map, and
-is published in the ladder's stage table only once both of its exact
-sequences are verified, so no caller ever sees a partial stage.
+stage n-1, and is published in the ladder's stage table only once both of
+its exact sequences are verified, so no caller ever sees a partial stage.
+Every composite a stage keeps (U_0 -> U_n and U_1 -> U_n along the w-chain,
+H[n] -> H and H[1] -> H[n]) extends the same composite of stage n-1 by one
+map, so no stage recomposes a chain from the identity.
 """
 
 from .errors import (
@@ -74,11 +76,9 @@ class Ladder:
         return self._coker_idents[i]
 
     def embedded_seed_image(self, n):
-        """The composite w_{n-1} ... w_0 : U_0 -> U_n (identity for n = 0)."""
-        f = ModHom.identity(self.modules[0])
-        for i in range(n):
-            f = f.then(self.w_maps[i])
-        return f
+        """The composite w_{n-1} ... w_0 : U_0 -> U_n (identity for n = 0),
+        kept by the stage-n truncation."""
+        return self.truncation(n).from_u0
 
     def vertical_composite(self, lo, hi):
         """v_{hi-1} ... v_{lo} : U_lo -> U_hi."""
@@ -159,29 +159,37 @@ class Truncation:
         0 -> H[1] -h1_incl-> H[n] -phi-> H[n-1] -> 0
         0 -> H[n-1] -incl-> H[n] -to_h-> H -> 0
     pi_to_h: H[n] -> H[1] -> H iterates phi down to H[1] and identifies it
-    with H; h1_incl: H[1] -> H[n] composes the inclusions.
+    with H; h1_incl: H[1] -> H[n] composes the inclusions.  from_u0 and
+    from_u1 are the w-chain composites U_0 -> U_n and U_1 -> U_n (from_u1 is
+    None for n = 0).
     """
 
     def __init__(self, ladder, n):
         self.ladder = ladder
         self.n = n
-        self.quot = QuotientData(ladder.modules[n], ladder.embedded_seed_image(n).blocks)
+        if n == 0:
+            self.from_u0, self.from_u1 = ModHom.identity(ladder.modules[0]), None
+        else:
+            prev = ladder.truncation(n - 1)
+            w = ladder.w_maps[n - 1]
+            self.from_u0 = prev.from_u0.then(w)
+            self.from_u1 = ModHom.identity(ladder.modules[1]) if n == 1 else prev.from_u1.then(w)
+        self.quot = QuotientData(ladder.modules[n], self.from_u0.blocks)
         self.rep = self.quot.rep
         self.proj = self.quot.proj
         if n == 0:
             self.phi = self.incl = self.pi_to_h = self.h1_incl = self._to_h = None
             return
-        prev = ladder.truncation(n - 1)
         # phi = (v-bar)^{-1} o p with p: U_n/U_0 -> U_n/U_1 and
         # v-bar: U_{n-1}/U_0 -> U_n/U_1 induced by v_{n-1}
-        bq = QuotientData(ladder.modules[n], _shifted_image(ladder, 1, n))
+        bq = QuotientData(ladder.modules[n], self.from_u1.blocks)
         p_bar = self.quot.induce_from(bq.proj)
         vbar = prev.quot.induce(ladder.v_maps[n - 1], bq)
         if not vbar.is_isomorphism():
             raise QuivrepError("filtration transport is not an isomorphism")
         self.phi = p_bar.then(vbar.inverse())
         # inclusion H[n-1] -> H[n] induced by w_{n-1}
-        self.incl = prev.quot.induce(ladder.w_maps[n - 1], self.quot)
+        self.incl = prev.quot.induce(w, self.quot)
         if not self.incl.is_injective():
             raise QuivrepError("truncation inclusion is not injective")
         # epi H[n] -> coker(w_{n-1}) -> H, the transport back to coker(w_0)
@@ -199,14 +207,6 @@ class Truncation:
     def to_h(self):
         """The epimorphism H[n] -> H with kernel the included H[n-1]."""
         return self._to_h
-
-
-def _shifted_image(ladder, lo, n):
-    """Blocks spanning the image of U_lo inside U_n under the w-composites."""
-    f = ModHom.identity(ladder.modules[lo])
-    for i in range(lo, n):
-        f = f.then(ladder.w_maps[i])
-    return f.blocks
 
 
 def coker_transport(cokernels, along, what="cokernel transport map"):

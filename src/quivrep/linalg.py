@@ -17,15 +17,26 @@ kinds of field, and do no `Fraction` arithmetic.  Over GF(p) `rows` is the
 stored rows; over Q reading `rows` builds new `Fraction` rows on every read,
 and `entry` and `col` read single entries.  Nothing is cached, so a matrix
 never changes after construction and threads can share it without locks.
+Beside its form a `Mat` holds one flag, bound once in the same
+constructors: whether it is an identity.  Only `Mat.identity` sets it
+(`quotient_maps` returns such identities for the quotient by zero), and
+`==` does not read it.
 
 The rest of the package reads `rows` and uses the operations, and never
 handles a denominator: `Mat.stack_flat` and `Mat.unstack_flat` flatten
-matrices into rows and back, and `block_diagonal` and `sylvester_system`
-assemble larger matrices from smaller ones.
+matrices into rows and back, and `place_blocks` (with its diagonal case
+`block_diagonal`) and `sylvester_system` assemble larger matrices from
+smaller ones.
 
-Products over both fields run one integer kernel, after Gustavson (1978):
-row i of A B is the sum of x * (row k of B) over the nonzero entries
-x = A[i][k], so zero entries of A cost nothing and B is never transposed.
+A product with a flagged identity operand is the other operand, and a
+product with a zero dimension is the zero matrix of its shape: both are
+exact, and a `Mat` never changes, so neither needs a scan of the entries.
+The constructions make many such products: quotient maps by zero and the
+start of every composite are identities, and blocks at vertices where a
+module is zero are empty.  Every other product, over both fields, runs one
+integer kernel, after Gustavson (1978): row i of A B is the sum of
+x * (row k of B) over the nonzero entries x = A[i][k], so zero entries of A
+cost nothing and B is never transposed.
 Over Q the product of A = N/D and B = M/E is NM over DE, reduced by the gcd
 of DE and its entries; over GF(p) each entry is reduced mod p once, at the
 end of its row.
@@ -175,14 +186,15 @@ def GF(p):
 
 class Mat:
     """Dense matrix over a Field, immutable after construction: it holds one
-    form, its canonical integer rows over a positive denominator, set when it
-    is made and never rebound or written.
+    form, its canonical integer rows over a positive denominator, and a flag
+    saying it is an identity, set when it is made and never rebound or
+    written.
 
     Zero-row and zero-column matrices are first class: shape information is
     kept even when there are no entries.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_ints", "_den")
+    __slots__ = ("field", "nrows", "ncols", "_ints", "_den", "_is_identity")
 
     def __init__(self, field, rows, nrows=None, ncols=None):
         if nrows is None:
@@ -201,6 +213,7 @@ class Mat:
         self.nrows = nrows
         self.ncols = ncols
         self._ints, self._den = (data, 1) if field.p else _canonical(data)
+        self._is_identity = False
 
     @staticmethod
     def from_ints(field, rows, den, nrows, ncols):
@@ -216,6 +229,7 @@ class Mat:
                 rows = [[x // g for x in row] for row in rows]
         m = Mat.__new__(Mat)
         m.field, m.nrows, m.ncols, m._ints, m._den = field, nrows, ncols, rows, den
+        m._is_identity = False
         return m
 
     @property
@@ -240,10 +254,14 @@ class Mat:
 
     @staticmethod
     def identity(field, n):
+        """The n x n identity, flagged so that products skip it."""
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = 1
-        return Mat.from_ints(field, rows, 1, n, n)
+        m = Mat.__new__(Mat)
+        m.field, m.nrows, m.ncols, m._ints, m._den = field, n, n, rows, 1
+        m._is_identity = True
+        return m
 
     @staticmethod
     def from_rows(field, rows, ncols=None):
@@ -324,7 +342,13 @@ class Mat:
             raise QuivrepError(
                 "shape mismatch in product: %s * %s" % (self.shape, other.shape)
             )
+        if self._is_identity:
+            return other
+        if other._is_identity:
+            return self
         f = self.field
+        if not (self.nrows and self.ncols and other.ncols):
+            return Mat.zeros(f, self.nrows, other.ncols)
         prod = _mul_ints(self._ints, other._ints, other.ncols, f.p)
         return Mat.from_ints(f, prod, self._den * other._den, self.nrows, other.ncols)
 
@@ -642,10 +666,14 @@ def quotient_maps(span):
     Returns (proj, section): proj is q x d with kernel exactly S, section is
     d x q with proj * section = identity.  The quotient basis is the set of
     non-pivot coordinates of the echelonized span, so it is canonical, and
-    the same for any columns that span S.
+    the same for any columns that span S.  For S = 0 both are the flagged
+    identity.
     """
     f = span.field
     d = span.nrows
+    if span.is_zero():
+        ident = Mat.identity(f, d)
+        return ident, ident
     rank, pivots, red = span.transpose().rref()
     m, den = red.int_form()
     pivset = set(pivots)
@@ -661,17 +689,29 @@ def quotient_maps(span):
     return Mat.from_ints(f, proj, den, q, d), Mat.from_ints(f, section, 1, d, q)
 
 
+def place_blocks(field, nrows, ncols, placed):
+    """The nrows x ncols matrix holding each block of `placed`, a list of
+    (row, col, block), with the block's top left entry at (row, col), and
+    zeros elsewhere.  The blocks must not overlap."""
+    scaled, den = _common([b.int_form() for _, _, b in placed])
+    rows = [[0] * ncols for _ in range(nrows)]
+    for (r, c, b), ints in zip(placed, scaled):
+        if r < 0 or c < 0 or r + b.nrows > nrows or c + b.ncols > ncols:
+            raise QuivrepError("block %s at (%d, %d) outside %s" % (b.shape, r, c, (nrows, ncols)))
+        for i, row in enumerate(ints):
+            rows[r + i][c : c + b.ncols] = row
+    return Mat.from_ints(field, rows, den, nrows, ncols)
+
+
 def block_diagonal(field, blocks):
     """The block-diagonal matrix with the given blocks down its diagonal."""
-    scaled, den = _common([b.int_form() for b in blocks])
-    ncols = sum(b.ncols for b in blocks)
-    rows = []
-    left = 0
-    for b, ints in zip(blocks, scaled):
-        right = ncols - left - b.ncols
-        rows += [[0] * left + row + [0] * right for row in ints]
-        left += b.ncols
-    return Mat.from_ints(field, rows, den, len(rows), ncols)
+    placed = []
+    r = c = 0
+    for b in blocks:
+        placed.append((r, c, b))
+        r += b.nrows
+        c += b.ncols
+    return place_blocks(field, r, c, placed)
 
 
 def sylvester_system(field, shapes, equations):

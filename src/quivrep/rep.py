@@ -6,8 +6,10 @@ the arrow actions.  Submodules are stored by canonical echelonized spanning
 sets so every derived object (kernel, image, quotient) is reproducible.
 """
 
+from itertools import accumulate
+
 from .errors import AlgebraMismatch, QuivrepError
-from .linalg import Mat, block_diagonal, quotient_maps, sylvester_system
+from .linalg import Mat, block_diagonal, place_blocks, quotient_maps, sylvester_system
 
 
 class Rep:
@@ -465,13 +467,25 @@ def hom_from_blocks(sum_src, sum_tgt, blocks):
 
     sum_src/sum_tgt are (rep, injections, projections) triples as returned
     by direct_sum; blocks maps (i, j) -> ModHom(src_part_j -> tgt_part_i).
+    Each component's block is written at the offsets of its parts, so no
+    product is taken.
     """
     src, _, src_projs = sum_src
     tgt, tgt_injs, _ = sum_tgt
-    total = ModHom.zero_hom(src, tgt)
+    src_parts = [p.target for p in src_projs]
+    tgt_parts = [inj.source for inj in tgt_injs]
     for (i, j), h in blocks.items():
-        total = total + src_projs[j].then(h).then(tgt_injs[i])
-    return total
+        for end, part in ((h.source, src_parts[j]), (h.target, tgt_parts[i])):
+            if end is not part and end != part:
+                raise QuivrepError("block (%d, %d) does not map part %d to part %d" % (i, j, j, i))
+    field = src.algebra.field
+    out = {}
+    for v in src.dims:
+        cols = list(accumulate((p.dims[v] for p in src_parts), initial=0))
+        rows = list(accumulate((p.dims[v] for p in tgt_parts), initial=0))
+        placed = [(rows[i], cols[j], h.blocks[v]) for (i, j), h in blocks.items()]
+        out[v] = place_blocks(field, tgt.dims[v], src.dims[v], placed)
+    return ModHom(src, tgt, out, check=False)
 
 
 def submodule_closure(ambient, generators):

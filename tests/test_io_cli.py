@@ -214,6 +214,52 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["ladder"], "--w"),
+    (["ladder", "--w", "w.hom"], "--v"),
+    (["chessboard", "--v", "v.hom"], "--w"),
+    (["degenerate-cokernels"], "--w"),
+    (["degenerate", "--x", "x.mod", "--mono", "m.hom", "--epi", "e.hom"], "--u"),
+    (["degenerate", "--u", "u.mod"], "--x"),
+    (["ext", "--self"], "--module"),
+    (["decompose"], "--module"),
+])
+def test_missing_input_flags_are_usage_errors(argv, flag, capsys):
+    # checked before any file is opened: the named files need not exist
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: %s needs %s" % (argv[0], flag)) and "Traceback" not in err
+
+
+def _parse_error(capsys):
+    out = json.loads(capsys.readouterr().out)
+    assert not out["ok"] and out["error"]["type"] == "ParseError"
+    return out["error"]["message"]
+
+
+def test_unreadable_input_files_are_parse_errors(tmp_path, capsys):
+    alg = _write(tmp_path, "kron.alg", KRONECKER_TEXT)
+    binary = tmp_path / "binary.mod"
+    binary.write_bytes(b"module M over kron\n\xff\xfe\n")
+    for bad in (str(tmp_path / "missing.mod"), str(tmp_path), str(binary)):
+        assert cli.run(["ext", "--algebra", alg, "--module", bad]) == 2
+        assert _parse_error(capsys).startswith("%s: cannot read:" % bad)
+    assert cli.run(["ladder", "--algebra", str(tmp_path / "no.alg"), "--w", alg, "--v", alg]) == 2
+    assert _parse_error(capsys).startswith("%s: cannot read:" % (tmp_path / "no.alg"))
+
+
+def test_files_without_the_declaration_a_flag_needs_are_parse_errors(tmp_path, capsys):
+    alg = _write(tmp_path, "kron.alg", KRONECKER_TEXT)
+    mods = _write(tmp_path, "mods.mod", MODULES_TEXT)
+    w = _write(tmp_path, "w.hom", W_TEXT)
+    both = _write(tmp_path, "both.hom", W_TEXT.replace("w0", "p0") + V_TEXT.replace("v0", "p1"))
+    assert cli.run(["ext", "--algebra", alg, "--module", alg]) == 2
+    assert _parse_error(capsys) == "%s declares no module" % alg
+    for v in (both, mods):
+        assert cli.run(["ladder", "--algebra", alg, "--module", mods, "--w", w, "--v", v]) == 2
+        assert _parse_error(capsys) == "%s must declare exactly one hom" % v
+
+
 def test_cli_zladder(capsys):
     assert cli.run(["zladder", "--w", "2", "--v", "3", "--depth", "4"]) == 0
     out = json.loads(capsys.readouterr().out)

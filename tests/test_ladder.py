@@ -14,7 +14,9 @@ from quivrep.ladder import (
     ladder_extension,
     ladder_seed_from_simple,
 )
-from quivrep.linalg import QQ, Mat
+from quivrep import fixtures as fx
+from quivrep.algebra import projective
+from quivrep.linalg import GF, QQ, Mat
 from quivrep.rep import (
     ModHom,
     Rep,
@@ -228,6 +230,37 @@ def test_chessboard_shares_rungs(kron_seed):
     for n in range(1, 5):
         assert horiz.truncation(n).rep.dims == {"a": n, "b": n}
         assert vert.truncation(n).rep.dims == {"a": n, "b": n}
+
+
+def _w_chain(lad, lo, n):
+    """w_(n-1) ... w_lo: U_lo -> U_n recomposed from the identity of U_lo."""
+    f = ModHom.identity(lad.modules[lo])
+    for i in range(lo, n):
+        f = f.then(lad.w_maps[i])
+    return f
+
+
+def _chessboard_seeds(field):
+    """Pairs of monos over Kronecker, D4 and the commuting-square tower."""
+    tower = fx.commuting_square_tower(field)
+    tower_seed = hom_space(projective(tower, "c")[0], projective(tower, "b")[0])
+    return [
+        fx.kronecker_regular_seed(fx.kronecker(field)),
+        fx.d4_seed(fx.d4_subspace(field)),
+        tuple(tower_seed),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_stage_composites_are_the_w_chains_recomposed(field):
+    # each stage extends the composites of the stage before it by one map
+    for w0, v0 in _chessboard_seeds(field):
+        for lad in chessboard(w0, v0, depth=4):
+            for n in range(lad.depth + 1):
+                t = lad.truncation(n)
+                assert t.from_u0 == _w_chain(lad, 0, n)
+                assert lad.embedded_seed_image(n) is t.from_u0
+                assert t.from_u1 == (_w_chain(lad, 1, n) if n else None)
 
 
 def test_chessboard_integer_shadow():

@@ -16,9 +16,11 @@ from quivrep.linalg import (
     GF,
     QQ,
     Mat,
+    _mul_ints,
     block_diagonal,
     int_mat_mul,
     null_space,
+    place_blocks,
     quotient_maps,
     rref,
     smith_normal_form,
@@ -292,9 +294,15 @@ def _row_built(a):
     return Mat(QQ, [list(row) for row in a.rows], a.nrows, a.ncols)
 
 
+def _plain_identity(field, n):
+    """The n x n identity built from its rows: it carries no identity flag,
+    so products with it run the integer kernel."""
+    return Mat(field, [[int(i == j) for j in range(n)] for i in range(n)], n, n)
+
+
 def _int_built(a):
     """The value of `a` as a Mat made by integer work."""
-    return a * Mat.identity(QQ, a.ncols)
+    return a * _plain_identity(QQ, a.ncols)
 
 
 def _assert_canonical(a):
@@ -386,7 +394,7 @@ def test_reads_and_arithmetic_leave_a_matrix_as_made():
     # in products and row reduction rebinds no slot and writes no row.
     q = Mat(QQ, [[1, "1/2", 0], [3, 0, "-2/3"]])
     g = Mat(GF(7), [[1, 4, 0], [3, 0, 5]])
-    made = [q, q * Mat.identity(QQ, 3), g, g * Mat.identity(GF(7), 3)]
+    made = [q, _int_built(q), g, g * _plain_identity(GF(7), 3)]
     slots = [[getattr(a, name, None) for name in Mat.__slots__] for a in made]
     values = copy.deepcopy(slots)
     for a in made:
@@ -402,6 +410,58 @@ def test_gf_int_form_is_the_rows():
     a = Mat(GF(7), [[1, 2], [3, 4]])
     assert a.int_form() == (a.rows, 1)
     assert type(a * a) is Mat and (a * a).rows == [[0, 3], [1, 1]]
+
+
+# Products that do no arithmetic: a flagged identity operand gives the other
+# operand, and a zero dimension gives the zero matrix of the product's shape.
+
+
+@st.composite
+def field_matrices(draw, field, nrows, ncols):
+    """Matrices over `field` of the given shape; over Q with entries over
+    denominators up to 6, so the common denominator is often not 1."""
+    if field.p:
+        entry = st.integers(min_value=0, max_value=field.p - 1)
+    else:
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    return Mat(field, rows, nrows, ncols)
+
+
+def _kernel_product(a, b):
+    """A b by the integer kernel alone, with no shortcut."""
+    (x, dx), (y, dy) = a.int_form(), b.int_form()
+    prod = _mul_ints(x, y, b.ncols, a.field.p)
+    return Mat.from_ints(a.field, prod, dx * dy, a.nrows, b.ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_identity_and_empty_products_equal_the_kernel_product(data):
+    field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    m, k, n = (data.draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    a = data.draw(field_matrices(field, m, k))
+    b = data.draw(field_matrices(field, k, n))
+    ident_m, ident_k = Mat.identity(field, m), Mat.identity(field, k)
+    plain_m, plain_k = _plain_identity(field, m), _plain_identity(field, k)
+    assert ident_m._is_identity and not plain_m._is_identity and ident_m == plain_m
+    no_rows, no_cols, no_inner_left, no_inner_right = (
+        data.draw(field_matrices(field, r, c)) for r, c in ((0, k), (k, 0), (m, 0), (0, n))
+    )
+    pairs = [
+        (ident_m, a, plain_m, a),
+        (a, ident_k, a, plain_k),
+        (ident_k, ident_k, plain_k, plain_k),
+        (a, b, a, b),
+        (no_rows, b, no_rows, b),
+        (a, no_cols, a, no_cols),
+        (no_inner_left, no_inner_right, no_inner_left, no_inner_right),
+    ]
+    for x, y, plain_x, plain_y in pairs:
+        prod = x * y
+        assert prod.shape == (x.nrows, y.ncols)
+        # == compares the denominators too
+        assert prod == plain_x * plain_y == _kernel_product(plain_x, plain_y)
 
 
 # Products of the sparse, small matrices the paper's constructions make:
@@ -607,6 +667,17 @@ def test_sylvester_system_holds_the_nonzero_rows_of_its_map(data):
             s = data.draw(q_matrices(nrows=wj, ncols=wi))
             equations.append((i, j, _over(field, t), _over(field, s)))
         assert sylvester_system(field, dims, equations) == _sylvester_by_columns(field, dims, equations)
+
+
+def test_place_blocks_writes_each_block_at_its_offsets():
+    a = Mat(QQ, [["1/2", 3]])
+    b = Mat(QQ, [["2/3"], [0]])
+    got = place_blocks(QQ, 3, 3, [(0, 1, a), (1, 0, b)])
+    assert got == Mat(QQ, [[0, "1/2", 3], ["2/3", 0, 0], [0, 0, 0]])
+    assert place_blocks(QQ, 2, 0, []) == Mat.zeros(QQ, 2, 0)
+    for r, c in ((0, 2), (2, 0), (-1, 0)):
+        with pytest.raises(QuivrepError, match="outside"):
+            place_blocks(QQ, 3, 3, [(r, c, b.transpose().vstack(a))])
 
 
 def test_sylvester_system_checks_shapes():

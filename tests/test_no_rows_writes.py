@@ -1,11 +1,13 @@
 """Nothing changes a matrix after construction.
 
 A `Mat` holds one form, its integer rows over a denominator (`_ints` and
-`_den`), bound in `Mat.__init__` or `Mat.from_ints` and never again.  Its
-`rows` are read from that form (over GF(p) they are the stored rows
-themselves), so a write into `rows` or `_ints` would change a value that
-other code already holds.  Library code assembles row lists first and builds
-the `Mat` from them.
+`_den`), and a flag saying it is an identity (`_is_identity`), all bound in
+`Mat.__init__`, `Mat.from_ints` or `Mat.identity` and never again.  A
+product returns the partner of a flagged operand as it is, so a flag bound
+anywhere else could make a product wrong.  A matrix's `rows` are read from
+its form (over GF(p) they are the stored rows themselves), so a write into
+`rows` or `_ints` would change a value that other code already holds.
+Library code assembles row lists first and builds the `Mat` from them.
 """
 
 import ast
@@ -16,8 +18,8 @@ import quivrep
 SOURCES = sorted(Path(quivrep.__file__).parent.rglob("*.py"))
 MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
 WRITE = (ast.Store, ast.Del)
-FORM = {"_ints", "_den"}
-BUILDERS = {"__init__", "from_ints"}
+FORM = {"_ints", "_den", "_is_identity"}
+BUILDERS = {"__init__", "from_ints", "identity"}
 
 
 def _reaches_rows(node):
@@ -28,7 +30,7 @@ def _reaches_rows(node):
 
 
 def _in_builders(tree):
-    """The ids of the nodes inside `Mat.__init__` and `Mat.from_ints`."""
+    """The ids of the nodes inside the constructors named in BUILDERS."""
     inside = set()
     for cls in ast.walk(tree):
         if isinstance(cls, ast.ClassDef) and cls.name == "Mat":
@@ -54,8 +56,8 @@ def _rows_writes(tree):
     """Line numbers of every write into a matrix: item or slice assignment,
     augmented assignment and deletion through `.rows[...]` or `._ints[...]`,
     a mutating list method called on them or one of their rows, a binding of
-    `.rows`, and a binding of `._ints` or `._den` outside `Mat.__init__` and
-    `Mat.from_ints`, also through `setattr`."""
+    `.rows`, and a binding of `._ints`, `._den` or `._is_identity` outside
+    the constructors named in BUILDERS, also through `setattr`."""
     builders = _in_builders(tree)
     found = []
     for node in ast.walk(tree):
@@ -113,6 +115,28 @@ def test_detects_form_bindings_outside_the_constructors():
         "    x = m._ints[0][0] + other._den\n"
     )
     assert _rows_writes(tree) == [9, 10, 11, 12, 14, 15, 16, 17]
+
+
+def test_detects_identity_flag_bindings_outside_the_constructors():
+    tree = ast.parse(
+        "class Mat:\n"
+        "    def __init__(self, rows):\n"
+        "        self._is_identity = False\n"
+        "    @staticmethod\n"
+        "    def identity(field, n):\n"
+        "        m = Mat.__new__(Mat)\n"
+        "        m._is_identity = True\n"
+        "    def transpose(self):\n"
+        "        t = Mat.from_ints(self.field, [], 1, 0, 0)\n"
+        "        t._is_identity = self._is_identity\n"
+        "def f(m):\n"
+        "    m._is_identity = True\n"
+        "    setattr(m, '_is_identity', True)\n"
+        "    object.__setattr__(m, '_is_identity', False)\n"
+        "    del m._is_identity\n"
+        "    return m._is_identity\n"
+    )
+    assert _rows_writes(tree) == [10, 12, 13, 14, 15]
 
 
 def test_no_writes_into_rows():

@@ -1,6 +1,7 @@
 import pytest
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from quivrep.rep import (
     factor_from,
     factor_through,
     hom_coordinates,
+    hom_from_blocks,
     hom_space,
     image,
     independent_indices,
@@ -323,6 +325,62 @@ def test_sum_module_is_the_module_of_direct_sum(d4):
     assert sum_module([], algebra=d4) == Rep.zero(d4)
     with pytest.raises(QuivrepError):
         sum_module([])
+
+
+def _hom_from_blocks_by_products(sum_src, sum_tgt, blocks):
+    """The reference assembly: each component moved into place by the sums'
+    projection and injection homs, and the results added up."""
+    src, _, src_projs = sum_src
+    tgt, tgt_injs, _ = sum_tgt
+    total = ModHom.zero_hom(src, tgt)
+    for (i, j), h in blocks.items():
+        total = total + src_projs[j].then(h).then(tgt_injs[i])
+    return total
+
+
+def _block_sum_parts():
+    """Summand lists over Kronecker and D4, over Q and GF(3), each with a
+    zero-dimensional part."""
+    groups = []
+    for field in (QQ, GF(3)):
+        alg = fx.kronecker(field)
+        pa, pb = projective(alg, "a")[0], projective(alg, "b")[0]
+        h = cokernel(fx.kronecker_regular_seed(alg)[0])[0]
+        groups.append([h, pa, pb, Rep.zero(alg)])
+        alg = fx.d4_subspace(field)
+        u0, u1, _, _, _ = fx.d4_modules(alg)
+        groups.append([u1, u0, Rep.zero(alg)])
+    return groups
+
+
+BLOCK_SUM_PARTS = _block_sum_parts()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hom_from_blocks_is_the_sum_of_placed_components(data):
+    group = data.draw(st.sampled_from(BLOCK_SUM_PARTS))
+    src_parts = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=4))
+    tgt_parts = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=4))
+    src_parts.append(group[-1])  # the zero-dimensional part
+    sum_src, sum_tgt = direct_sum(src_parts), direct_sum(tgt_parts)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    field = group[0].algebra.field
+    blocks = {}
+    for i, j in data.draw(st.sets(st.tuples(st.integers(0, len(tgt_parts) - 1),
+                                            st.integers(0, len(src_parts) - 1)))):
+        h = suites._random_hom(src_parts[j], tgt_parts[i], rng)
+        blocks[(i, j)] = h if field.p else h.scale(Fraction(1, rng.randint(1, 6)))
+    got = hom_from_blocks(sum_src, sum_tgt, blocks)
+    assert got == _hom_from_blocks_by_products(sum_src, sum_tgt, blocks)
+    assert got.commutes()
+
+
+def test_hom_from_blocks_rejects_a_component_between_the_wrong_parts(kron_projectives):
+    pa, pb = kron_projectives
+    sum_src = direct_sum([pa, pb])
+    with pytest.raises(QuivrepError, match=r"block \(0, 1\) does not map part 1 to part 0"):
+        hom_from_blocks(sum_src, sum_src, {(0, 1): ModHom.identity(pa)})
 
 
 def test_inverse_of_a_singular_square_block_raises(kronecker):
