@@ -327,62 +327,6 @@ def test_sum_module_is_the_module_of_direct_sum(d4):
         sum_module([])
 
 
-def _hom_from_blocks_by_products(sum_src, sum_tgt, blocks):
-    """The reference assembly: each component moved into place by the sums'
-    projection and injection homs, and the results added up."""
-    src, _, src_projs = sum_src
-    tgt, tgt_injs, _ = sum_tgt
-    total = ModHom.zero_hom(src, tgt)
-    for (i, j), h in blocks.items():
-        total = total + src_projs[j].then(h).then(tgt_injs[i])
-    return total
-
-
-def _block_sum_parts():
-    """Summand lists over Kronecker and D4, over Q and GF(3), each with a
-    zero-dimensional part."""
-    groups = []
-    for field in (QQ, GF(3)):
-        alg = fx.kronecker(field)
-        pa, pb = projective(alg, "a")[0], projective(alg, "b")[0]
-        h = cokernel(fx.kronecker_regular_seed(alg)[0])[0]
-        groups.append([h, pa, pb, Rep.zero(alg)])
-        alg = fx.d4_subspace(field)
-        u0, u1, _, _, _ = fx.d4_modules(alg)
-        groups.append([u1, u0, Rep.zero(alg)])
-    return groups
-
-
-BLOCK_SUM_PARTS = _block_sum_parts()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_hom_from_blocks_is_the_sum_of_placed_components(data):
-    group = data.draw(st.sampled_from(BLOCK_SUM_PARTS))
-    src_parts = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=4))
-    tgt_parts = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=4))
-    src_parts.append(group[-1])  # the zero-dimensional part
-    sum_src, sum_tgt = direct_sum(src_parts), direct_sum(tgt_parts)
-    rng = random.Random(data.draw(st.integers(0, 2**32)))
-    field = group[0].algebra.field
-    blocks = {}
-    for i, j in data.draw(st.sets(st.tuples(st.integers(0, len(tgt_parts) - 1),
-                                            st.integers(0, len(src_parts) - 1)))):
-        h = suites._random_hom(src_parts[j], tgt_parts[i], rng)
-        blocks[(i, j)] = h if field.p else h.scale(Fraction(1, rng.randint(1, 6)))
-    got = hom_from_blocks(sum_src, sum_tgt, blocks)
-    assert got == _hom_from_blocks_by_products(sum_src, sum_tgt, blocks)
-    assert got.commutes()
-
-
-def test_hom_from_blocks_rejects_a_component_between_the_wrong_parts(kron_projectives):
-    pa, pb = kron_projectives
-    sum_src = direct_sum([pa, pb])
-    with pytest.raises(QuivrepError, match=r"block \(0, 1\) does not map part 1 to part 0"):
-        hom_from_blocks(sum_src, sum_src, {(0, 1): ModHom.identity(pa)})
-
-
 def test_inverse_of_a_singular_square_block_raises(kronecker):
     s = Rep.simple(kronecker, "a")
     with pytest.raises(QuivrepError, match="inverse of a non-isomorphism"):
@@ -431,3 +375,50 @@ def test_quotient_by_hom_blocks_is_the_quotient_by_their_column_space(data):
     assert by_blocks.section == by_space.section
     assert by_blocks.rep.action == by_space.rep.action
     assert by_blocks.proj == by_space.proj
+
+
+def _hom_from_blocks_by_products(sum_src, sum_tgt, blocks):
+    """The reference assembly: each component moved into place by the sums'
+    projection and injection homs, and the results added up."""
+    src, _, src_projs = sum_src
+    tgt, tgt_injs, _ = sum_tgt
+    total = ModHom.zero_hom(src, tgt)
+    for (i, j), h in blocks.items():
+        total = total + src_projs[j].then(h).then(tgt_injs[i])
+    return total
+
+
+# Summands over Kronecker and D4, over Q and GF(3), each group with a
+# zero-dimensional part last.
+BLOCK_SUM_PARTS = [
+    group + [Rep.zero(group[0].algebra)]
+    for group in QUOTIENT_GROUPS
+    if group[0].algebra.name in ("kronecker", "d4")
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hom_from_blocks_is_the_sum_of_placed_components(data):
+    group = data.draw(st.sampled_from(BLOCK_SUM_PARTS))
+    src_parts = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=4))
+    tgt_parts = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=4))
+    src_parts.append(group[-1])  # the zero-dimensional part
+    sum_src, sum_tgt = direct_sum(src_parts), direct_sum(tgt_parts)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    field = group[0].algebra.field
+    blocks = {}
+    for i, j in data.draw(st.sets(st.tuples(st.integers(0, len(tgt_parts) - 1),
+                                            st.integers(0, len(src_parts) - 1)))):
+        h = suites._random_hom(src_parts[j], tgt_parts[i], rng)
+        blocks[(i, j)] = h if field.p else h.scale(Fraction(1, rng.randint(1, 6)))
+    got = hom_from_blocks(sum_src, sum_tgt, blocks)
+    assert got == _hom_from_blocks_by_products(sum_src, sum_tgt, blocks)
+    assert got.commutes()
+
+
+def test_hom_from_blocks_rejects_a_component_between_the_wrong_parts(kron_projectives):
+    pa, pb = kron_projectives
+    sum_src = direct_sum([pa, pb])
+    with pytest.raises(QuivrepError, match=r"block \(0, 1\) does not map part 1 to part 0"):
+        hom_from_blocks(sum_src, sum_src, {(0, 1): ModHom.identity(pa)})
