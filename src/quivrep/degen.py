@@ -5,22 +5,15 @@ the rigid-cokernel applications.
 A Riedtmann-Zwara sequence 0 -> U -> X+U -> Y -> 0 certifies that Y is a
 degeneration of X.  The mono is stored in blocks [g; phi] with g: U -> X and
 phi: U -> U the steering map.  With phi nilpotent, the ladder with seed
-(mono, canonical inclusion) has rungs U_n = X^n + U built from explicit
-block maps; its truncations Y[n] satisfy Y[n+1] ~ Y[n] + X from the
-nilpotency index on, with witnesses assembled from a retraction and a Schur
+(mono, canonical inclusion) has rungs U_n = X^n + U, direct sums whose maps
+are placed blockwise by `rep.hom_from_blocks`, with U_0 = U a sum of one
+part; its truncations Y[n] satisfy Y[n+1] ~ Y[n] + X from the nilpotency
+index on, with witnesses assembled from a retraction and a Schur
 complement; no search anywhere.
 """
 
-from .errors import (
-    BelowIndex,
-    NotExact,
-    NotMono,
-    NotNilpotent,
-    NotRigid,
-    QuivrepError,
-)
+from .errors import BelowIndex, NotMono, NotNilpotent, NotRigid, QuivrepError
 from .ladder import Ladder, build_ladder, coker_transport
-from .linalg import Mat
 from .rep import (
     ModHom,
     cokernel_data,
@@ -48,22 +41,17 @@ class RZSequence:
         self.u = u
         self.x = x
         self.y = y
-        middle, injs, projs = direct_sum([x, u])
-        if mono.source != u or mono.target != middle:
+        self.middle_sum = direct_sum([x, u])
+        self.middle, (self.from_x, self.from_u), (self.to_x, self.to_u) = self.middle_sum
+        if mono.source != u or mono.target != self.middle:
             raise QuivrepError("mono must map U into the literal direct sum X + U")
-        if epi.source != middle or epi.target != y:
+        if epi.source != self.middle or epi.target != y:
             raise QuivrepError("epi must map X + U onto Y")
-        self.middle = middle
-        self.to_x, self.to_u = projs
-        self.from_x, self.from_u = injs
         self.mono = mono
         self.epi = epi
         self.steering = mono.then(self.to_u)
         self.g = mono.then(self.to_x)
-        seq = ShortExact(u, middle, y, mono, epi, check=False)
-        err = seq.exactness_failure()
-        if err:
-            raise NotExact(err)
+        ShortExact(u, self.middle, y, mono, epi)
 
     def nilpotency_index(self):
         """Least t with steering^t = 0, or None if never."""
@@ -106,29 +94,23 @@ def make_steering_nilpotent(rz):
     phi_k = lift_through_mono(k_incl, k_incl.then(phi))
     if phi_k is None:
         raise QuivrepError("steering map does not preserve its generalized kernel")
-    g_k = k_incl.then(rz.g)
-    middle_k, injs_k, _ = direct_sum([rz.x, k_rep])
-    mono_k = g_k.then(injs_k[0]) + phi_k.then(injs_k[1])
+    middle_k = direct_sum([rz.x, k_rep])
+    mono_k = hom_from_blocks(k_rep, middle_k, {(0, 0): k_incl.then(rz.g), (1, 0): phi_k})
     # section X + K -> X + U, then the old epi
-    sigma = _section(rz, k_incl)
-    epi_k = sigma.then(rz.epi)
-    return RZSequence(k_rep, rz.x, rz.y, mono_k, epi_k)
-
-
-def _section(rz, k_incl):
-    middle_k, injs_k, projs_k = direct_sum([rz.x, k_incl.source])
-    return (
-        projs_k[0].then(rz.from_x) + projs_k[1].then(k_incl).then(rz.from_u)
+    sigma = hom_from_blocks(
+        middle_k, rz.middle_sum, {(0, 0): ModHom.identity(rz.x), (1, 1): k_incl}
     )
+    return RZSequence(k_rep, rz.x, rz.y, mono_k, sigma.then(rz.epi))
 
 
 class DegenerationCertificate:
     """An RZ sequence with nilpotent steering plus its truncation ladder."""
 
-    def __init__(self, rz, index, ladder, h1_to_y):
+    def __init__(self, rz, index, ladder, sums, h1_to_y):
         self.rz = rz
         self.index = index
         self.ladder = ladder
+        self.sums = sums  # U_n = X^n + U as a direct sum; U_0 = U is one part
         self.h1_to_y = h1_to_y  # identification Y[1] -> Y
         self.witnesses = {}
 
@@ -149,7 +131,7 @@ def rz_to_prufer(rz, depth=6):
         raise NotNilpotent("steering map is not nilpotent; apply make_steering_nilpotent")
     depth = max(depth, t + 1)
     modules = [rz.u, rz.middle]
-    sums = [None, (rz.middle, [rz.from_x, rz.from_u], [rz.to_x, rz.to_u])]
+    sums = [rz.u, rz.middle_sum]
     w_maps = [rz.mono]
     v_maps = [rz.from_u]
     for n in range(1, depth):
@@ -162,13 +144,13 @@ def rz_to_prufer(rz, depth=6):
         for k in range(n):
             blocks[(k + 1, k)] = ModHom.identity(rz.x)
         blocks[(n + 1, n)] = rz.steering
-        w_n = hom_from_blocks((cur[0], cur[1], cur[2]), nxt, blocks)
+        w_n = hom_from_blocks(cur, nxt, blocks)
         # v_n: (x_1..x_n, u) -> (x_1..x_n, 0, u)
         vblocks = {}
         for k in range(n):
             vblocks[(k, k)] = ModHom.identity(rz.x)
         vblocks[(n + 1, n)] = ModHom.identity(rz.u)
-        v_n = hom_from_blocks((cur[0], cur[1], cur[2]), nxt, vblocks)
+        v_n = hom_from_blocks(cur, nxt, vblocks)
         modules.append(nxt[0])
         sums.append(nxt)
         w_maps.append(w_n)
@@ -186,7 +168,7 @@ def rz_to_prufer(rz, depth=6):
     if not ident_c.is_isomorphism():
         raise QuivrepError("epi does not identify coker(mono) with Y")
     h1_to_y = ladder.truncation(1).pi_to_h.then(ident_c)
-    return DegenerationCertificate(rz, t, ladder, h1_to_y)
+    return DegenerationCertificate(rz, t, ladder, sums, h1_to_y)
 
 
 def eventual_splitting(cert, n):
@@ -209,7 +191,7 @@ def eventual_splitting(cert, n):
     u_into_un = lad.vertical_composite(0, n)
     h_n = u_into_un.then(tn.proj)
     # retraction: the U-projection of U_n descends because phi^n = 0
-    proj_u = _last_block_projection(lad, rz, n)
+    proj_u = hom_from_blocks(cert.sums[n], rz.u, {(0, n): ModHom.identity(rz.u)})
     r = tn.quot.induce_from(proj_u)
     if h_n.then(r) != ModHom.identity(rz.u):
         raise QuivrepError("U-projection does not retract U -> Y[%d]" % n)
@@ -220,29 +202,13 @@ def eventual_splitting(cert, n):
     b_x = rz.from_x.then(b)
     gamma = b_u - h_n.then(s)  # U -> Y[n+1], adjusted
     # witness on X + Y[n]: [b_x, -s - gamma o r]
-    sum_yx = direct_sum([tn.rep, rz.x])
     omega = hom_from_blocks(
-        sum_yx,
-        (tn1.rep, [ModHom.identity(tn1.rep)], [ModHom.identity(tn1.rep)]),
-        {(0, 1): b_x, (0, 0): (-s) - r.then(gamma)},
+        direct_sum([tn.rep, rz.x]), tn1.rep, {(0, 1): b_x, (0, 0): (-s) - r.then(gamma)}
     )
     if not omega.is_isomorphism():
         raise QuivrepError("splitting witness failed to invert")
     cert.witnesses[n] = omega
     return omega
-
-
-def _last_block_projection(lad, rz, n):
-    """Projection U_n = X^n + U -> U (block structure of the explicit ladder)."""
-    un = lad.modules[n]
-    field = un.algebra.field
-    blocks = {}
-    for v in un.dims:
-        d = un.dims[v]
-        du = rz.u.dims[v]
-        rows = [[int(j == d - du + i) for j in range(d)] for i in range(du)]
-        blocks[v] = Mat.from_ints(field, rows, 1, du, d)
-    return ModHom(un, rz.u, blocks, check=False)
 
 
 def co_rz(cert):
@@ -274,7 +240,7 @@ def power_degeneration(cert, n):
     lad = cert.ladder
     if n < 1 or n > lad.depth:
         raise QuivrepError("stage outside the built ladder")
-    xn = sum_module([rz.x] * n) if n > 1 else rz.x
+    xn = sum_module([rz.x] * n)
     mono = lad.embedded_seed_image(n)
     epi = lad.truncation(n).proj
     return RZSequence(rz.u, xn, lad.truncation(n).rep, mono, epi)
@@ -286,9 +252,8 @@ def steering_combinations_split(rz, scalars=(0, 1, -1, 2)):
         raise NotNilpotent("requires nilpotent steering")
     results = {}
     for c in scalars:
-        cand = rz.g.then(rz.from_x) + (
-            ModHom.identity(rz.u) + rz.steering.scale(c)
-        ).then(rz.from_u)
+        phi_c = ModHom.identity(rz.u) + rz.steering.scale(c)
+        cand = hom_from_blocks(rz.u, rz.middle_sum, {(0, 0): rz.g, (1, 0): phi_c})
         results[c] = is_split_mono(cand) is not None
     return results
 
@@ -296,7 +261,7 @@ def steering_combinations_split(rz, scalars=(0, 1, -1, 2)):
 def _require_rigid(module, label):
     dim, _ = selfext.ext1(module, module)
     if dim != 0:
-        raise NotRigid("%s has Ext^1(W, W) of dimension %d" % (label, dim))
+        raise NotRigid("%s has Ext^1 of dimension %d" % (label, dim))
 
 
 def cokernel_degeneration(w0, v0):
@@ -328,8 +293,7 @@ def _rz_from_split_stage(lad, n, r):
     w_mod = lad.basis_module
     u_n = lad.modules[n]
     to_w = lad.cokernels()[n].proj.then(lad.coker_ident(n))  # U_{n+1} -> W
-    middle, injs, projs = direct_sum([w_mod, u_n])
-    psi = to_w.then(injs[0]) + r.then(injs[1])  # U_{n+1} -> W + U_n
+    psi = hom_from_blocks(to_w.source, direct_sum([w_mod, u_n]), {(0, 0): to_w, (1, 0): r})
     if not psi.is_isomorphism():
         raise QuivrepError("splitting does not give an isomorphism with W + U_n")
     mono = lad.v_maps[n].then(psi)
@@ -350,12 +314,8 @@ def rigid_cokernel_iso(w0, v0, seed=0):
         raise NotMono("both seed maps must be injective")
     w_mod = cokernel_data(w0).rep
     v_mod = cokernel_data(v0).rep
-    dim_w = selfext.ext1(w_mod, w_mod)[0]
-    if dim_w != 0:
-        raise NotRigid("coker(w0) has Ext^1 of dimension %d" % dim_w)
-    dim_v = selfext.ext1(v_mod, v_mod)[0]
-    if dim_v != 0:
-        raise NotRigid("coker(v0) has Ext^1 of dimension %d" % dim_v)
+    _require_rigid(w_mod, "coker(w0)")
+    _require_rigid(v_mod, "coker(v0)")
     if w0 == v0:
         return ModHom.identity(w_mod)
     bound_w = selfext.ext1(w_mod, w0.source)[0]
@@ -384,8 +344,6 @@ def split_iff_split(w0, v0):
         raise NotMono("both seed maps must be injective")
     w_mod = cokernel_data(w0).rep
     v_mod = cokernel_data(v0).rep
-    for mod, label in ((w_mod, "coker(w0)"), (v_mod, "coker(v0)")):
-        dim = selfext.ext1(mod, mod)[0]
-        if dim != 0:
-            raise NotRigid("%s has Ext^1 of dimension %d" % (label, dim))
+    _require_rigid(w_mod, "coker(w0)")
+    _require_rigid(v_mod, "coker(v0)")
     return (is_split_mono(w0) is not None, is_split_mono(v0) is not None)

@@ -95,7 +95,10 @@ def _parse_field(tokens, origin, lineno):
         return QQ
     m = re.fullmatch(r"GF\((\d+)\)", " ".join(tokens))
     if m:
-        return GF(int(m.group(1)))
+        try:
+            return GF(int(m.group(1)))
+        except QuivrepError as exc:
+            raise ParseError("%s:%d: %s" % (origin, lineno, exc)) from exc
     raise ParseError("%s:%d: unknown field %r" % (origin, lineno, " ".join(tokens)))
 
 
@@ -103,8 +106,8 @@ def _parse_algebra(lines, i, ns, origin):
     header = _strip(lines[i]).split()
     if len(header) < 4 or header[2] != "over":
         raise ParseError("%s:%d: expected 'algebra NAME over FIELD'" % (origin, i + 1))
-    name = header[1]
-    field = _parse_field(header[3:], origin, i + 1)
+    name, start = header[1], i + 1
+    field = _parse_field(header[3:], origin, start)
     vertices = []
     arrows = []
     relations = []
@@ -132,12 +135,18 @@ def _parse_algebra(lines, i, ns, origin):
             body = body[: -len("= 0")].strip()
             relations.append(_parse_relation(body, field, origin, i + 1))
         elif head == "loewybound":
-            bound = int(line.split()[1])
+            m = re.fullmatch(r"loewybound\s+(\d+)", line)
+            if not m or int(m.group(1)) < 1:
+                raise ParseError("%s:%d: expected 'loewybound N' with N >= 1" % (origin, i + 1))
+            bound = int(m.group(1))
         else:
             raise ParseError("%s:%d: unknown algebra line %r" % (origin, i + 1, head))
         i += 1
-    quiver = Quiver(vertices, arrows)
-    ns.algebras[name] = AlgebraPresentation(quiver, field, relations, bound, name=name)
+    try:
+        quiver = Quiver(vertices, arrows)
+        ns.algebras[name] = AlgebraPresentation(quiver, field, relations, bound, name=name)
+    except QuivrepError as exc:
+        raise ParseError("%s:%d: algebra %s invalid: %s" % (origin, start, name, exc)) from exc
     ns.origins["algebra"][name] = origin
     return i
 
@@ -156,7 +165,10 @@ def _parse_relation(body, field, origin, lineno):
             raw = raw[1:].strip()
         pieces = [p.strip() for p in raw.split("*")]
         if re.fullmatch(r"-?\d+(/\d+)?", pieces[0]):
-            coef = field.conv(field.parse(pieces[0]))
+            try:
+                coef = field.conv(field.parse(pieces[0]))
+            except (ValueError, QuivrepError) as exc:
+                raise ParseError("%s:%d: bad coefficient: %s" % (origin, lineno, exc)) from exc
             arrows = pieces[1:]
         else:
             coef = field.one()

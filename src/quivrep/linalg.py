@@ -82,6 +82,8 @@ class Field:
             if p != 0:
                 raise QuivrepError("rationals have characteristic 0")
         elif kind == "prime-field":
+            if p >= 1 << 64:
+                raise QuivrepError("prime field characteristic must be below 2^64, got %r" % (p,))
             if p < 2 or not _is_prime(p):
                 raise QuivrepError("prime field needs a prime characteristic, got %r" % (p,))
         else:
@@ -162,14 +164,30 @@ class Field:
         return "Q" if not self.p else "GF(%d)" % self.p
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
+    """Miller-Rabin to the first 12 prime bases, which is exact for every
+    n below 3.18 * 10^23 (Sorenson and Webster 2015), so for every n < 2^64."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -342,6 +360,8 @@ class Mat:
             raise QuivrepError(
                 "shape mismatch in product: %s * %s" % (self.shape, other.shape)
             )
+        if self.field is not other.field and self.field != other.field:
+            raise QuivrepError("field mismatch in product: %r * %r" % (self.field, other.field))
         if self._is_identity:
             return other
         if other._is_identity:

@@ -419,12 +419,15 @@ def cokernel_data(f):
 def sum_module(parts, algebra=None):
     """The direct sum of the modules, with block-diagonal actions.
 
-    The empty sum is the zero module; it needs the algebra passed explicitly.
+    A sum of one part is that module itself.  The empty sum is the zero
+    module; it needs the algebra passed explicitly.
     """
     if not parts:
         if algebra is None:
             raise QuivrepError("empty direct sum needs an explicit algebra")
         return Rep.zero(algebra)
+    if len(parts) == 1:
+        return parts[0]
     _check_same_algebra(*parts)
     alg = parts[0].algebra
     dims = {v: sum(p.dims[v] for p in parts) for v in alg.quiver.vertices}
@@ -462,18 +465,23 @@ def direct_sum(parts, algebra=None):
     return total, injections, projections
 
 
-def hom_from_blocks(sum_src, sum_tgt, blocks):
+def _summands(end):
+    """(module, parts) of a `hom_from_blocks` endpoint."""
+    if isinstance(end, Rep):
+        return end, [end]
+    return end[0], [inj.source for inj in end[1]]
+
+
+def hom_from_blocks(source, target, blocks):
     """Assemble a ModHom between direct sums from a grid of component maps.
 
-    sum_src/sum_tgt are (rep, injections, projections) triples as returned
-    by direct_sum; blocks maps (i, j) -> ModHom(src_part_j -> tgt_part_i).
-    Each component's block is written at the offsets of its parts, so no
-    product is taken.
+    Each endpoint is a (rep, injections, projections) triple as returned by
+    direct_sum, or a plain module, which is a sum of one part; blocks maps
+    (i, j) -> ModHom(source part j -> target part i).  Each component's
+    block is written at the offsets of its parts, so no product is taken.
     """
-    src, _, src_projs = sum_src
-    tgt, tgt_injs, _ = sum_tgt
-    src_parts = [p.target for p in src_projs]
-    tgt_parts = [inj.source for inj in tgt_injs]
+    src, src_parts = _summands(source)
+    tgt, tgt_parts = _summands(target)
     for (i, j), h in blocks.items():
         for end, part in ((h.source, src_parts[j]), (h.target, tgt_parts[i])):
             if end is not part and end != part:

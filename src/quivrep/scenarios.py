@@ -61,7 +61,7 @@ def scenario_kronecker(depth=6, seed=0):
     ok_split = True
     for n in range(1, min(depth, 4) + 1):
         hn = lad2.truncation(n).rep
-        hsum = rep.sum_module([h] * n) if n > 1 else h
+        hsum = rep.sum_module([h] * n)
         ok_split = ok_split and decomp.are_isomorphic(hn, hsum, seed=seed).verdict == "isomorphic"
     rp.claim("for v0 in k*w0: H[n] ~ H^n", "decomp.are_isomorphic", ok_split)
     gens_ok = all(

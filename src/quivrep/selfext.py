@@ -15,7 +15,6 @@ from .linalg import Mat
 from .rep import (
     ModHom,
     QuotientData,
-    direct_sum,
     factor_through,
     hom_coordinates,
     hom_space,
@@ -23,6 +22,7 @@ from .rep import (
     kernel,
     lift_through_mono,
     radical,
+    sum_module,
     top_data,
 )
 from .squares import ShortExact, pushout, pushout_factor
@@ -44,8 +44,7 @@ def projective_cover(m):
         lifts = td.section[v]  # columns lift the top basis back to M
         for j in range(mult):
             parts.append((p_v, gen_idx, v, lifts.col(j)))
-    summands = [p for p, _, _, _ in parts]
-    total, injs, _ = direct_sum(summands)
+    total = sum_module([p for p, _, _, _ in parts])
     columns = {v: [] for v in m.dims}  # of the block at v, in order
     pb = alg.path_basis()
     for p_v, gen_idx, src, lift in parts:

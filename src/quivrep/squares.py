@@ -16,16 +16,24 @@ never by randomized search.
 """
 
 from .errors import EdgeMismatch, NotExact, QuivrepError
-from .rep import ModHom, QuotientData, direct_sum, factor_from, factor_through, kernel
+from .rep import (
+    ModHom,
+    QuotientData,
+    direct_sum,
+    factor_from,
+    factor_through,
+    hom_from_blocks,
+    kernel,
+)
 
 
 class Square:
     """Four corner modules and four maps; commutativity is checked."""
 
-    def __init__(self, x, y1, y2, z, f, g, gp, fp, check=True):
+    def __init__(self, x, y1, y2, z, f, g, gp, fp):
         self.x, self.y1, self.y2, self.z = x, y1, y2, z
         self.f, self.g, self.gp, self.fp = f, g, gp, fp
-        if check and not self.commutes():
+        if not self.commutes():
             raise QuivrepError("square does not commute")
 
     def commutes(self):
@@ -38,13 +46,12 @@ class Square:
 class ShortExact:
     """0 -> A -i-> B -p-> C -> 0 with exactness verified on construction."""
 
-    def __init__(self, a, b, c, i, p, check=True):
+    def __init__(self, a, b, c, i, p):
         self.a, self.b, self.c = a, b, c
         self.i, self.p = i, p
-        if check:
-            err = self.exactness_failure()
-            if err:
-                raise NotExact(err)
+        err = self.exactness_failure()
+        if err:
+            raise NotExact(err)
 
     def exactness_failure(self):
         for v in self.b.dims:
@@ -96,19 +103,9 @@ def pullback(f, g):
     if f.target != g.target:
         raise QuivrepError("pullback needs a common target")
     y1, y2 = f.source, g.source
-    total, injs, projs = direct_sum([y1, y2])
-    diff = ModHom(
-        total,
-        f.target,
-        {
-            s: f.blocks[s] * projs[0].blocks[s] - g.blocks[s] * projs[1].blocks[s]
-            for s in f.blocks
-        },
-        check=False,
-    )
-    x, incl = kernel(diff)
-    to_y1 = incl.then(projs[0])
-    to_y2 = incl.then(projs[1])
+    total = direct_sum([y1, y2])
+    x, incl = kernel(hom_from_blocks(total, f.target, {(0, 0): f, (0, 1): -g}))
+    to_y1, to_y2 = (incl.then(p) for p in total[2])
     return Square(x, y1, y2, f.target, to_y1, to_y2, f, g)
 
 
@@ -130,26 +127,10 @@ def is_exact_square(s):
 
 def square_sequence(s):
     """The short exact sequence 0 -> X -> Y1+Y2 -> Z -> 0 of an exact square."""
-    total, injs, projs = direct_sum([s.y1, s.y2])
-    mono = ModHom(
-        s.x,
-        total,
-        {
-            v: injs[0].blocks[v] * s.f.blocks[v] + injs[1].blocks[v] * s.g.blocks[v]
-            for v in s.f.blocks
-        },
-        check=False,
-    )
-    epi = ModHom(
-        total,
-        s.z,
-        {
-            v: s.gp.blocks[v] * projs[0].blocks[v] - s.fp.blocks[v] * projs[1].blocks[v]
-            for v in s.gp.blocks
-        },
-        check=False,
-    )
-    return ShortExact(s.x, total, s.z, mono, epi)
+    total = direct_sum([s.y1, s.y2])
+    mono = hom_from_blocks(s.x, total, {(0, 0): s.f, (1, 0): s.g})
+    epi = hom_from_blocks(total, s.z, {(0, 0): s.gp, (0, 1): -s.fp})
+    return ShortExact(s.x, total[0], s.z, mono, epi)
 
 
 def pushout_factor(sq, g1, g2):
@@ -220,10 +201,9 @@ def trivial_square(a, x):
         U+X -a+1-> V+X
     """
     u, vmod = a.source, a.target
-    ux, ux_inj, ux_proj = direct_sum([u, x])
-    vx, vx_inj, _ = direct_sum([vmod, x])
-    bottom = ux_proj[0].then(a).then(vx_inj[0]) + ux_proj[1].then(vx_inj[1])
-    return Square(u, vmod, ux, vx, a, ux_inj[0], vx_inj[0], bottom)
+    ux, vx = direct_sum([u, x]), direct_sum([vmod, x])
+    bottom = hom_from_blocks(ux, vx, {(0, 0): a, (1, 1): ModHom.identity(x)})
+    return Square(u, vmod, ux[0], vx[0], a, ux[1][0], vx[1][0], bottom)
 
 
 def is_split_mono(f):

@@ -71,23 +71,19 @@ def _random_module(alg, rng, maxdim=3, max_summands=2):
             projective(alg, verts[rng.randrange(len(verts))])[0]
             for _ in range(rng.randrange(1, max_summands + 1))
         ]
-        tgt = _sum(tgt_parts)
+        tgt = rep.sum_module(tgt_parts)
         n_src = rng.randrange(0, max_summands + 1)
         if n_src == 0:
             return tgt
         src_parts = [
             projective(alg, verts[rng.randrange(len(verts))])[0] for _ in range(n_src)
         ]
-        src = _sum(src_parts)
+        src = rep.sum_module(src_parts)
         f = _random_hom(src, tgt, rng)
         cok = rep.cokernel(f)[0]
         if not cok.is_zero():
             return cok
     return tgt
-
-
-def _sum(parts):
-    return parts[0] if len(parts) == 1 else rep.sum_module(parts)
 
 
 def suite_linalg(seed=0, rounds=40):
@@ -446,9 +442,7 @@ def suite_degen(seed=0, rounds=6):
         # corollary at finite stage: Y[n] ~ Y[t] + X^(n-t)
         tmax = max(4, t + 1)
         for n in range(cert.index, tmax):
-            target = rep.sum_module(
-                [cert.truncation(cert.index).rep] + [rz2.x] * (n - cert.index)
-            ) if n > cert.index else cert.truncation(cert.index).rep
+            target = rep.sum_module([cert.truncation(cert.index).rep] + [rz2.x] * (n - cert.index))
             got = cert.truncation(n).rep
             if got.dims != target.dims:
                 ok_chain = False

@@ -87,7 +87,7 @@ def test_make_steering_nilpotent_mixed_blocks(kronecker, kron_projectives, kron_
     # steering: zero on P(b), identity on H
     phi = hom_from_blocks(u_sum, u_sum, {(1, 1): ModHom.identity(h)})
     g0 = hom_space(pb, pa)[0]
-    g = hom_from_blocks(u_sum, (pa, [ModHom.identity(pa)], [ModHom.identity(pa)]), {(0, 0): g0})
+    g = hom_from_blocks(u_sum, pa, {(0, 0): g0})
     mono = g.then(injs[0]) + phi.then(injs[1])
     assert mono.is_injective()
     y, proj = cokernel(mono)
@@ -268,7 +268,7 @@ def test_corollary_chain_witnesses(kronecker, kron_projectives, kron_regular):
         src_parts = parts + [rz.x]
         src = direct_sum(src_parts)
         mid = direct_sum([cert.truncation(k).rep, rz.x])
-        old = direct_sum(parts) if len(parts) > 1 else (parts[0], [ModHom.identity(parts[0])], [ModHom.identity(parts[0])])
+        old = direct_sum(parts)
         blocks = {}
         for j in range(len(parts)):
             blocks[(0, j)] = old[1][j].then(psi)

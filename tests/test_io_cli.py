@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -96,6 +97,42 @@ BAD_MATRICES = [
     ("a fraction over GF(5)", "GF(5)", "matrix alpha = [[1/2]]"),
     ("a row of the wrong length", "Q", "matrix alpha = [[1, 0]]"),
 ]
+
+
+# (what, the line it replaces or None to append it, the bad line, the line
+# number the error names: the algebra's header for a quiver or relation set
+# that is invalid as a whole)
+BAD_ALGEBRAS = [
+    ("a bound that is not a number", "loewybound 4", "loewybound x", 5),
+    ("a bound with no value", "loewybound 4", "loewybound", 5),
+    ("a zero bound", "loewybound 4", "loewybound 0", 5),
+    ("a repeated vertex", "vertex a b", "vertex a b a", 1),
+    ("an arrow to an undeclared vertex", None, "arrow gamma : a -> c", 1),
+    ("a field of non-prime order", "algebra kron over Q", "algebra kron over GF(4)", 1),
+    ("a prime field of order 2^64 or more", "algebra kron over Q",
+     "algebra kron over GF(18446744073709551629)", 1),
+    ("a relation through an undeclared arrow", None, "relation 1*gamma*alpha = 0", 1),
+    ("a coefficient over zero", None, "relation 1/0*beta*alpha = 0", 6),
+    ("a fraction over GF(5)", "over Q", "over GF(5)\nrelation 1/2*beta = 0", 2),
+    ("a relation of length one", None, "relation 1*alpha = 0", 1),
+]
+
+
+@pytest.mark.parametrize("what, old, new, line", BAD_ALGEBRAS, ids=[b[0] for b in BAD_ALGEBRAS])
+def test_malformed_algebra_declarations_are_parse_errors(tmp_path, capsys, what, old, new, line):
+    text = KRONECKER_TEXT.replace(old, new) if old else KRONECKER_TEXT + new + "\n"
+    assert text != KRONECKER_TEXT
+    alg = _write(tmp_path, "a.alg", text)
+    mod = _write(tmp_path, "m.mod", "module M over kron\ndim a = 1\n")
+    assert cli.run(["ext", "--algebra", alg, "--module", mod]) == 2
+    assert _parse_error(capsys).startswith("%s:%d: " % (alg, line))
+
+
+def test_a_prime_field_near_two_to_the_64_parses_quickly():
+    start = time.perf_counter()
+    ns = qio.parse_text(KRONECKER_TEXT.replace("over Q", "over GF(1000000000000000003)"))
+    assert ns.algebras["kron"].field.p == 1000000000000000003
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("what, field, line", BAD_MATRICES, ids=[b[0] for b in BAD_MATRICES])

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -7,6 +8,7 @@ from itertools import chain
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import GF as SymGF, QQ as SymQQ
 from sympy.polys.matrices import DomainMatrix
@@ -16,6 +18,7 @@ from quivrep.linalg import (
     GF,
     QQ,
     Mat,
+    _is_prime,
     _mul_ints,
     block_diagonal,
     int_mat_mul,
@@ -166,6 +169,36 @@ def test_field_literals():
         QQ.parse("1/-2")
     with pytest.raises(QuivrepError):
         GF(4)
+
+
+def test_primality_agrees_with_sympy():
+    rng = random.Random(1729)
+    big = [rng.randrange(2, 1 << 64) for _ in range(300)]
+    big += [sympy.randprime(1 << (k - 1), 1 << k) for k in range(20, 65, 4) for _ in range(5)]
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7; the others are primes and prime squares near 2^64
+    edge = [561, 3215031751, 1000000000000000003, 18446744073709551557, 4294967291**2]
+    for n in chain(range(-2, 5000), big, edge):
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+def test_prime_fields_stop_below_two_to_the_64():
+    assert GF(18446744073709551557).p == 18446744073709551557
+    with pytest.raises(QuivrepError, match="below 2\\^64"):
+        GF((1 << 64) + 13)
+
+
+def test_products_across_fields_raise():
+    pairs = [
+        (Mat(GF(3), [[2]]), Mat(QQ, [["1/2"]])),
+        (Mat(QQ, [["1/2"]]), Mat(GF(3), [[2]])),
+        (Mat.identity(QQ, 1), Mat(GF(3), [[2]])),
+        (Mat(GF(3), [[2]]), Mat.identity(GF(5), 1)),
+        (Mat.zeros(GF(3), 0, 2), Mat.zeros(QQ, 2, 0)),
+    ]
+    for a, b in pairs:
+        with pytest.raises(QuivrepError, match="field mismatch"):
+            a * b
 
 
 # ---------------------------------------------------------------------------

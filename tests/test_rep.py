@@ -422,3 +422,28 @@ def test_hom_from_blocks_rejects_a_component_between_the_wrong_parts(kron_projec
     sum_src = direct_sum([pa, pb])
     with pytest.raises(QuivrepError, match=r"block \(0, 1\) does not map part 1 to part 0"):
         hom_from_blocks(sum_src, sum_src, {(0, 1): ModHom.identity(pa)})
+
+
+def test_a_sum_of_one_part_is_that_module(d4):
+    _, u1, _, _, _ = fx.d4_modules(d4)
+    assert sum_module([u1]) is u1
+    total, injs, projs = direct_sum([u1])
+    assert total is u1
+    assert injs == projs == [ModHom.identity(u1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hom_from_blocks_takes_a_plain_module_as_a_sum_of_one_part(data):
+    group = data.draw(st.sampled_from(BLOCK_SUM_PARTS))
+    m = data.draw(st.sampled_from(group))
+    parts = data.draw(st.lists(st.sampled_from(group), min_size=1, max_size=3))
+    one, many = direct_sum([m]), direct_sum(parts)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    into = {(i, 0): suites._random_hom(m, p, rng) for i, p in enumerate(parts)}
+    out_of = {(0, j): suites._random_hom(p, m, rng) for j, p in enumerate(parts)}
+    assert hom_from_blocks(m, many, into) == _hom_from_blocks_by_products(one, many, into)
+    assert hom_from_blocks(many, m, out_of) == _hom_from_blocks_by_products(many, one, out_of)
+    h = suites._random_hom(m, m, rng)
+    assert hom_from_blocks(m, m, {(0, 0): h}) == h
+    assert hom_from_blocks(m, m, {}) == ModHom.zero_hom(m, m)
