@@ -56,6 +56,35 @@ def path_target(quiver, word):
     return quiver.target[word[-1]]
 
 
+def relation_terms(quiver, field, rel):
+    """The (coefficient, word) terms of a relation as a tuple, coefficients
+    in the field; raises unless the words are composable paths of length
+    >= 2 that share source, target and length."""
+    terms = [(field.conv(c), tuple(w)) for c, w in rel]
+    if not terms:
+        return ()
+    for _, w in terms:
+        if len(w) < 2:
+            raise NotAdmissible("relation term %r has length < 2" % (w,))
+        for a in w:
+            if a not in quiver.source:
+                raise QuivrepError("unknown arrow %r in relation" % (a,))
+        for x, y in zip(w, w[1:]):
+            if quiver.target[x] != quiver.source[y]:
+                raise NotAdmissible("relation word %r is not composable" % (w,))
+    src = path_source(quiver, terms[0][1])
+    tgt = path_target(quiver, terms[0][1])
+    deg = len(terms[0][1])
+    for _, w in terms:
+        if path_source(quiver, w) != src or path_target(quiver, w) != tgt:
+            raise NotAdmissible("relation mixes parallel classes: %r" % (terms,))
+        if len(w) != deg:
+            raise NotAdmissible(
+                "relation mixes path lengths (degree-graded ideals only): %r" % (terms,)
+            )
+    return tuple(terms)
+
+
 class AlgebraPresentation:
     """A quiver with admissible relations over an exact field.
 
@@ -71,32 +100,8 @@ class AlgebraPresentation:
         self.loewy_bound = int(loewy_bound)
         if self.loewy_bound < 1:
             raise QuivrepError("loewy bound must be positive")
-        rels = []
-        for rel in relations:
-            terms = [(field.conv(c), tuple(w)) for c, w in rel]
-            if not terms:
-                continue
-            for _, w in terms:
-                if len(w) < 2:
-                    raise NotAdmissible("relation term %r has length < 2" % (w,))
-                for a in w:
-                    if a not in quiver.source:
-                        raise QuivrepError("unknown arrow %r in relation" % (a,))
-                for x, y in zip(w, w[1:]):
-                    if quiver.target[x] != quiver.source[y]:
-                        raise NotAdmissible("relation word %r is not composable" % (w,))
-            src = path_source(quiver, terms[0][1])
-            tgt = path_target(quiver, terms[0][1])
-            deg = len(terms[0][1])
-            for _, w in terms:
-                if path_source(quiver, w) != src or path_target(quiver, w) != tgt:
-                    raise NotAdmissible("relation mixes parallel classes: %r" % (terms,))
-                if len(w) != deg:
-                    raise NotAdmissible(
-                        "relation mixes path lengths (degree-graded ideals only): %r" % (terms,)
-                    )
-            rels.append(tuple(terms))
-        self.relations = tuple(rels)
+        terms = (relation_terms(quiver, field, rel) for rel in relations)
+        self.relations = tuple(t for t in terms if t)
         self._basis = None
         self._projectives = {}  # vertex -> projective(self, vertex)
 

@@ -29,6 +29,7 @@ sympy is imported by `factor_polynomial` only, when a search needs it.
 
 import random
 from fractions import Fraction
+from itertools import islice, product
 
 from .errors import AlgebraMismatch, Inconclusive, QuivrepError, ZeroModule
 from .linalg import Mat, block_diagonal
@@ -218,14 +219,14 @@ def _poly_mul(field, a, b):
     return out
 
 
-def _candidate_endos(end, rng, count=48):
+def _candidate_endos(end, rng):
     field = end.module.algebra.field
     for b in end.basis:
         yield b
     for i in range(len(end.basis)):
         for j in range(i + 1, min(len(end.basis), i + 4)):
             yield end.basis[i] + end.basis[j]
-    for _ in range(count):
+    for _ in range(48):
         yield end.from_coordinates([field.random(rng, span=3) for _ in end.basis])
 
 
@@ -369,19 +370,8 @@ def is_indecomposable(m, seed=0):
 def _exhaustive_idempotent(end):
     """Search all of End for a nontrivial idempotent (small prime fields)."""
     field = end.module.algebra.field
-    module = end.module
-    ident = ModHom.identity(module)
-    coords = [0] * end.dim
-
-    def all_tuples(k):
-        if k == end.dim:
-            yield list(coords)
-            return
-        for c in range(field.p):
-            coords[k] = c
-            yield from all_tuples(k + 1)
-
-    for tup in all_tuples(0):
+    ident = ModHom.identity(end.module)
+    for tup in product(range(field.p), repeat=end.dim):
         h = end.from_coordinates([field.conv(c) for c in tup])
         if h.is_zero() or h == ident:
             continue
@@ -473,7 +463,7 @@ def _invariant_refutation(m, n):
     return None
 
 
-def are_isomorphic(m, n, seed=0, trials=64):
+def are_isomorphic(m, n, seed=0):
     """Cheap refutations first, then exact search for an invertible hom.
 
     Over GF(p) with p^dim Hom small the search is exhaustive, hence a
@@ -495,8 +485,9 @@ def are_isomorphic(m, n, seed=0, trials=64):
         return IsoReport("not-isomorphic", refutation="Hom(M, N) = 0 with M, N nonzero")
     h = len(homs)
     if field.p and field.p ** h <= 1 << 16:
-        for combo in _all_coeff_tuples(field.p, h):
-            cand = combine(combo, homs, m, n)
+        # every nonzero coefficient tuple, the first coefficient varying fastest
+        for combo in islice(product(range(field.p), repeat=h), 1, None):
+            cand = combine(combo[::-1], homs, m, n)
             if cand.is_isomorphism():
                 return IsoReport("isomorphic", cand)
         return IsoReport("not-isomorphic", refutation="no invertible hom (exhaustive)")
@@ -514,23 +505,12 @@ def are_isomorphic(m, n, seed=0, trials=64):
         cand = combine(coefs, homs, m, n)
         if cand.is_isomorphism():
             return IsoReport("isomorphic", cand)
-    for _ in range(trials):
+    for _ in range(64):
         coefs = [field.random(rng, span=7) for _ in range(h)]
         cand = combine(coefs, homs, m, n)
         if cand.is_isomorphism():
             return IsoReport("isomorphic", cand)
     return IsoReport("inconclusive")
-
-
-def _all_coeff_tuples(p, h):
-    total = p ** h
-    for idx in range(1, total):
-        tup = []
-        v = idx
-        for _ in range(h):
-            tup.append(v % p)
-            v //= p
-        yield tup
 
 
 def match_decompositions(m, n, seed=0):

@@ -196,7 +196,7 @@ def eventual_splitting(cert, n):
     if h_n.then(r) != ModHom.identity(rz.u):
         raise QuivrepError("U-projection does not retract U -> Y[%d]" % n)
     # square edges
-    s = tn.quot.induce(lad.w_maps[n], tn1.quot)
+    s = tn.quot.induce_from(lad.w_maps[n].then(tn1.proj))
     b = lad.vertical_composite(1, n + 1).then(tn1.proj)  # U_1 -> Y[n+1]
     b_u = rz.from_u.then(b)
     b_x = rz.from_x.then(b)

@@ -31,7 +31,7 @@ resolves names across them.
 
 import re
 
-from .algebra import AlgebraPresentation, Quiver
+from .algebra import AlgebraPresentation, Quiver, relation_terms
 from .errors import ParseError, QuivrepError
 from .linalg import GF, QQ, Mat
 from .rep import ModHom, Rep
@@ -73,14 +73,9 @@ def parse_text(text, ns=None, origin="<string>"):
             i += 1
             continue
         head = line.split()[0]
-        if head == "algebra":
-            i = _parse_algebra(lines, i, ns, origin)
-        elif head == "module":
-            i = _parse_module(lines, i, ns, origin)
-        elif head == "hom":
-            i = _parse_hom(lines, i, ns, origin)
-        else:
+        if head not in _DECLARATIONS:
             raise ParseError("%s:%d: unknown declaration %r" % (origin, i + 1, head))
+        i = _DECLARATIONS[head](lines, i, ns, origin)
     return ns
 
 
@@ -88,6 +83,21 @@ def _strip(line):
     if "#" in line:
         line = line[: line.index("#")]
     return line.strip()
+
+
+def _body(lines, i):
+    """The body of the declaration whose header is lines[i]: its nonblank
+    lines as (line number, text, first word), up to the next declaration,
+    and the index of the line where that one starts."""
+    body = []
+    for j in range(i + 1, len(lines)):
+        line = _strip(lines[j])
+        if line:
+            head = line.split()[0]
+            if head in _DECLARATIONS:
+                return body, j
+            body.append((j + 1, line, head))
+    return body, len(lines)
 
 
 def _parse_field(tokens, origin, lineno):
@@ -106,49 +116,63 @@ def _parse_algebra(lines, i, ns, origin):
     header = _strip(lines[i]).split()
     if len(header) < 4 or header[2] != "over":
         raise ParseError("%s:%d: expected 'algebra NAME over FIELD'" % (origin, i + 1))
-    name, start = header[1], i + 1
-    field = _parse_field(header[3:], origin, start)
+    name = header[1]
+    field = _parse_field(header[3:], origin, i + 1)
+    body, end = _body(lines, i)
+    ids = []  # (vertex or arrow id, its line number), in file order
     vertices = []
-    arrows = []
-    relations = []
+    arrows = []  # ((name, source, target), line number)
+    relations = []  # (terms, line number)
     bound = 12
-    i += 1
-    while i < len(lines):
-        line = _strip(lines[i])
-        if not line:
-            i += 1
-            continue
-        head = line.split()[0]
-        if head in ("algebra", "module", "hom"):
-            break
+    for lineno, line, head in body:
         if head == "vertex":
-            vertices.extend(line.split()[1:])
+            names = line.split()[1:]
+            vertices.extend(names)
+            ids.extend((v, lineno) for v in names)
         elif head == "arrow":
             m = re.fullmatch(r"arrow\s+(\w+)\s*:\s*(\w+)\s*->\s*(\w+)", line)
             if not m:
-                raise ParseError("%s:%d: expected 'arrow NAME : SRC -> TGT'" % (origin, i + 1))
-            arrows.append((m.group(1), m.group(2), m.group(3)))
+                raise ParseError("%s:%d: expected 'arrow NAME : SRC -> TGT'" % (origin, lineno))
+            arrows.append((m.groups(), lineno))
+            ids.append((m.group(1), lineno))
         elif head == "relation":
-            body = line[len("relation") :].strip()
-            if not body.endswith("= 0"):
-                raise ParseError("%s:%d: relations must end with '= 0'" % (origin, i + 1))
-            body = body[: -len("= 0")].strip()
-            relations.append(_parse_relation(body, field, origin, i + 1))
+            rel = line[len("relation") :].strip()
+            if not rel.endswith("= 0"):
+                raise ParseError("%s:%d: relations must end with '= 0'" % (origin, lineno))
+            rel = rel[: -len("= 0")].strip()
+            relations.append((_parse_relation(rel, field, origin, lineno), lineno))
         elif head == "loewybound":
             m = re.fullmatch(r"loewybound\s+(\d+)", line)
             if not m or int(m.group(1)) < 1:
-                raise ParseError("%s:%d: expected 'loewybound N' with N >= 1" % (origin, i + 1))
+                raise ParseError("%s:%d: expected 'loewybound N' with N >= 1" % (origin, lineno))
             bound = int(m.group(1))
         else:
-            raise ParseError("%s:%d: unknown algebra line %r" % (origin, i + 1, head))
-        i += 1
-    try:
-        quiver = Quiver(vertices, arrows)
-        ns.algebras[name] = AlgebraPresentation(quiver, field, relations, bound, name=name)
-    except QuivrepError as exc:
-        raise ParseError("%s:%d: algebra %s invalid: %s" % (origin, start, name, exc)) from exc
+            raise ParseError("%s:%d: unknown algebra line %r" % (origin, lineno, head))
+    # each error at the line that causes it; vertices may follow their arrows
+    first = {}
+    for ident, lineno in ids:
+        if ident in first:
+            raise ParseError(
+                "%s:%d: %r is already declared on line %d" % (origin, lineno, ident, first[ident])
+            )
+        first[ident] = lineno
+    for (a, s, t), lineno in arrows:
+        for v in (s, t):
+            if v not in vertices:
+                raise ParseError(
+                    "%s:%d: arrow %s has undeclared endpoint %r" % (origin, lineno, a, v)
+                )
+    quiver = Quiver(vertices, [arrow for arrow, _ in arrows])
+    for terms, lineno in relations:
+        try:
+            relation_terms(quiver, field, terms)
+        except QuivrepError as exc:
+            raise ParseError("%s:%d: invalid relation: %s" % (origin, lineno, exc)) from exc
+    ns.algebras[name] = AlgebraPresentation(
+        quiver, field, [terms for terms, _ in relations], bound, name=name
+    )
     ns.origins["algebra"][name] = origin
-    return i
+    return end
 
 
 def _parse_relation(body, field, origin, lineno):
@@ -194,28 +218,20 @@ def _parse_module(lines, i, ns, origin):
     alg = ns.algebras[alg_name]
     dims = {}
     mats = {}
-    i += 1
-    while i < len(lines):
-        line = _strip(lines[i])
-        if not line:
-            i += 1
-            continue
-        head = line.split()[0]
-        if head in ("algebra", "module", "hom"):
-            break
+    body, end = _body(lines, i)
+    for lineno, line, head in body:
         if head == "dim":
             m = re.fullmatch(r"dim\s+(\w+)\s*=\s*(\d+)", line)
             if not m:
-                raise ParseError("%s:%d: expected 'dim VERTEX = N'" % (origin, i + 1))
+                raise ParseError("%s:%d: expected 'dim VERTEX = N'" % (origin, lineno))
             dims[m.group(1)] = int(m.group(2))
         elif head == "matrix":
             m = re.fullmatch(r"matrix\s+(\w+)\s*=\s*(.*)", line)
             if not m:
-                raise ParseError("%s:%d: expected 'matrix ARROW = [[...]]'" % (origin, i + 1))
-            mats[m.group(1)] = (_parse_matrix_literal(m.group(2), origin, i + 1), i + 1)
+                raise ParseError("%s:%d: expected 'matrix ARROW = [[...]]'" % (origin, lineno))
+            mats[m.group(1)] = (_parse_matrix_literal(m.group(2), origin, lineno), lineno)
         else:
-            raise ParseError("%s:%d: unknown module line %r" % (origin, i + 1, head))
-        i += 1
+            raise ParseError("%s:%d: unknown module line %r" % (origin, lineno, head))
     action = {}
     for a, s, t in alg.quiver.arrows:
         if a in mats:
@@ -226,7 +242,7 @@ def _parse_module(lines, i, ns, origin):
     except Exception as exc:
         raise ParseError("%s: module %s invalid: %s" % (origin, name, exc)) from exc
     ns.origins["module"][name] = origin
-    return i
+    return end
 
 
 def _parse_hom(lines, i, ns, origin):
@@ -241,33 +257,27 @@ def _parse_hom(lines, i, ns, origin):
         )
     src, tgt = ns.modules[src_name], ns.modules[tgt_name]
     blocks = {}
-    i += 1
-    while i < len(lines):
-        line = _strip(lines[i])
-        if not line:
-            i += 1
-            continue
-        head = line.split()[0]
-        if head in ("algebra", "module", "hom"):
-            break
-        if head == "block":
-            mm = re.fullmatch(r"block\s+(\w+)\s*=\s*(.*)", line)
-            if not mm:
-                raise ParseError("%s:%d: expected 'block VERTEX = [[...]]'" % (origin, i + 1))
-            v = mm.group(1)
-            rows = _parse_matrix_literal(mm.group(2), origin, i + 1)
-            blocks[v] = _matrix(
-                src.algebra.field, rows, tgt.dims.get(v, 0), src.dims.get(v, 0), origin, i + 1
-            )
-        else:
-            raise ParseError("%s:%d: unknown hom line %r" % (origin, i + 1, head))
-        i += 1
+    body, end = _body(lines, i)
+    for lineno, line, head in body:
+        if head != "block":
+            raise ParseError("%s:%d: unknown hom line %r" % (origin, lineno, head))
+        mm = re.fullmatch(r"block\s+(\w+)\s*=\s*(.*)", line)
+        if not mm:
+            raise ParseError("%s:%d: expected 'block VERTEX = [[...]]'" % (origin, lineno))
+        v = mm.group(1)
+        rows = _parse_matrix_literal(mm.group(2), origin, lineno)
+        blocks[v] = _matrix(
+            src.algebra.field, rows, tgt.dims.get(v, 0), src.dims.get(v, 0), origin, lineno
+        )
     try:
         ns.homs[name] = ModHom(src, tgt, blocks)
     except Exception as exc:
         raise ParseError("%s: hom %s invalid: %s" % (origin, name, exc)) from exc
     ns.origins["hom"][name] = origin
-    return i
+    return end
+
+
+_DECLARATIONS = {"algebra": _parse_algebra, "module": _parse_module, "hom": _parse_hom}
 
 
 def _matrix(field, rows, nrows, ncols, origin, lineno):

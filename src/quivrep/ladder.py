@@ -184,12 +184,12 @@ class Truncation:
         # v-bar: U_{n-1}/U_0 -> U_n/U_1 induced by v_{n-1}
         bq = QuotientData(ladder.modules[n], self.from_u1.blocks)
         p_bar = self.quot.induce_from(bq.proj)
-        vbar = prev.quot.induce(ladder.v_maps[n - 1], bq)
+        vbar = prev.quot.induce_from(ladder.v_maps[n - 1].then(bq.proj))
         if not vbar.is_isomorphism():
             raise QuivrepError("filtration transport is not an isomorphism")
         self.phi = p_bar.then(vbar.inverse())
         # inclusion H[n-1] -> H[n] induced by w_{n-1}
-        self.incl = prev.quot.induce(w, self.quot)
+        self.incl = prev.quot.induce_from(w.then(self.quot.proj))
         if not self.incl.is_injective():
             raise QuivrepError("truncation inclusion is not injective")
         # epi H[n] -> coker(w_{n-1}) -> H, the transport back to coker(w_0)
@@ -218,7 +218,7 @@ def coker_transport(cokernels, along, what="cokernel transport map"):
     """
     idents = [ModHom.identity(cokernels[0].rep)]
     for k in range(1, len(cokernels)):
-        step = cokernels[k - 1].induce(along[k], cokernels[k])
+        step = cokernels[k - 1].induce_from(along[k].then(cokernels[k].proj))
         if not step.is_isomorphism():
             raise QuivrepError("%s is not an isomorphism" % what)
         idents.append(step.inverse().then(idents[-1]))

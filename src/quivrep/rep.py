@@ -4,6 +4,12 @@ A Rep assigns a matrix to every arrow; zero-dimensional vertex spaces are
 first class.  A ModHom is a vertex-indexed family of blocks commuting with
 the arrow actions.  Submodules are stored by canonical echelonized spanning
 sets so every derived object (kernel, image, quotient) is reproducible.
+
+Maps are factored one way for each kind of map they factor through: a map
+into the image of a mono by `lift_through_mono`, a map out of a quotient by
+`QuotientData.induce_from`, and a map out of any other epi by
+`descend_through_epi`.  Maps into and between direct sums are placed
+block by block by `hom_from_blocks`.
 """
 
 from itertools import accumulate
@@ -365,45 +371,15 @@ class QuotientData:
         self.rep = Rep(ambient.algebra, dims, action)
         self.proj = ModHom(ambient, self.rep, proj_blocks)
 
-    def induce(self, f, other):
-        """Induce a map on quotients from f: self.ambient -> other.ambient.
-
-        Requires f to carry the quotiented submodule into the other one;
-        verified by checking the candidate is well defined.
-        """
-        blocks = {
-            v: other.proj.blocks[v] * f.blocks[v] * self.section[v] for v in f.blocks
-        }
-        cand = ModHom(self.rep, other.rep, blocks, check=False)
-        if not _descends(f, self, other, cand):
-            raise QuivrepError("map does not descend to the quotients")
-        if not cand.commutes():
-            raise QuivrepError("induced quotient map does not commute")
-        return cand
-
     def induce_from(self, f):
         """Induce g: self.rep -> T from f: self.ambient -> T killing the submodule."""
         blocks = {v: f.blocks[v] * self.section[v] for v in f.blocks}
         cand = ModHom(self.rep, f.target, blocks, check=False)
-        if not _factors_through_proj(f, self, cand):
-            raise QuivrepError("map does not kill the quotiented submodule")
+        if any(cand.blocks[v] * self.proj.blocks[v] != f.blocks[v] for v in f.blocks):
+            raise QuivrepError("map does not descend to the quotient")
         if not cand.commutes():
             raise QuivrepError("induced map does not commute")
         return cand
-
-
-def _descends(f, qsrc, qtgt, cand):
-    for v in f.blocks:
-        if cand.blocks[v] * qsrc.proj.blocks[v] != qtgt.proj.blocks[v] * f.blocks[v]:
-            return False
-    return True
-
-
-def _factors_through_proj(f, qsrc, cand):
-    for v in f.blocks:
-        if cand.blocks[v] * qsrc.proj.blocks[v] != f.blocks[v]:
-            return False
-    return True
 
 
 def cokernel(f):
@@ -641,3 +617,16 @@ def lift_through_mono(mono, f):
             return None
         blocks[v] = sol
     return ModHom(f.source, mono.source, blocks)
+
+
+def descend_through_epi(epi, f):
+    """g with epi.then(g) == f, solved vertex by vertex; None when f does
+    not kill the kernel of the surjective map epi.  Maps out of a quotient
+    descend by `QuotientData.induce_from`, which knows its section."""
+    blocks = {}
+    for v in f.blocks:
+        sol = epi.blocks[v].transpose().solve_right(f.blocks[v].transpose())
+        if sol is None:
+            return None
+        blocks[v] = sol.transpose()
+    return ModHom(epi.target, f.target, blocks)

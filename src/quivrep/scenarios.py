@@ -40,9 +40,10 @@ class Report:
         }
 
 
-def scenario_kronecker(depth=6, seed=0):
+def scenario_kronecker():
     """Regular ladder on the Kronecker algebra: truncation growth and
     indecomposability, plus the split case."""
+    depth = 6
     rp = Report("kronecker", {"depth": depth})
     alg = fx.kronecker()
     w0, v0 = fx.kronecker_regular_seed(alg)
@@ -53,16 +54,16 @@ def scenario_kronecker(depth=6, seed=0):
     rp.claim("H[n] has dimension vector (n, n)", "ladder.truncation", ok_dims)
     ok_indec = True
     for n in range(1, depth + 1):
-        verdict, _ = decomp.is_indecomposable(lad.truncation(n).rep, seed=seed)
+        verdict, _ = decomp.is_indecomposable(lad.truncation(n).rep)
         ok_indec = ok_indec and verdict
     rp.claim("H[n] indecomposable for n = 1..%d" % depth, "decomp.is_indecomposable", ok_indec)
-    lad2 = ladder.build_ladder(w0, w0.scale(Fraction(2)), depth=min(depth, 4))
+    lad2 = ladder.build_ladder(w0, w0.scale(Fraction(2)), depth=4)
     h = lad.basis_module
     ok_split = True
-    for n in range(1, min(depth, 4) + 1):
+    for n in range(1, 5):
         hn = lad2.truncation(n).rep
         hsum = rep.sum_module([h] * n)
-        ok_split = ok_split and decomp.are_isomorphic(hn, hsum, seed=seed).verdict == "isomorphic"
+        ok_split = ok_split and decomp.are_isomorphic(hn, hsum).verdict == "isomorphic"
     rp.claim("for v0 in k*w0: H[n] ~ H^n", "decomp.are_isomorphic", ok_split)
     gens_ok = all(
         rep.is_generated_by(lad.modules[i], lad.canonical_generators(i))
@@ -72,7 +73,7 @@ def scenario_kronecker(depth=6, seed=0):
     return rp
 
 
-def scenario_three_kronecker(seed=0):
+def scenario_three_kronecker():
     """Two self-extension data with equal H[2] but different H[3]."""
     rp = Report("three-kronecker")
     alg = fx.three_kronecker()
@@ -83,7 +84,7 @@ def scenario_three_kronecker(seed=0):
     ladf = ladder.build_ladder(w, f, depth=3)
     ladg = ladder.build_ladder(w, g, depth=3)
     h2f, h2g = ladf.truncation(2).rep, ladg.truncation(2).rep
-    iso2 = decomp.are_isomorphic(h2f, h2g, seed=seed)
+    iso2 = decomp.are_isomorphic(h2f, h2g)
     rp.claim("H[2;w,f] ~ H[2;w,g] with witness", "decomp.are_isomorphic", iso2.verdict == "isomorphic", iso2.verdict)
     ann2, basis2 = rep.annihilator_dimension(h2f)
     rp.claim(
@@ -100,7 +101,7 @@ def scenario_three_kronecker(seed=0):
     )
     rp.claim("H[3;w,f] annihilated exactly by gamma", "rep.annihilator_dimension", ann_f == 1 and gamma_in, "dim %d" % ann_f)
     rp.claim("H[3;w,g] faithful", "rep.is_faithful", ann_g == 0, "dim %d" % ann_g)
-    iso3 = decomp.are_isomorphic(h3f, h3g, seed=seed)
+    iso3 = decomp.are_isomorphic(h3f, h3g)
     rp.claim(
         "H[3] values not isomorphic, annihilator refutation",
         "decomp.are_isomorphic",
@@ -110,7 +111,7 @@ def scenario_three_kronecker(seed=0):
     return rp
 
 
-def scenario_d4(seed=0):
+def scenario_d4():
     """Rigid-cokernel degeneration on D4 with the field-size constraint."""
     rp = Report("d4")
     alg = fx.d4_subspace(QQ)
@@ -129,7 +130,7 @@ def scenario_d4(seed=0):
     )
     lad = ladder.build_ladder(w0, v0, depth=3)
     u2 = lad.modules[2]
-    parts = decomp.decompose(u2, seed=seed)
+    parts = decomp.decompose(u2)
     vecs = sorted(tuple(r.dims[v] for v in ("a", "b", "c", "d")) for r, _ in parts)
     expected = [(1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]
     rp.claim(
@@ -144,14 +145,14 @@ def scenario_d4(seed=0):
         squares.is_split_mono(lad.w_maps[1]) is None,
     )
     u2w = rep.sum_module([u2, w_mod])
-    iso = decomp.are_isomorphic(lad.modules[3], u2w, seed=seed)
+    iso = decomp.are_isomorphic(lad.modules[3], u2w)
     rp.claim("U3 ~ U2 + W", "decomp.are_isomorphic", iso.verdict == "isomorphic")
     rz, n0 = degen.cokernel_degeneration(w0, v0)
     rp.claim("cokernel degeneration found with n0 <= 2", "degen.cokernel_degeneration", n0 <= 2, "n0 = %d" % n0)
     rp.claim(
         "its Y is the cokernel of v0",
         "decomp.are_isomorphic",
-        decomp.are_isomorphic(rz.y, wp_mod, seed=seed).verdict == "isomorphic",
+        decomp.are_isomorphic(rz.y, wp_mod).verdict == "isomorphic",
     )
     # field size: over GF(2) no mono U0 -> U1 has cokernel W; over GF(3) one does
     ok2 = _d4_no_rigid_cokernel_over_gf2()
@@ -163,7 +164,7 @@ def scenario_d4(seed=0):
     rp.claim(
         "a mono with cokernel W exists over GF(3)",
         "decomp.are_isomorphic",
-        decomp.are_isomorphic(w3, sincere3, seed=seed).verdict == "isomorphic",
+        decomp.are_isomorphic(w3, sincere3).verdict == "isomorphic",
     )
     try:
         degen.rigid_cokernel_iso(w0, v0)
@@ -175,7 +176,7 @@ def scenario_d4(seed=0):
             "coker(v0)" in str(exc),
             exc,
         )
-    isow = decomp.are_isomorphic(w_mod, wp_mod, seed=seed)
+    isow = decomp.are_isomorphic(w_mod, wp_mod)
     rp.claim(
         "W and W' are not isomorphic",
         "decomp.are_isomorphic",
@@ -216,7 +217,7 @@ def _d4_no_rigid_cokernel_over_gf2():
     return True
 
 
-def scenario_loop_beta(seed=0):
+def scenario_loop_beta():
     """Self-extension over the arrow-plus-loop algebra: a nonzero class that
     is not standard (and is not a ladder extension at all)."""
     rp = Report("loop-beta")
@@ -252,7 +253,7 @@ def scenario_loop_beta(seed=0):
     return rp
 
 
-def scenario_loop_square(seed=0):
+def scenario_loop_square():
     """The x^2 = 0 point: nonzero Ext, zero standard part, no simple-socle
     ladder witness."""
     rp = Report("loop-square")
@@ -273,8 +274,9 @@ def scenario_loop_square(seed=0):
     return rp
 
 
-def scenario_z(depth=6):
+def scenario_z():
     """Integer ladders: the classical 2-power truncations and the even case."""
+    depth = 6
     rp = Report("z", {"depth": depth})
     groups = zladder.z_ladder(2, 3, depth)
     rp.claim(
@@ -283,7 +285,7 @@ def scenario_z(depth=6):
         all(g.invariant_factors == (2 ** (k + 1),) for k, g in enumerate(groups)),
         [g.describe() for g in groups],
     )
-    groups2 = zladder.z_ladder(2, 2, min(depth, 4))
+    groups2 = zladder.z_ladder(2, 2, 4)
     rp.claim(
         "seed (2,2): H[k] elementary abelian of rank k",
         "zladder.z_ladder",

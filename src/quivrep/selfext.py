@@ -15,6 +15,7 @@ from .linalg import Mat
 from .rep import (
     ModHom,
     QuotientData,
+    descend_through_epi,
     factor_through,
     hom_coordinates,
     hom_space,
@@ -158,12 +159,6 @@ def class_to_sequence(c):
     return ShortExact(c.n, sq.z, c.m, mono, epi)
 
 
-def _right_factor(through, g):
-    """Solve X * through = g (through: a x b, g: c x b, X: c x a)."""
-    sol = through.transpose().solve_right(g.transpose())
-    return None if sol is None else sol.transpose()
-
-
 def ext_class_of_sequence(ses, presentation=None):
     """The Ext class of 0 -> N -> E -> M -> 0 relative to the presentation.
 
@@ -209,22 +204,15 @@ def is_standard(c):
     return factor_through(c.presentation.p, c.representative) is not None
 
 
-def standard_to_ladder(c, witness=None):
+def standard_to_ladder(c):
     """Ladder seed (u, w') with p o w' = representative; NotStandard if none.
 
     The depth-2 ladder of the seed rebuilds the extension of the class.
     """
     pres = c.presentation
-    if witness is not None:
-        if not pres.u.source == witness.source or witness.target != pres.p_total:
-            raise QuivrepError("witness has wrong endpoints")
-        if witness.then(pres.p) != c.representative:
-            raise QuivrepError("witness does not satisfy p o w' = f")
-        wprime = witness
-    else:
-        wprime = factor_through(pres.p, c.representative)
-        if wprime is None:
-            raise NotStandard("representative does not factor through the cover")
+    wprime = factor_through(pres.p, c.representative)
+    if wprime is None:
+        raise NotStandard("representative does not factor through the cover")
     return pres.u, wprime
 
 
@@ -245,38 +233,19 @@ def reduced_presentation_seed(c):
     if not qbar.is_surjective():
         return None
     w0 = kernel(qbar)[1]
-    # the induced f-bar on ker(qbar): transport f along u and the quotient
-    # solve v0: ker(qbar) -> PM/u(K) with qbar o v0 = fbar where fbar is the
-    # map induced by f through u
-    # ker(qbar) sits inside PM/u(K); its preimages come from Omega
-    fbar = _induced_on_kernel(pres, qd, w0, f)
-    if fbar is None:
+    # Omega -> PM/u(K) lands in ker(qbar); corestricted there it is an epi
+    # theta with kernel K = ker f, so f descends through theta to the map
+    # fbar: ker(qbar) -> M that v0 lifts through qbar
+    theta = lift_through_mono(w0, pres.u.then(qd.proj))
+    if theta is None:
+        return None
+    fbar = descend_through_epi(theta, f)
+    if fbar is None or theta.then(fbar) != f:
         return None
     v0 = factor_through(qbar, fbar)
     if v0 is None:
         return None
     return qbar, v0
-
-
-def _induced_on_kernel(pres, qd, w0, f):
-    """The map ker(qbar) -> M induced by f via Omega -> Omega/K = ker(qbar)."""
-    omega_in_quot = pres.u.then(qd.proj)  # Omega -> PM/u(K), image = ker(qbar)
-    # corestrict to ker(qbar): solve w0 * theta = omega_in_quot
-    theta = lift_through_mono(w0, omega_in_quot)  # epi with kernel K
-    if theta is None:
-        return None
-    # f factors through theta since K = ker f: find fbar with fbar o theta = f
-    # solve per vertex: fbar * theta = f
-    fbar_blocks = {}
-    for v in theta.blocks:
-        sol = _right_factor(theta.blocks[v], f.blocks[v])
-        if sol is None:
-            return None
-        fbar_blocks[v] = sol
-    fbar = ModHom(w0.source, f.target, fbar_blocks)
-    if theta.then(fbar) != f:
-        return None
-    return fbar
 
 
 def proj_dim_at_most_one(m):

@@ -19,6 +19,7 @@ from .errors import EdgeMismatch, NotExact, QuivrepError
 from .rep import (
     ModHom,
     QuotientData,
+    descend_through_epi,
     direct_sum,
     factor_from,
     factor_through,
@@ -141,16 +142,12 @@ def pushout_factor(sq, g1, g2):
     """
     if g1.target != g2.target:
         raise QuivrepError("factorization maps need a common target")
-    field = sq.z.algebra.field
-    blocks = {}
-    for v in sq.z.dims:
-        proj_v = sq.gp.blocks[v].hstack(sq.fp.blocks[v])
-        g_v = g1.blocks[v].hstack(g2.blocks[v])
-        sol = proj_v.transpose().solve_right(g_v.transpose())
-        if sol is None:
-            raise QuivrepError("maps do not factor through the pushout")
-        blocks[v] = sol.transpose()
-    out = ModHom(sq.z, g1.target, blocks)
+    total = direct_sum([sq.y1, sq.y2])
+    epi = hom_from_blocks(total, sq.z, {(0, 0): sq.gp, (0, 1): sq.fp})
+    g = hom_from_blocks(total, g1.target, {(0, 0): g1, (0, 1): g2})
+    out = descend_through_epi(epi, g)
+    if out is None:
+        raise QuivrepError("maps do not factor through the pushout")
     if sq.gp.then(out) != g1 or sq.fp.then(out) != g2:
         raise QuivrepError("pushout factorization failed")
     return out

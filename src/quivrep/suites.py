@@ -86,7 +86,8 @@ def _random_module(alg, rng, maxdim=3, max_summands=2):
     return tgt
 
 
-def suite_linalg(seed=0, rounds=40):
+def suite_linalg(seed=0):
+    rounds = 40
     rp = Report("suite-linalg", {"seed": seed, "rounds": rounds})
     rng = random.Random(seed)
     ok_null = ok_rank = ok_idem = True
@@ -181,12 +182,12 @@ def _combo_mult(pb, combo, e, right):
     return out
 
 
-def suite_rep(seed=0, rounds=12):
+def suite_rep(seed=0):
     rp = Report("suite-rep", {"seed": seed})
     rng = random.Random(seed)
     algebras = [fx.kronecker(), fx.loop_beta(), fx.commuting_square_tower()]
     ok_exact = ok_bilin = True
-    for _ in range(rounds):
+    for _ in range(12):
         alg = rng.choice(algebras)
         m = _random_module(alg, rng)
         n = _random_module(alg, rng)
@@ -229,7 +230,8 @@ def suite_rep(seed=0, rounds=12):
     return rp
 
 
-def suite_squares(seed=0, rounds=100):
+def suite_squares(seed=0):
+    rounds = 100
     rp = Report("suite-squares", {"seed": seed, "rounds": rounds})
     rng = random.Random(seed)
     algebras = [fx.kronecker(), fx.commuting_square_tower()]
@@ -414,7 +416,8 @@ def suite_selfext(seed=0):
     return rp
 
 
-def suite_degen(seed=0, rounds=6):
+def suite_degen(seed=0):
+    rounds = 6
     rp = Report("suite-degen", {"seed": seed, "rounds": rounds})
     rng = random.Random(seed)
     algebras = [fx.kronecker(), fx.d4_subspace()]
@@ -476,7 +479,7 @@ def _random_rz(alg, rng):
     return degen.check_rz(u, x, y, mono, proj)
 
 
-def suite_decomp(seed=0, rounds=8):
+def suite_decomp(seed=0):
     rp = Report("suite-decomp", {"seed": seed})
     rng = random.Random(seed)
     alg = fx.kronecker()
@@ -488,7 +491,7 @@ def suite_decomp(seed=0, rounds=8):
     pb, _ = projective(alg, "b")
     mods = [h, pa, pb]
     ok_krs = ok_sym = ok_wit = True
-    for _ in range(rounds):
+    for _ in range(8):
         m = rng.choice(mods)
         n = rng.choice(mods)
         mn = rep.sum_module([m, n])

@@ -1,10 +1,13 @@
 """Maps into and out of direct sums, placed blockwise by `hom_from_blocks`,
 against the sums of products with injections and projections that they
-replaced.  Those product formulas are kept here as references.  Every map is
-compared on Kronecker and D4 modules over Q and GF(3), with a
-zero-dimensional module among the parts."""
+replaced; and maps factored out of quotients by `QuotientData.induce_from`
+and out of other epis by `descend_through_epi`, against the formulas and
+per-vertex solves that they replaced.  Those formulas are kept here as
+references.  Every map is compared on Kronecker and D4 modules over Q and
+GF(3), with a zero-dimensional module among the parts."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,19 +15,29 @@ from hypothesis import assume, given, settings, strategies as st
 from quivrep import degen, suites
 from quivrep import fixtures as fx
 from quivrep.algebra import projective
+from quivrep.errors import QuivrepError
 from quivrep.linalg import GF, QQ, Mat
 from quivrep.rep import (
     ModHom,
     QuotientData,
     Rep,
     cokernel,
+    descend_through_epi,
     direct_sum,
     hom_from_blocks,
+    image,
     kernel,
     lift_through_mono,
     sum_module,
 )
-from quivrep.squares import Square, pullback, pushout, square_sequence, trivial_square
+from quivrep.squares import (
+    Square,
+    pullback,
+    pushout,
+    pushout_factor,
+    square_sequence,
+    trivial_square,
+)
 
 
 def _module_groups():
@@ -208,7 +221,8 @@ def test_u_projection_of_each_rung_is_its_last_block(data):
     real = QuotientData.induce_from
 
     def record(self, f):
-        seen.append(f)
+        if f.target is rz.u:  # the U-projection, not the induced square edge
+            seen.append(f)
         return real(self, f)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -222,3 +236,115 @@ def test_u_projection_of_each_rung_is_its_last_block(data):
         assert hom_from_blocks(cert.sums[n], rz.u, {(0, n): ModHom.identity(rz.u)}) == (
             _last_block_projection_by_offsets(lad.modules[n], rz.u)
         )
+
+
+def _descend_by_transposed_solves(epi, f):
+    """g with g * epi_v = f_v at each vertex, solved as epi_v^T g^T = f_v^T:
+    the loop that `squares.pushout_factor` and `selfext` each carried."""
+    blocks = {}
+    for v in f.blocks:
+        sol = epi.blocks[v].transpose().solve_right(f.blocks[v].transpose())
+        if sol is None:
+            return None
+        blocks[v] = sol.transpose()
+    return ModHom(epi.target, f.target, blocks)
+
+
+def _induce_by_old_formula(q, f, other):
+    """The map on quotients induced by f: q.ambient -> other.ambient, as
+    `QuotientData.induce` built it: other.proj_v * f_v * section_v, checked
+    against other.proj_v * f_v = cand_v * q.proj_v; None when that fails."""
+    blocks = {v: other.proj.blocks[v] * f.blocks[v] * q.section[v] for v in f.blocks}
+    cand = ModHom(q.rep, other.rep, blocks, check=False)
+    for v in f.blocks:
+        if cand.blocks[v] * q.proj.blocks[v] != other.proj.blocks[v] * f.blocks[v]:
+            return None
+    assert cand.commutes()
+    return cand
+
+
+def _pushout_factor_by_vertex_solves(sq, g1, g2):
+    """The solve `pushout_factor` carried: [gp_v fp_v] stacked side by side
+    against [g1_v g2_v], through the transposes; None when unsolvable."""
+    blocks = {}
+    for v in sq.z.dims:
+        proj_v = sq.gp.blocks[v].hstack(sq.fp.blocks[v])
+        g_v = g1.blocks[v].hstack(g2.blocks[v])
+        sol = proj_v.transpose().solve_right(g_v.transpose())
+        if sol is None:
+            return None
+        blocks[v] = sol.transpose()
+    return ModHom(sq.z, g1.target, blocks)
+
+
+def _with_denominators(h, rng):
+    """h, scaled by 1/k over Q so that its blocks carry denominators."""
+    return h.scale(Fraction(1, rng.randint(1, 6))) if not h.source.algebra.field.p else h
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_descend_through_epi_is_the_transposed_solve(data):
+    (m, n, t), rng = _draw(data, 3)
+    # an epi that is no quotient's projection: M onto the image of a hom
+    epi = image(_with_denominators(suites._random_hom(m, n, rng), rng))[2]
+    k_incl = kernel(epi)[1]
+    through = epi.then(_with_denominators(suites._random_hom(epi.target, t, rng), rng))
+    for f in (through, _with_denominators(suites._random_hom(m, t, rng), rng)):
+        got = descend_through_epi(epi, f)
+        assert got == _descend_by_transposed_solves(epi, f)
+        assert (got is None) == (not k_incl.then(f).is_zero())
+        if got is not None:
+            assert epi.then(got) == f
+
+
+def test_descend_through_epi_refuses_a_map_that_moves_the_kernel(kron_projectives):
+    pa, _ = kron_projectives
+    to_zero = ModHom.zero_hom(pa, Rep.zero(pa.algebra))
+    assert descend_through_epi(to_zero, ModHom.identity(pa)) is None
+    assert descend_through_epi(to_zero, ModHom.zero_hom(pa, pa)) == ModHom.zero_hom(
+        to_zero.target, pa
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_induce_from_on_a_projection_is_the_old_induce(data):
+    (a, m, n), rng = _draw(data, 3)
+    span = suites._random_hom(a, m, rng)
+    q = QuotientData(m, span.blocks)
+    f = _with_denominators(suites._random_hom(m, n, rng), rng)
+    extra = suites._random_hom(a, n, rng)
+    carried = span.then(f)
+    # the image of the carried submodule and more, or an unrelated one
+    others = [
+        QuotientData(n, {v: carried.blocks[v].hstack(extra.blocks[v]) for v in n.dims}),
+        QuotientData(n, extra.blocks),
+    ]
+    for other in others:
+        want = _induce_by_old_formula(q, f, other)
+        if want is None:
+            with pytest.raises(QuivrepError, match="map does not descend to the quotient"):
+                q.induce_from(f.then(other.proj))
+        else:
+            assert q.induce_from(f.then(other.proj)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pushout_factor_is_the_old_per_vertex_solve(data):
+    (x, y1, y2, t), rng = _draw(data, 4)
+    w = suites._random_mono(x, y1, rng)
+    assume(w is not None)
+    sq = pushout(w, suites._random_hom(x, y2, rng))
+    h = _with_denominators(suites._random_hom(sq.z, t, rng), rng)
+    pairs = [(sq.gp.then(h), sq.fp.then(h))]
+    pairs.append((suites._random_hom(y1, t, rng), suites._random_hom(y2, t, rng)))
+    for g1, g2 in pairs:
+        want = _pushout_factor_by_vertex_solves(sq, g1, g2)
+        if want is None:
+            with pytest.raises(QuivrepError, match="maps do not factor through the pushout"):
+                pushout_factor(sq, g1, g2)
+        else:
+            assert pushout_factor(sq, g1, g2) == want
+    assert pushout_factor(sq, *pairs[0]) == h

@@ -3,6 +3,7 @@ import pytest
 from quivrep.decomp import (
     EndAlgebra,
     _end_radical,
+    _exhaustive_idempotent,
     _is_nilpotent_ideal,
     are_isomorphic,
     decompose,
@@ -11,10 +12,11 @@ from quivrep.decomp import (
     match_decompositions,
     split_indecomposable_parts,
 )
+from quivrep.algebra import projective
 from quivrep.errors import AlgebraMismatch, ZeroModule
 from quivrep.ladder import build_ladder
 from quivrep.linalg import GF, QQ, Mat
-from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_space
+from quivrep.rep import ModHom, Rep, cokernel, combine, direct_sum, hom_space, sum_module
 from quivrep import fixtures as fx
 
 
@@ -237,3 +239,61 @@ def test_gf2_radical_fails_and_exhaustive_search_decides():
     assert len(rad) == end.dim
     assert not _is_nilpotent_ideal(end, rad)
     assert is_indecomposable(m) == (True, ("no-idempotents-exhaustive",))
+
+
+def _idempotent_by_recursive_search(end):
+    """The exhaustive idempotent search in its former order: a recursion
+    over the coordinates, the last one varying fastest."""
+    field = end.module.algebra.field
+    ident = ModHom.identity(end.module)
+    coords = [0] * end.dim
+
+    def all_tuples(k):
+        if k == end.dim:
+            yield list(coords)
+            return
+        for c in range(field.p):
+            coords[k] = c
+            yield from all_tuples(k + 1)
+
+    for tup in all_tuples(0):
+        h = end.from_coordinates([field.conv(c) for c in tup])
+        if not h.is_zero() and h != ident and h.then(h) == h:
+            return h
+    return None
+
+
+def _iso_by_digit_search(m, n):
+    """The exhaustive iso search in its former order: the base-p digits of
+    1, 2, ..., p^h - 1, the first coefficient varying fastest."""
+    homs = hom_space(m, n)
+    p, h = m.algebra.field.p, len(homs)
+    for idx in range(1, p**h):
+        tup = []
+        for _ in range(h):
+            tup.append(idx % p)
+            idx //= p
+        cand = combine(tup, homs, m, n)
+        if cand.is_isomorphism():
+            return cand
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exhaustive_searches_keep_their_order(p):
+    alg = fx.kronecker(GF(p))
+    pa, _ = projective(alg, "a")
+    pb, _ = projective(alg, "b")
+    h2 = _kronecker_truncations(GF(p), depth=2)[1]
+    for m in (sum_module([pa, pb]), sum_module([pb, pb]), h2, Rep.simple(alg, "a")):
+        end = EndAlgebra(m)
+        if p**end.dim <= 1 << 16:
+            assert _exhaustive_idempotent(end) == _idempotent_by_recursive_search(end)
+    m = sum_module([pa, pb])
+    # M in another basis at b, where the two orders find different witnesses
+    t = Mat(alg.field, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    moved = Rep(alg, m.dims, {a: t * m.action[a] for a in m.action})
+    for m, n in [(m, moved), (sum_module([h2, pb]), sum_module([pb, h2]))]:
+        want = _iso_by_digit_search(m, n)
+        assert want is not None and want != ModHom.identity(m)
+        assert are_isomorphic(m, n).witness == want

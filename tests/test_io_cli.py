@@ -99,22 +99,28 @@ BAD_MATRICES = [
 ]
 
 
-# (what, the line it replaces or None to append it, the bad line, the line
-# number the error names: the algebra's header for a quiver or relation set
-# that is invalid as a whole)
+# (what, the line it replaces or None to append it, the bad line or lines,
+# the number of the line the error names: the one that causes it)
 BAD_ALGEBRAS = [
     ("a bound that is not a number", "loewybound 4", "loewybound x", 5),
     ("a bound with no value", "loewybound 4", "loewybound", 5),
     ("a zero bound", "loewybound 4", "loewybound 0", 5),
-    ("a repeated vertex", "vertex a b", "vertex a b a", 1),
-    ("an arrow to an undeclared vertex", None, "arrow gamma : a -> c", 1),
+    ("a repeated vertex", "vertex a b", "vertex a b a", 2),
+    ("a vertex repeated on a later line", "vertex a b", "vertex a b\nvertex a", 3),
+    ("a repeated arrow", None, "arrow alpha : b -> a", 6),
+    ("an arrow named like a vertex", None, "arrow b : a -> b", 6),
+    ("a vertex named like an arrow", None, "vertex c alpha", 6),
+    ("an arrow to an undeclared vertex", None, "arrow gamma : a -> c", 6),
+    ("an arrow from an undeclared vertex", "arrow beta : a -> b", "arrow beta : c -> b", 4),
     ("a field of non-prime order", "algebra kron over Q", "algebra kron over GF(4)", 1),
     ("a prime field of order 2^64 or more", "algebra kron over Q",
      "algebra kron over GF(18446744073709551629)", 1),
-    ("a relation through an undeclared arrow", None, "relation 1*gamma*alpha = 0", 1),
+    ("a relation through an undeclared arrow", None, "relation 1*gamma*alpha = 0", 6),
     ("a coefficient over zero", None, "relation 1/0*beta*alpha = 0", 6),
     ("a fraction over GF(5)", "over Q", "over GF(5)\nrelation 1/2*beta = 0", 2),
-    ("a relation of length one", None, "relation 1*alpha = 0", 1),
+    ("a relation of length one", None, "relation 1*alpha = 0", 6),
+    ("a relation of mixed lengths", "loewybound 4",
+     "arrow gamma : b -> b\nrelation 1*gamma*gamma*alpha + 1*gamma*beta = 0\nloewybound 4", 6),
 ]
 
 
@@ -126,6 +132,16 @@ def test_malformed_algebra_declarations_are_parse_errors(tmp_path, capsys, what,
     mod = _write(tmp_path, "m.mod", "module M over kron\ndim a = 1\n")
     assert cli.run(["ext", "--algebra", alg, "--module", mod]) == 2
     assert _parse_error(capsys).startswith("%s:%d: " % (alg, line))
+
+
+def test_vertices_and_arrows_may_follow_the_lines_that_use_them():
+    text = (
+        "algebra k over Q\nrelation 1*beta*alpha = 0\narrow alpha : a -> b\n"
+        "arrow beta : b -> c\nvertex a b\nvertex c\n"
+    )
+    alg = qio.parse_text(text).algebras["k"]
+    assert alg.quiver.vertices == ("a", "b", "c")
+    assert alg.relations == (((1, ("alpha", "beta")),),)
 
 
 def test_a_prime_field_near_two_to_the_64_parses_quickly():
