@@ -11,6 +11,7 @@ The public surface mirrors the module layout:
 - selfext: projective covers, Ext^1, standard classes, seed conversions
 - degen: Riedtmann-Zwara sequences and their splitting certificates
 - decomp: endomorphism rings, indecomposability, isomorphism testing
+- poly: exact factorization of univariate polynomials over Q and GF(p)
 - zladder: the integer oracle via Smith normal form
 - io / cli: file formats and the command line
 """

@@ -24,7 +24,8 @@ candidates as without it.  Over Q the trace-form kernel of a decomposable
 module has codimension at least 2 (orthogonal idempotents have nonzero
 traces), so split verdicts never pay for the verification.
 
-sympy is imported by `factor_polynomial` only, when a search needs it.
+`factor_polynomial` imports `quivrep.poly` (exact factorization over Q and
+GF(p)) only when a search needs it.
 """
 
 import random
@@ -45,38 +46,12 @@ from .rep import (
 
 
 class EndAlgebra:
-    """End(M) with a basis of ModHoms and its multiplication table."""
+    """End(M) with the canonical `hom_space(M, M)` basis of ModHoms."""
 
     def __init__(self, module):
         self.module = module
         self.basis = hom_space(module, module)
         self.dim = len(self.basis)
-        # The hom_space basis is canonical: element k is 1 at its free
-        # coordinate, its last nonzero one with the blocks read row by row,
-        # vertex after vertex, and every other element is 0 there.
-        dims = module.dims
-        order = [(v, r, c) for v in module.algebra.quiver.vertices
-                 for r in range(dims[v]) for c in range(dims[v])]
-        self._free = [
-            next((v, r, c) for v, r, c in reversed(order) if b.blocks[v].entry(r, c))
-            for b in self.basis
-        ]
-        self.table = {}
-        for i, f in enumerate(self.basis):
-            for j, g in enumerate(self.basis):
-                # raises if a composite escapes the span, i.e. End not closed
-                self.table[(i, j)] = self.coordinates(f.then(g))
-        if not module.is_zero():
-            self.one = self.coordinates(ModHom.identity(module))
-
-    def coordinates(self, h):
-        """Coordinates of h in the basis, read off at the free coordinates."""
-        if not self.basis:
-            return []
-        coords = [h.blocks[v].entry(r, c) for v, r, c in self._free]
-        if self.from_coordinates(coords) != h:
-            raise QuivrepError("endomorphism outside the computed basis")
-        return coords
 
     def from_coordinates(self, coords):
         return combine(coords, self.basis, self.module, self.module)
@@ -116,28 +91,14 @@ def minimal_polynomial(mat):
 
 
 def factor_polynomial(coeffs, field):
-    """Factor an exact univariate polynomial; [(coeffs, multiplicity)]."""
-    import sympy  # the only user; importing quivrep stays cheap without it
+    """Factor an exact univariate polynomial (ascending coefficients) into
+    [(factor coefficients, multiplicity)] in the normal form and order of
+    `quivrep.poly`."""
+    from . import poly  # loaded on first use, so `import quivrep` does not load it
 
-    x = sympy.Symbol("x")
     if field.p:
-        poly = sympy.Poly(
-            [int(c) for c in reversed(coeffs)], x, modulus=field.p, symmetric=False
-        )
-    else:
-        poly = sympy.Poly(
-            [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x
-        )
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = fac.all_coeffs()  # descending
-        if field.p:
-            conv = [field.conv(int(c)) for c in reversed(cs)]
-        else:
-            conv = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in reversed(cs)]
-        out.append((conv, int(mult)))
-    return out
+        return [([field.conv(c) for c in f], m) for f, m in poly.factor_mod(coeffs, field.p)]
+    return [([Fraction(c) for c in f], m) for f, m in poly.factor_rational(coeffs)]
 
 
 def eval_poly_hom(coeffs, h):

@@ -127,6 +127,9 @@ def _parse_algebra(lines, i, ns, origin):
     for lineno, line, head in body:
         if head == "vertex":
             names = line.split()[1:]
+            bad = [v for v in names if not re.fullmatch(r"\w+", v)]
+            if bad:
+                raise ParseError("%s:%d: vertex id %r is not a word" % (origin, lineno, bad[0]))
             vertices.extend(names)
             ids.extend((v, lineno) for v in names)
         elif head == "arrow":
@@ -224,11 +227,13 @@ def _parse_module(lines, i, ns, origin):
             m = re.fullmatch(r"dim\s+(\w+)\s*=\s*(\d+)", line)
             if not m:
                 raise ParseError("%s:%d: expected 'dim VERTEX = N'" % (origin, lineno))
+            _known(m.group(1), alg.quiver.vertices, "vertex", alg_name, origin, lineno)
             dims[m.group(1)] = int(m.group(2))
         elif head == "matrix":
             m = re.fullmatch(r"matrix\s+(\w+)\s*=\s*(.*)", line)
             if not m:
                 raise ParseError("%s:%d: expected 'matrix ARROW = [[...]]'" % (origin, lineno))
+            _known(m.group(1), alg.quiver.arrow_names, "arrow", alg_name, origin, lineno)
             mats[m.group(1)] = (_parse_matrix_literal(m.group(2), origin, lineno), lineno)
         else:
             raise ParseError("%s:%d: unknown module line %r" % (origin, lineno, head))
@@ -265,6 +270,7 @@ def _parse_hom(lines, i, ns, origin):
         if not mm:
             raise ParseError("%s:%d: expected 'block VERTEX = [[...]]'" % (origin, lineno))
         v = mm.group(1)
+        _known(v, src.algebra.quiver.vertices, "vertex", src.algebra.name, origin, lineno)
         rows = _parse_matrix_literal(mm.group(2), origin, lineno)
         blocks[v] = _matrix(
             src.algebra.field, rows, tgt.dims.get(v, 0), src.dims.get(v, 0), origin, lineno
@@ -275,6 +281,11 @@ def _parse_hom(lines, i, ns, origin):
         raise ParseError("%s: hom %s invalid: %s" % (origin, name, exc)) from exc
     ns.origins["hom"][name] = origin
     return end
+
+
+def _known(name, names, kind, alg_name, origin, lineno):
+    if name not in names:
+        raise ParseError("%s:%d: algebra %s has no %s %r" % (origin, lineno, alg_name, kind, name))
 
 
 _DECLARATIONS = {"algebra": _parse_algebra, "module": _parse_module, "hom": _parse_hom}

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivrep.decomp import (
     EndAlgebra,
@@ -16,8 +19,18 @@ from quivrep.algebra import projective
 from quivrep.errors import AlgebraMismatch, ZeroModule
 from quivrep.ladder import build_ladder
 from quivrep.linalg import GF, QQ, Mat
-from quivrep.rep import ModHom, Rep, cokernel, combine, direct_sum, hom_space, sum_module
+from quivrep.rep import (
+    ModHom,
+    Rep,
+    cokernel,
+    combine,
+    direct_sum,
+    hom_coordinates,
+    hom_space,
+    sum_module,
+)
 from quivrep import fixtures as fx
+from quivrep import suites
 
 
 def test_end_algebra_simple(kronecker):
@@ -33,6 +46,28 @@ def test_end_algebra_truncation(kron_seed):
     w0, v0 = kron_seed
     lad = build_ladder(w0, v0, depth=2)
     assert end_algebra(lad.truncation(2).rep).dim == 2
+
+
+ALGEBRAS = [fx.kronecker, fx.three_kronecker, fx.d4_subspace, fx.loop_beta, fx.commuting_square_tower]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    make=st.sampled_from(ALGEBRAS),
+    field=st.sampled_from([QQ, GF(2), GF(3), GF(32003)]),
+    summands=st.integers(1, 2),
+)
+def test_end_basis_is_closed_under_composition(seed, make, field, summands):
+    # the hom_space(M, M) basis spans a ring: the identity and every product
+    # of two basis elements have coordinates in it
+    rng = random.Random(seed)
+    alg = make(field)
+    m = sum_module([suites._random_module(alg, rng, 3) for _ in range(summands)])
+    basis = EndAlgebra(m).basis
+    for h in [ModHom.identity(m)] + [f.then(g) for f in basis for g in basis]:
+        coords = hom_coordinates(basis, h)
+        assert coords is not None and combine(coords, basis, m, m) == h
 
 
 def test_indecomposable_simple(kronecker):

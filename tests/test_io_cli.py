@@ -110,6 +110,7 @@ BAD_ALGEBRAS = [
     ("a repeated arrow", None, "arrow alpha : b -> a", 6),
     ("an arrow named like a vertex", None, "arrow b : a -> b", 6),
     ("a vertex named like an arrow", None, "vertex c alpha", 6),
+    ("vertex ids that are not words", "vertex a b", "vertex a, b*c", 2),
     ("an arrow to an undeclared vertex", None, "arrow gamma : a -> c", 6),
     ("an arrow from an undeclared vertex", "arrow beta : a -> b", "arrow beta : c -> b", 4),
     ("a field of non-prime order", "algebra kron over Q", "algebra kron over GF(4)", 1),
@@ -177,6 +178,29 @@ def test_bad_hom_block_is_a_parse_error(tmp_path, capsys, what, field, line):
     argv = ["ladder", "--algebra", paths[0], "--module", paths[1], "--w", paths[2], "--v", paths[3]]
     assert cli.run(argv) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
+
+
+# (what, the module or hom line that names something the algebra lacks, what
+# the error names)
+UNKNOWN_NAMES = [
+    ("a dim at an unknown vertex", "module", "dim zz = 3", "no vertex 'zz'"),
+    ("a matrix for an unknown arrow", "module", "matrix y = [[1]]", "no arrow 'y'"),
+    ("a hom block at an unknown vertex", "hom", "block zz = [[1]]", "no vertex 'zz'"),
+]
+
+
+@pytest.mark.parametrize("what, kind, line, named", UNKNOWN_NAMES, ids=[u[0] for u in UNKNOWN_NAMES])
+def test_unknown_names_in_modules_and_homs_are_parse_errors(tmp_path, capsys, what, kind, line, named):
+    mods = MODULES_TEXT + ("module M over kron\ndim a = 1\n" + line + "\n" if kind == "module" else "")
+    hom = "hom h : Pb -> Pa\n" + line + "\n" if kind == "hom" else W_TEXT
+    paths = [_write(tmp_path, n, t) for n, t in
+             [("kron.alg", KRONECKER_TEXT), ("mods.mod", mods), ("w.hom", hom), ("v.hom", V_TEXT)]]
+    argv = ["ladder", "--algebra", paths[0], "--module", paths[1], "--w", paths[2], "--v", paths[3]]
+    assert cli.run(argv) == 2
+    bad = paths[1] if kind == "module" else paths[2]
+    lineno = len((mods if kind == "module" else hom).splitlines())  # the last line
+    message = _parse_error(capsys)
+    assert message.startswith("%s:%d: " % (bad, lineno)) and named in message
 
 
 def test_rational_literals_round_trip():
@@ -406,9 +430,16 @@ def test_cli_check(capsys):
 
 
 def test_importing_the_cli_does_not_load_sympy(src_env):
-    code = "import sys, quivrep.cli; print('sympy' in sys.modules)"
+    # check factors minimal polynomials (quivrep.poly is loaded) without sympy
+    code = (
+        "import contextlib, io, sys, quivrep.cli\n"
+        "print('sympy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = quivrep.cli.run(['check', '--seed', '1'])\n"
+        "print(status, 'sympy' in sys.modules, 'quivrep.poly' in sys.modules)\n"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "0", "False", "True"]

@@ -1,3 +1,4 @@
+import random
 import threading
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from quivrep.rep import (
 from quivrep.selfext import Presentation, class_to_sequence, ext1, ext_class_of_sequence
 from quivrep.squares import is_exact_square
 from quivrep.zladder import z_ladder
+from test_golden_kernel import _random_seed
 
 
 def test_build_ladder_dims(kron_seed):
@@ -182,6 +184,27 @@ def test_phi_tower_kernels(kron_seed):
             assert incl.then(comp).is_zero()
             kdim = kernel(comp)[0].total_dim()
             assert kdim == lad.truncation(j).rep.total_dim()
+
+
+def _prufer_seeds(field):
+    kron = fx.kronecker(field)
+    return [
+        fx.kronecker_regular_seed(kron),
+        _random_seed(kron, "bb", "aaa", random.Random(2718)),
+        _random_seed(fx.commuting_square_tower(field), "c", "ab", random.Random(1414)),
+        fx.d4_seed(fx.d4_subspace(field)),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(32003)], ids=str)
+def test_phi_commutes_with_the_inclusions(field):
+    # phi is an endomorphism of the union of the H[n] (the Pruefer module):
+    # on H[n-1], going up to H[n] and down by phi_n equals phi_(n-1) and up
+    for w0, v0 in _prufer_seeds(field):
+        lad = build_ladder(w0, v0, depth=5)
+        for n in range(2, 6):
+            t, prev = lad.truncation(n), lad.truncation(n - 1)
+            assert t.incl.then(t.phi) == prev.phi.then(prev.incl)
 
 
 def test_split_seed_gives_powers(kron_seed, kron_regular):
