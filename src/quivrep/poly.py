@@ -15,15 +15,14 @@ sympy's `Poly.factor_list` whatever algorithm computes it.  The methods are
 the standard ones (von zur Gathen & Gerhard, *Modern Computer Algebra*,
 chapters 14-16; Cantor & Zassenhaus, Math. Comp. 36, 1981):
 
-- square-free decomposition: Yun's algorithm over Q; over GF(p) its gcd
-  form, which takes a p-th root of what is left when p divides
-  multiplicities;
+- square-free decomposition by gcds with the derivative (Musser's form of
+  Yun's algorithm), one routine for both fields; over GF(p) it takes a p-th
+  root of what is left when p divides multiplicities;
 - over GF(p): distinct-degree factorization, then Cantor-Zassenhaus
   equal-degree splitting with a seeded rng (traces for p = 2);
-- over Q: linear factors t x - s from the divisors of the end coefficients,
-  then Zassenhaus for the rest: factor modulo a prime that keeps the
-  polynomial square-free, Hensel-lift the factors past the Mignotte bound,
-  and recombine them by trial division.
+- over Q: Zassenhaus: factor modulo a prime that keeps the polynomial
+  square-free, Hensel-lift the factors past the Mignotte bound, and
+  recombine them by trial division.
 
 Arithmetic helpers take a modulus m: the integers mod m, or the rationals
 (Fraction coefficients) when m is 0.  Division needs a unit leading
@@ -35,11 +34,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-# rational-root candidates come from the divisors of the end coefficients
-# only up to this size, which bounds the candidates at 240 * 240 * 2;
-# Zassenhaus finds any other linear factor
-_DIVISOR_LIMIT = 10**6
-
 
 def factor_rational(coeffs):
     """[(factor, multiplicity)] of a polynomial with rational coefficients."""
@@ -47,10 +41,8 @@ def factor_rational(coeffs):
     if len(f) < 2:
         return []
     out = []
-    for part, mult in _yun(_monic(f, 0)):
-        linear, rest = _rational_roots(_primitive(part))
-        irreducible = linear + (_zassenhaus(rest) if len(rest) > 1 else [])
-        out.extend((g, mult) for g in irreducible)
+    for part, mult in _squarefree(_monic(f, 0), 0):
+        out.extend((g, mult) for g in _zassenhaus(_primitive(part)))
     return _sorted(out)
 
 
@@ -61,7 +53,7 @@ def factor_mod(coeffs, p):
         return []
     rng = random.Random(0)
     out = []
-    for part, mult in _squarefree_mod(_monic(f, p), p):
+    for part, mult in _squarefree(_monic(f, p), p):
         out.extend((g, mult) for g in _factor_squarefree_mod(part, p, rng))
     return _sorted(out)
 
@@ -191,46 +183,31 @@ def _exact_quo(f, g):
 # ------------------------------------------------------------ square-free parts
 
 
-def _yun(f):
-    """[(part, i)] with monic f = prod part^i over Q, the parts monic,
-    square-free and pairwise coprime."""
-    df = _deriv(f, 0)
-    a = _gcd(f, df, 0)
-    b, c = _divmod(f, a, 0)[0], _divmod(df, a, 0)[0]
-    out = []
-    i = 1
-    while len(b) > 1:
-        d = _sub(c, _deriv(b, 0), 0)
-        a = _gcd(b, d, 0)
-        b, c = _divmod(b, a, 0)[0], _divmod(d, a, 0)[0]
-        if len(a) > 1:
-            out.append((a, i))
-        i += 1
-    return out
+def _squarefree(f, m):
+    """[(part, i)] with monic f = prod part^i over Q (m = 0) or GF(m), the
+    parts monic, square-free and pairwise coprime.
 
-
-def _squarefree_mod(f, p):
-    """[(part, i)] as `_yun`, for monic f over GF(p).
-
-    gcd(f, f') keeps every factor whose multiplicity p divides, at that full
-    multiplicity; what is left of it after the other factors are peeled off
+    c = gcd(f, f') holds each factor at one less than its multiplicity, and
+    the gcds of c with w = f / c peel off the factors of each multiplicity in
+    turn.  Over Q nothing is left of c; over GF(p) a factor whose
+    multiplicity p divides stays in c at full multiplicity, so what is left
     is a polynomial in x^p, and its p-th root (a^p = a on coefficients)
     repeats the decomposition with the multiplicities scaled by p.
     """
     out = []
     scale = 1
     while len(f) > 1:
-        c = _gcd(f, _deriv(f, p), p)
-        w = _divmod(f, c, p)[0]
+        c = _gcd(f, _deriv(f, m), m)
+        w = _divmod(f, c, m)[0]
         i = 1
         while len(w) > 1:
-            y = _gcd(w, c, p)
+            y = _gcd(w, c, m)
             if len(w) > len(y):
-                out.append((_divmod(w, y, p)[0], i * scale))
-            w, c = y, _divmod(c, y, p)[0]
+                out.append((_divmod(w, y, m)[0], i * scale))
+            w, c = y, _divmod(c, y, m)[0]
             i += 1
-        f = c[::p]
-        scale *= p
+        f = c[::m] if m else []
+        scale *= m
     return out
 
 
@@ -287,32 +264,6 @@ def _equal_degree(f, d, p, rng):
 
 
 # ------------------------------------------------------------ Q
-
-
-def _rational_roots(f):
-    """(linear factors, the rest) of square-free primitive f: each root s/t
-    gives the factor t x - s, with t dividing the leading coefficient and s
-    the constant one."""
-    found = []
-    if not f[0]:
-        found.append([0, 1])
-        f = f[1:]
-    if len(f) < 2 or max(abs(f[0]), f[-1]) > _DIVISOR_LIMIT:
-        return found, f
-    numerators = _divisors(f[0])
-    for t in _divisors(f[-1]):
-        for linear in ([c, t] for s in numerators if gcd(s, t) == 1 for c in (-s, s)):
-            q = _exact_quo(f, linear) if len(f) > 1 else None
-            if q is not None:
-                found.append(linear)
-                f = q
-    return found, f
-
-
-def _divisors(n):
-    n = abs(n)
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _zassenhaus(f):

@@ -105,7 +105,7 @@ CASES = [
     [1, 0, 1, 0, 1],  # x^4 + x^2 + 1 = (x^2 + x + 1)(x^2 - x + 1)
     [1, 0, 0, 1, 0, 0, 1],  # x^6 + x^3 + 1
     [3, 0, 0, 0, 0, 0, 2],
-    # rational roots with end coefficients past the divisor limit
+    # linear factors with large end coefficients
     [-3 * 10**7, 3 - 10**7, 1],  # (x - 10^7)(x + 3)
     [-1, 10**7, -1, 10**7],  # (10^7 x - 1)(x^2 + 1)
 ]
