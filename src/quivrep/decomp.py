@@ -381,13 +381,36 @@ def decompose(m, seed=0):
     for sd in parts:
         placed = False
         for g in groups:
-            if are_isomorphic(g[0].rep, sd.rep, seed=seed).verdict == "isomorphic":
+            if _indecomposables_iso(g[0].rep, sd.rep, seed) is not None:
                 g.append(sd)
                 placed = True
                 break
         if not placed:
             groups.append([sd])
     return [(g[0].rep, len(g)) for g in groups]
+
+
+def _indecomposables_iso(m, n, seed):
+    """An isomorphism M -> N, or None when there is none, for modules
+    certified indecomposable; never inconclusive.
+
+    `are_isomorphic` decides first.  Where it is inconclusive, End(M) is
+    local, and a sum of non-units of a local ring is a non-unit, so
+    M ~ N exactly when g.f is an automorphism of M for some basis element
+    f of Hom(M, N) and g of Hom(N, M).  Such an f is a split mono into the
+    indecomposable N, hence an isomorphism, which is checked.
+    """
+    report = are_isomorphic(m, n, seed=seed)
+    if report.verdict != "inconclusive":
+        return report.witness
+    back = hom_space(n, m)
+    for f in hom_space(m, n):
+        for g in back:
+            if f.then(g).is_isomorphism():
+                if not f.is_isomorphism():
+                    raise QuivrepError("split mono between indecomposables is not an iso")
+                return f
+    return None
 
 
 class IsoReport:
@@ -490,9 +513,9 @@ def match_decompositions(m, n, seed=0):
         for j, td in enumerate(pn):
             if used[j]:
                 continue
-            rep = are_isomorphic(sd.rep, td.rep, seed=seed)
-            if rep.verdict == "isomorphic":
-                found = (j, rep.witness)
+            iso = _indecomposables_iso(sd.rep, td.rep, seed)
+            if iso is not None:
+                found = (j, iso)
                 break
         if found is None:
             return None

@@ -12,6 +12,10 @@ its exact sequences are verified, so no caller ever sees a partial stage.
 Every composite a stage keeps (U_0 -> U_n and U_1 -> U_n along the w-chain,
 H[n] -> H and H[1] -> H[n]) extends the same composite of stage n-1 by one
 map, so no stage recomposes a chain from the identity.
+
+The ladder owns its stages, and no stage refers back to its ladder, so a
+dropped ladder and its stages are freed at once by reference counting,
+never left to the cyclic garbage collector.
 """
 
 from .errors import (
@@ -165,7 +169,6 @@ class Truncation:
     """
 
     def __init__(self, ladder, n):
-        self.ladder = ladder
         self.n = n
         if n == 0:
             self.from_u0, self.from_u1 = ModHom.identity(ladder.modules[0]), None

@@ -551,30 +551,34 @@ def _mul_ints(a, b, ncols, p=0):
 
 
 def _rref_gf(f, m, nrows, ncols):
-    """(rank, pivots, rows of the RREF) over GF(p); reduces the rows `m` in place."""
-    zero = f.zero()
+    """(rank, pivots, rows of the RREF) over GF(p); reduces the rows `m` in place.
+
+    Eliminating with a pivot row touches only the positions where that row
+    is nonzero, so a sparse pivot row costs its nonzeros, not its length."""
     p = f.p
     pivots = []
     r = 0
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
-            if m[i][c] != zero:
+            if m[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = f.inv(m[r][c])
-        if inv != f.one():
-            mul = f.mul
-            m[r] = [mul(inv, x) for x in m[r]]
+        rowr = m[r]
+        inv = f.inv(rowr[c])
+        if inv != 1:
+            rowr[c:] = [inv * x % p for x in rowr[c:]]
+        # entries left of c are zero in every row from r on
+        support = [(j, rowr[j]) for j in range(c, ncols) if rowr[j]]
         for i in range(nrows):
-            if i != r and m[i][c] != zero:
-                factor = m[i][c]
-                rowr = m[r]
-                rowi = m[i]
-                m[i] = [(a - factor * b) % p for a, b in zip(rowi, rowr)]
+            rowi = m[i]
+            factor = rowi[c]
+            if factor and i != r:
+                for j, b in support:
+                    rowi[j] = (rowi[j] - factor * b) % p
         pivots.append(c)
         r += 1
         if r == nrows:

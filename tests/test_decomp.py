@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quivrep import decomp
 from quivrep.decomp import (
     EndAlgebra,
+    IsoReport,
     _end_radical,
     _exhaustive_idempotent,
     _is_nilpotent_ideal,
@@ -332,3 +334,33 @@ def test_exhaustive_searches_keep_their_order(p):
         want = _iso_by_digit_search(m, n)
         assert want is not None and want != ModHom.identity(m)
         assert are_isomorphic(m, n).witness == want
+
+
+def _rebased(m, rng):
+    """M in another basis: arrow a: s -> t acts by T_t M_a T_s^-1, each T_v
+    lower unitriangular with random entries."""
+    f = m.algebra.field
+    ts = {
+        v: Mat(f, [[1 if i == j else rng.randint(-3, 3) * (j < i) for j in range(d)]
+                   for i in range(d)], d, d)
+        for v, d in m.dims.items()
+    }
+    action = {a: ts[t] * m.action[a] * ts[s].inverse() for a, s, t in m.algebra.quiver.arrows}
+    return Rep(m.algebra, m.dims, action)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_inconclusive_summand_pairs_are_decided(field, monkeypatch):
+    # with are_isomorphic inconclusive on every pair, the local End ring still
+    # groups H[2] with H[2] in another basis and keeps P(a) apart
+    x = _kronecker_truncations(field, depth=2)[1]
+    x_moved = _rebased(x, random.Random(5))
+    pa, _ = projective(x.algebra, "a")
+    assert are_isomorphic(x, x_moved).verdict == "isomorphic"
+    monkeypatch.setattr(decomp, "are_isomorphic", lambda m, n, seed=0: IsoReport("inconclusive"))
+    m = sum_module([x, pa, x_moved])
+    got = decompose(m)
+    assert [(r.dims, mult) for r, mult in got] == [(x.dims, 2), (pa.dims, 1)]
+    witness = match_decompositions(m, _rebased(sum_module([pa, x_moved, x]), random.Random(6)))
+    assert witness is not None and witness.is_isomorphism()
+    assert match_decompositions(m, sum_module([x, pa, pa])) is None
