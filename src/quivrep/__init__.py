@@ -55,6 +55,7 @@ from .rep import (
     annihilator_dimension,
     cokernel,
     direct_sum,
+    hom_dimension,
     hom_space,
     image,
     is_faithful,

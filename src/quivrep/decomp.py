@@ -40,6 +40,7 @@ from .rep import (
     annihilator_dimension,
     combine,
     hom_coordinates,
+    hom_dimension,
     hom_space,
     independent_indices,
 )
@@ -211,11 +212,11 @@ def _end_radical(end):
 
 def _is_nilpotent_ideal(end, rad):
     """True iff the span of `rad` is a two-sided ideal of End whose powers reach zero."""
-    for r in rad:
-        for b in end.basis:
-            for prod in (r.then(b), b.then(r)):
-                if hom_coordinates(rad, prod) is None:
-                    return False
+    # The first product outside the span of rad is independent of rad and
+    # of the products before it, so one elimination tests them all.
+    prods = [prod for r in rad for b in end.basis for prod in (r.then(b), b.then(r))]
+    if any(i >= len(rad) for i in independent_indices(rad + prods)):
+        return False
     layer = [rad[i] for i in independent_indices(rad)]
     for _ in range(end.dim + 1):
         if not layer:
@@ -432,10 +433,10 @@ def _invariant_refutation(m, n):
     an = annihilator_dimension(n)[0]
     if am != an:
         return "annihilator dimensions differ: %d vs %d" % (am, an)
-    dim_mn = len(hom_space(m, n))
-    dim_nm = len(hom_space(n, m))
-    dim_end_m = len(hom_space(m, m))
-    dim_end_n = len(hom_space(n, n))
+    dim_mn = hom_dimension(m, n)
+    dim_nm = hom_dimension(n, m)
+    dim_end_m = hom_dimension(m, m)
+    dim_end_n = hom_dimension(n, n)
     if dim_end_m != dim_end_n:
         return "dim End differs: %d vs %d" % (dim_end_m, dim_end_n)
     if dim_mn != dim_end_m or dim_nm != dim_end_m:

@@ -2,8 +2,8 @@
 
 Everything downstream sits on this kernel.  Scalars are `fractions.Fraction`
 over the rationals and plain ints reduced mod p over GF(p); there is no
-floating point anywhere.  Pivoting is deterministic (first nonzero entry in
-column order) so all outputs are reproducible bit for bit.
+floating point anywhere.  The reduced row echelon form of a matrix is
+unique, whatever the pivot rows, so all outputs are reproducible bit for bit.
 
 A `Mat` holds one form, set when it is made and never rebound: integer rows
 over one positive denominator D with gcd(D, entries) = 1, so D is the lcm of
@@ -41,17 +41,19 @@ Over Q the product of A = N/D and B = M/E is NM over DE, reduced by the gcd
 of DE and its entries; over GF(p) each entry is reduced mod p once, at the
 end of its row.
 
-Row reduction scales each row to primitive integers and runs Gauss-Jordan
-fraction-free, in the spirit of Bareiss (1968): a pivot p clears an entry f
-of another row by `row <- (p/g) row - (f/g) pivot_row` with g = gcd(p, f),
-after which the row is divided by the gcd of its entries.  At the end every
-nonzero row is primitive, so row i over its pivot p_i is in lowest terms
-over |p_i|, and the integer form of the result is read off over the lcm of
-the pivots.  Scaling a row by a nonzero integer leaves its zero pattern
-unchanged, so the pivots are those of the `Fraction` algorithm; and the
-reduced row echelon form of a matrix is unique, so the result, and with it
-every null-space, solution and quotient basis built from it, is the same
-matrix bit for bit.
+Row reduction is one routine for both kinds of field.  It eliminates
+forward, column by column, taking as pivot the remaining row nonzero in the
+column with the fewest nonzeros, so sparse rows stay sparse; then it
+substitutes back, last pivot first.  A pivot row touches only its own
+nonzero positions.  Over GF(p) the pivot row is scaled to 1.  Over Q every
+row is kept primitive and cleared fraction-free, in the spirit of Bareiss
+(1968): a pivot a clears an entry f of another row by
+`row <- (a/g) row - (f/g) pivot_row` with g = gcd(a, f), after which the
+row is divided by the gcd of its entries.  Row i over its pivot a_i is then
+in lowest terms over |a_i|, so the integer form of the result is read off
+over the lcm of the pivots.  The reduced row echelon form of a matrix is
+unique, so the result, and with it every null-space, solution and quotient
+basis built from it, does not depend on the pivot rows chosen.
 
 `rank` builds no reduced matrix: it eliminates forward only, with no
 back-substitution, on the integer rows.  Over Q it clears fraction-free
@@ -379,17 +381,11 @@ class Mat:
     def rref(self):
         """Reduced row echelon form.
 
-        Returns (rank, pivot columns, reduced matrix).  Deterministic: the
-        pivot is the first row with a nonzero entry in the current column.
+        Returns (rank, pivot columns, reduced matrix), which is unique; see
+        `_rref_ints` for the pivot rule.
         """
-        f = self.field
-        nrows, ncols = self.nrows, self.ncols
-        if f.p:
-            r, pivots, m = _rref_gf(f, [row[:] for row in self._ints], nrows, ncols)
-            den = 1
-        else:
-            r, pivots, m, den = _rref_q(self._ints, nrows, ncols)
-        return r, pivots, Mat.from_ints(f, m, den, nrows, ncols)
+        r, pivots, m, den = _rref_ints(self._ints, self.nrows, self.ncols, self.field.p)
+        return r, pivots, Mat.from_ints(self.field, m, den, self.nrows, self.ncols)
 
     def rank(self):
         """The rank, by forward elimination on the integer rows (see
@@ -550,40 +546,86 @@ def _mul_ints(a, b, ncols, p=0):
     return out
 
 
-def _rref_gf(f, m, nrows, ncols):
-    """(rank, pivots, rows of the RREF) over GF(p); reduces the rows `m` in place.
-
-    Eliminating with a pivot row touches only the positions where that row
-    is nonzero, so a sparse pivot row costs its nonzeros, not its length."""
-    p = f.p
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        rowr = m[r]
-        inv = f.inv(rowr[c])
-        if inv != 1:
-            rowr[c:] = [inv * x % p for x in rowr[c:]]
-        # entries left of c are zero in every row from r on
-        support = [(j, rowr[j]) for j in range(c, ncols) if rowr[j]]
-        for i in range(nrows):
-            rowi = m[i]
-            factor = rowi[c]
-            if factor and i != r:
+def _clear(piv, c, rows, p):
+    """The rows with column c cleared by the pivot row `piv`, over GF(p) when
+    p (with piv[c] = 1, and rows written in place), else over Q (new rows,
+    each primitive).  Only the nonzero positions of `piv` are updated, and
+    rows that become zero are dropped."""
+    support = None
+    a = piv[c]
+    out = []
+    for row in rows:
+        f = row[c]
+        if f:
+            if support is None:
+                support = [(j, b) for j, b in enumerate(piv) if b]
+            if p:
                 for j, b in support:
-                    rowi[j] = (rowi[j] - factor * b) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+                    row[j] = (row[j] - f * b) % p
+            else:
+                g = gcd(a, f)
+                s, t = a // g, f // g
+                row = [s * x for x in row] if s != 1 else row[:]
+                for j, b in support:
+                    row[j] -= t * b
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+            if not any(row):
+                continue
+        out.append(row)
+    return out
+
+
+def _rref_ints(ints, nrows, ncols, p):
+    """(rank, pivots, integer rows, den) of the RREF of the integer rows
+    `ints`, over GF(p) when p (den 1), else over Q (any common denominator:
+    row scaling leaves the RREF as it is).  Forward elimination takes as the
+    pivot of each column the remaining row nonzero there with the fewest
+    nonzeros, then back-substitution runs from the last pivot to the first.
+    The input rows are not written."""
+    if p:
+        rows = [row[:] for row in ints if any(row)]
+    else:
+        rows = []
+        for row in ints:
+            g = gcd(*row)
+            if g:
+                rows.append([x // g for x in row] if g > 1 else row)
+    done, pivots = [], []
+    for c in range(ncols):
+        if not rows:
             break
-    return r, pivots, m
+        k, most = -1, -1
+        for i, row in enumerate(rows):
+            if row[c]:
+                zeros = row.count(0)
+                if zeros > most:
+                    k, most = i, zeros
+        if k < 0:
+            continue
+        piv = rows.pop(k)
+        if p and piv[c] != 1:
+            inv = pow(piv[c], p - 2, p)
+            piv = [inv * x % p for x in piv]
+        if rows:
+            rows = _clear(piv, c, rows, p)
+        done.append(piv)
+        pivots.append(c)
+    r = len(done)
+    for k in range(r - 1, 0, -1):
+        done[:k] = _clear(done[k], pivots[k], done[:k], p)
+    den = 1
+    if not p:
+        # Every row is primitive, so row i over its pivot has lowest terms
+        # over |pivot|, and the lcm of the pivots is the canonical den; a
+        # negative pivot flips its row's sign, also when den is 1.
+        den = lcm(*(row[c] for row, c in zip(done, pivots)))
+        for i, c in enumerate(pivots):
+            s = den // done[i][c]
+            if s != 1:
+                done[i] = [x * s for x in done[i]]
+    return r, pivots, done + [[0] * ncols for _ in range(r, nrows)], den
 
 
 def _rank_ints(ints, ncols, p):
@@ -627,50 +669,6 @@ def _rank_ints(ints, ncols, p):
         if not rows:
             break
     return rank
-
-
-def _rref_q(ints, nrows, ncols):
-    """(rank, pivots, integer rows, den) of the RREF over Q of the integer
-    rows `ints` (any common denominator; row scaling leaves the RREF as it
-    is), by fraction-free Gauss-Jordan.  The input rows are not written."""
-    m = []
-    for row in ints:
-        g = gcd(*row)
-        m.append([x // g for x in row] if g > 1 else row)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        rowr = m[r]
-        p = rowr[c]
-        for i in range(nrows):
-            f = m[i][c]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                new = [a * x - b * y for x, y in zip(m[i], rowr)]
-                g = gcd(*new)
-                m[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # Every nonzero row is primitive, so row i over its pivot has lowest
-    # terms over |pivot|, and the lcm of the pivots is the canonical den.
-    den = lcm(*(m[i][pivots[i]] for i in range(r)))
-    out = []
-    for i in range(r):
-        s = den // m[i][pivots[i]]
-        out.append(m[i] if s == 1 else [x * s for x in m[i]])
-    out += [[0] * ncols for _ in range(r, nrows)]
-    return r, pivots, out, den
 
 
 def rref(a):

@@ -253,20 +253,29 @@ def hom_space(m, n):
     _check_same_algebra(m, n)
     verts = m.algebra.quiver.vertices
     shapes = [(n.dims[v], m.dims[v]) for v in verts]
-    basis = _hom_solution_basis(m, n).transpose().unstack_flat(shapes)
+    basis = _commutation_system(m, n).null_space().transpose().unstack_flat(shapes)
     return [ModHom(m, n, dict(zip(verts, blocks)), check=False) for blocks in basis]
 
 
-def _hom_solution_basis(m, n):
-    """The canonical basis of the commutation system's solutions, as columns:
-    the blocks B_v, each flattened row by row, one vertex after the other,
-    with T_a B_s - B_t S_a = 0 for every arrow a: s -> t."""
+def hom_dimension(m, n):
+    """dim Hom(M, N), with no basis built: the number of unknowns of the
+    commutation system minus its rank."""
+    _check_same_algebra(m, n)
+    system = _commutation_system(m, n)
+    return system.ncols - system.rank()
+
+
+def _commutation_system(m, n):
+    """The system T_a B_s - B_t S_a = 0, one equation for every arrow
+    a: s -> t, in the unknown blocks B_v of a hom M -> N, each flattened row
+    by row, one vertex after the other; the canonical basis of its null
+    space is `hom_space`."""
     verts = m.algebra.quiver.vertices
     index = {v: i for i, v in enumerate(verts)}
     shapes = [(n.dims[v], m.dims[v]) for v in verts]
     arrows = m.algebra.quiver.arrows
     equations = [(index[s], index[t], n.action[a], m.action[a]) for a, s, t in arrows]
-    return sylvester_system(m.algebra.field, shapes, equations).null_space()
+    return sylvester_system(m.algebra.field, shapes, equations)
 
 
 def _coordinate_rows(homs):

@@ -40,14 +40,16 @@ def _random_hom(m, n, rng, span=2, basis=None):
 
 
 def _random_mono(m, n, rng, tries=40):
-    basis = rep.hom_space(m, n)
-    if (not basis and not m.is_zero()) or any(m.dims[v] > n.dims[v] for v in m.dims):
+    if any(m.dims[v] > n.dims[v] for v in m.dims):
         # No hom m -> n is injective.  Make the draws the tries would have
         # made, so every later instance stays the same.
         field = m.algebra.field
-        for _ in range(tries * len(basis)):
+        for _ in range(tries * rep.hom_dimension(m, n)):
             field.random(rng, 2)
         return None
+    basis = rep.hom_space(m, n)
+    if not basis and not m.is_zero():
+        return None  # only the zero hom, which is not injective; no draws
     for _ in range(tries):
         h = _random_hom(m, n, rng, basis=basis)
         if h.is_injective():

@@ -26,6 +26,11 @@ The `split` cases hash the retractions and sections of `is_split_mono` and
 inside a hom space; their digests were recorded while splitness still had
 its own commutation-system solver.
 
+The `rung_degeneration` case hashes `cokernel_degeneration` on a random
+Kronecker seed, whose hom spaces between ladder rungs are the largest
+systems of the suite; its digests were recorded while row reduction still
+took the first nonzero row as the pivot and cleared by Gauss-Jordan.
+
 To re-derive a digest after an intended change of output, print
 `_digest(CASES[name](field))` for the case and field.
 """
@@ -170,6 +175,13 @@ def case_random_kronecker(field):
     """A random seed P(b)^2 -> P(a)^3, whose quotients have non-integer bases."""
     w0, v0 = _random_seed(fx.kronecker(field), "bb", "aaa", random.Random(2718))
     return [_ladder_run(w0, v0, 4), chessboard(w0, v0, depth=3)]
+
+
+def case_rung_degeneration(field):
+    """`cokernel_degeneration` on the `random_kronecker` seed: hom spaces
+    between the rungs U_n, the largest system 540 x 576."""
+    w0, v0 = _random_seed(fx.kronecker(field), "bb", "aaa", random.Random(2718))
+    return list(cokernel_degeneration(w0, v0))
 
 
 def case_random_tower(field):
@@ -389,6 +401,7 @@ def case_split(field):
 CASES = {
     "kronecker": case_kronecker,
     "random_kronecker": case_random_kronecker,
+    "rung_degeneration": case_rung_degeneration,
     "random_tower": case_random_tower,
     "random_loop": case_random_loop,
     "d4": case_d4,
@@ -409,6 +422,10 @@ GOLDEN = {
         "f72a8662f2806e1716b2a69a2bbafece9a342747838222825931c10569b21812",
     ("random_kronecker", "GF32003"):
         "2110d8623101c435f746df4131d9b80af9c603f6466a56883cb5ca3608466c4d",
+    ("rung_degeneration", "QQ"):
+        "1378671a9e28a4d9e1e0bf5b94f6e37eea110392ae46a55c06491a6bf3b7a5e7",
+    ("rung_degeneration", "GF32003"):
+        "aaaac33c95607160008d1dcf33d937f932d1b2ce518f80428aafa538c90e01ec",
     ("random_tower", "QQ"):
         "bc0b9dcf12d10dc84cffc73f9d26dbbe2ef822696642a88de3a0bf76087d8223",
     ("random_tower", "GF32003"):

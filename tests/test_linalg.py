@@ -252,14 +252,26 @@ def test_q_product_matches_sympy(data):
     assert all(type(x) is Fraction for row in prod.rows for x in row)
 
 
-@settings(max_examples=150, deadline=None)
-@given(q_matrices())
-def test_q_rref_matches_sympy(a):
+def _assert_rref_matches(a, dm, from_dm):
+    """a.rref() is sympy's RREF of `dm`, the same matrix, and leaves a's
+    integer rows as they were.  Returns the reduced matrix."""
+    ints, den = a.int_form()
+    before = [row[:] for row in ints]
     rank, pivots, red = a.rref()
-    ref, ref_pivots = _dm(a).rref()
-    assert rank == len(ref_pivots) == _dm(a).rank()
+    assert a.int_form() == (before, den)
+    ref, ref_pivots = dm.rref()
+    assert rank == len(ref_pivots) == dm.rank()
     assert pivots == list(ref_pivots)
-    assert red == _from_dm(ref)
+    assert red == from_dm(ref)
+    return red
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_q_rref_matches_sympy(data):
+    # sparse matrices up to 12 x 12, where rows compete for a pivot and fill in
+    a = data.draw(st.one_of(q_matrices(), sparse_matrices(QQ, q_entry, maxdim=12)))
+    red = _assert_rref_matches(a, _dm(a), _from_dm)
     assert all(type(x) is Fraction for row in red.rows for x in row)
 
 
@@ -502,11 +514,11 @@ def test_identity_and_empty_products_equal_the_kernel_product(data):
 
 
 @st.composite
-def sparse_matrices(draw, field, entry, nrows=None, ncols=None):
+def sparse_matrices(draw, field, entry, nrows=None, ncols=None, maxdim=6):
     """Matrices over `field` whose nonzero entries are `entry` draws: the
     identity pattern, a 0/1 block, or rows that are mostly zero."""
-    m = draw(st.integers(min_value=0, max_value=6)) if nrows is None else nrows
-    n = draw(st.integers(min_value=0, max_value=6)) if ncols is None else ncols
+    m = draw(st.integers(min_value=0, max_value=maxdim)) if nrows is None else nrows
+    n = draw(st.integers(min_value=0, max_value=maxdim)) if ncols is None else ncols
     kind = draw(st.sampled_from(["identity", "zero-one", "sparse", "sparse"]))
     if kind == "identity":
         rows = [[int(i == j) for j in range(n)] for i in range(m)]
@@ -538,6 +550,15 @@ def test_gf_product_matches_sympy(data):
     assert prod.shape == (a.nrows, b.ncols)
     assert prod.rows == _from_gf_dm(_gf_dm(a) * _gf_dm(b), field).rows
     assert all(type(x) is int and 0 <= x < field.p for row in prod.rows for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gf_rref_matches_sympy(data):
+    field = GF(data.draw(st.sampled_from([2, 3, 32003])))
+    entry = st.integers(min_value=1, max_value=field.p - 1)
+    a = data.draw(st.one_of(rank_matrices(field), sparse_matrices(field, entry, maxdim=12)))
+    _assert_rref_matches(a, _gf_dm(a), lambda d: _from_gf_dm(d, field))
 
 
 @settings(max_examples=100, deadline=None)
@@ -629,11 +650,12 @@ def test_q_stack_flat_and_unstack_flat_are_inverse(data):
 
 
 @st.composite
-def rank_matrices(draw):
-    """Matrices over Q, GF(2), GF(3) and GF(32003) of 0-5 rows and columns,
-    with zero rows and rows dependent on earlier ones; over Q with entries
-    of non-unit denominator."""
-    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+def rank_matrices(draw, field=None):
+    """Matrices over `field`, by default one of Q, GF(2), GF(3) and
+    GF(32003), of 0-5 rows and columns, with zero rows and rows dependent on
+    earlier ones; over Q with entries of non-unit denominator."""
+    if field is None:
+        field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
     if field == QQ:
         return draw(q_matrices())
     p = field.p

@@ -18,6 +18,7 @@ from quivrep.rep import (
     factor_from,
     factor_through,
     hom_coordinates,
+    hom_dimension,
     hom_from_blocks,
     hom_space,
     image,
@@ -54,6 +55,20 @@ def test_hom_algebra_mismatch(kronecker, three_kron):
     n = Rep.simple(three_kron, "a")
     with pytest.raises(AlgebraMismatch):
         hom_space(m, n)
+    with pytest.raises(AlgebraMismatch):
+        hom_dimension(m, n)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_hom_dimension_counts_the_hom_space(field):
+    rng = random.Random(23)
+    algs = [fx.kronecker(field), fx.three_kronecker(field), fx.d4_subspace(field),
+            fx.commuting_square_tower(field), fx.loop_beta(field)]
+    for i in range(30):
+        alg = algs[i % len(algs)]
+        m, n = suites._random_module(alg, rng), suites._random_module(alg, rng)
+        for src, tgt in ((m, n), (n, m), (m, m), (m, Rep.zero(alg))):
+            assert hom_dimension(src, tgt) == len(hom_space(src, tgt))
 
 
 def test_kernel_of_identity(kron_regular):
