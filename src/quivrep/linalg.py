@@ -55,11 +55,9 @@ over the lcm of the pivots.  The reduced row echelon form of a matrix is
 unique, so the result, and with it every null-space, solution and quotient
 basis built from it, does not depend on the pivot rows chosen.
 
-`rank` builds no reduced matrix: it eliminates forward only, with no
-back-substitution, on the integer rows.  Over Q it clears fraction-free
-as above, each new row kept primitive by the gcd of its entries; over
-GF(p) it cross-multiplies, `row <- a row - f pivot_row` mod p with a
-the pivot, so it takes no modular inverse.
+`rank` runs the same forward elimination and counts its pivots, with no
+back-substitution.  Neither copies the input rows up front: clearing a
+row makes a new row, so the input is never written.
 
 `quotient_maps` takes any columns spanning the subspace, dependent or
 not: it row-reduces their transpose, whose RREF depends only on the row
@@ -388,9 +386,9 @@ class Mat:
         return r, pivots, Mat.from_ints(self.field, m, den, self.nrows, self.ncols)
 
     def rank(self):
-        """The rank, by forward elimination on the integer rows (see
-        `_rank_ints`); no reduced matrix is built."""
-        return _rank_ints(self._ints, self.ncols, self.field.p)
+        """The number of pivots of the forward elimination of `rref` (see
+        `_forward`); there is no back-substitution."""
+        return len(_forward(self._ints, self.ncols, self.field.p)[1])
 
     def null_space(self):
         """Matrix whose columns form the canonical basis of {x : A x = 0}."""
@@ -548,9 +546,9 @@ def _mul_ints(a, b, ncols, p=0):
 
 def _clear(piv, c, rows, p):
     """The rows with column c cleared by the pivot row `piv`, over GF(p) when
-    p (with piv[c] = 1, and rows written in place), else over Q (new rows,
-    each primitive).  Only the nonzero positions of `piv` are updated, and
-    rows that become zero are dropped."""
+    p (with piv[c] = 1), else over Q (each new row primitive), as new rows:
+    a row is copied when it is cleared and never written.  Only the nonzero
+    positions of `piv` are updated, and rows that become zero are dropped."""
     support = None
     a = piv[c]
     out = []
@@ -560,6 +558,7 @@ def _clear(piv, c, rows, p):
             if support is None:
                 support = [(j, b) for j, b in enumerate(piv) if b]
             if p:
+                row = row[:]
                 for j, b in support:
                     row[j] = (row[j] - f * b) % p
             else:
@@ -577,21 +576,14 @@ def _clear(piv, c, rows, p):
     return out
 
 
-def _rref_ints(ints, nrows, ncols, p):
-    """(rank, pivots, integer rows, den) of the RREF of the integer rows
-    `ints`, over GF(p) when p (den 1), else over Q (any common denominator:
-    row scaling leaves the RREF as it is).  Forward elimination takes as the
-    pivot of each column the remaining row nonzero there with the fewest
-    nonzeros, then back-substitution runs from the last pivot to the first.
-    The input rows are not written."""
-    if p:
-        rows = [row[:] for row in ints if any(row)]
-    else:
-        rows = []
-        for row in ints:
-            g = gcd(*row)
-            if g:
-                rows.append([x // g for x in row] if g > 1 else row)
+def _forward(ints, ncols, p):
+    """(pivot rows, pivot columns) of the forward elimination of the integer
+    rows `ints`, over GF(p) when p (each pivot scaled to 1), else over Q
+    (every row primitive).  The pivot of each column is the remaining row
+    nonzero there with the fewest nonzeros; rows that become zero are
+    dropped, so the rank is the number of pivots.  The input rows are not
+    written: `_clear` copies a row before changing it."""
+    rows = [row for row in ints if any(row)]
     done, pivots = [], []
     for c in range(ncols):
         if not rows:
@@ -605,13 +597,28 @@ def _rref_ints(ints, nrows, ncols, p):
         if k < 0:
             continue
         piv = rows.pop(k)
-        if p and piv[c] != 1:
-            inv = pow(piv[c], p - 2, p)
-            piv = [inv * x % p for x in piv]
+        if p:
+            if piv[c] != 1:
+                inv = pow(piv[c], p - 2, p)
+                piv = [inv * x % p for x in piv]
+        else:
+            g = gcd(*piv)
+            if g > 1:
+                piv = [x // g for x in piv]
         if rows:
             rows = _clear(piv, c, rows, p)
         done.append(piv)
         pivots.append(c)
+    return done, pivots
+
+
+def _rref_ints(ints, nrows, ncols, p):
+    """(rank, pivots, integer rows, den) of the RREF of the integer rows
+    `ints`, over GF(p) when p (den 1), else over Q (any common denominator:
+    row scaling leaves the RREF as it is): `_forward`, then
+    back-substitution from the last pivot to the first.  The input rows are
+    not written."""
+    done, pivots = _forward(ints, ncols, p)
     r = len(done)
     for k in range(r - 1, 0, -1):
         done[:k] = _clear(done[k], pivots[k], done[:k], p)
@@ -626,49 +633,6 @@ def _rref_ints(ints, nrows, ncols, p):
             if s != 1:
                 done[i] = [x * s for x in done[i]]
     return r, pivots, done + [[0] * ncols for _ in range(r, nrows)], den
-
-
-def _rank_ints(ints, ncols, p):
-    """Rank of the integer rows `ints` (over GF(p) when p, else over Q),
-    by forward elimination without back-substitution.  The pivot row of a
-    column is the first remaining row nonzero there, with entry a; it
-    clears the entry f of each other row, over GF(p) by
-    `row <- a row - f pivot_row` mod p, so no inverse is taken, and over Q
-    by `row <- (a/g) row - (f/g) pivot_row` with g = gcd(a, f), after which
-    the row is divided by the gcd of its entries.  Rows that become zero
-    are dropped.  The input rows are not written."""
-    rows = [row for row in ints if any(row)]
-    rank = 0
-    for c in range(ncols):
-        for k, piv in enumerate(rows):
-            if piv[c]:
-                break
-        else:
-            continue
-        del rows[k]
-        rank += 1
-        a = piv[c]
-        rest = []
-        for row in rows:
-            f = row[c]
-            if not f:
-                rest.append(row)
-                continue
-            if p:
-                new = [(a * x - f * y) % p for x, y in zip(row, piv)]
-            else:
-                g = gcd(a, f)
-                s, t = a // g, f // g
-                new = [s * x - t * y for x, y in zip(row, piv)]
-                g = gcd(*new)
-                if g > 1:
-                    new = [x // g for x in new]
-            if any(new):
-                rest.append(new)
-        rows = rest
-        if not rows:
-            break
-    return rank
 
 
 def rref(a):
@@ -787,30 +751,13 @@ class SNFResult:
         self.transform_right = transform_right
 
 
-def _int_det(rows):
-    """Exact determinant of a square integer matrix (Bareiss)."""
+def _is_unimodular(rows):
+    """Whether the square integer matrix L has determinant +-1, read off the
+    RREF of [L | I] over Q as `smith_normal_form` states."""
     n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    ext = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    _, pivots, _, den = _rref_ints(ext, n, 2 * n, 0)
+    return (not pivots or pivots[-1] < n) and den == 1
 
 
 def smith_normal_form(rows):
@@ -818,7 +765,11 @@ def smith_normal_form(rows):
 
     Returns an SNFResult with nonnegative invariant factors sorted by
     divisibility and transforms of determinant +-1 satisfying
-    L * A * R = diag(d).
+    L * A * R = diag(d).  Both transforms are checked: [L | I] has rank n,
+    so its RREF over Q has n pivots, all in L's columns exactly when L is
+    invertible, and is then [I | L^-1]; its denominator is 1 exactly when
+    L^-1 is integral, that is when det L and det L^-1 are integers with
+    product 1, det L = +-1.
     """
     a = [list(map(int, row)) for row in rows]
     nrows = len(a)
@@ -899,7 +850,7 @@ def smith_normal_form(rows):
                 right[r][i] = -right[r][i]
             a[i][i] = -a[i][i]
     # drop trailing structure: keep full diagonal (zeros allowed)
-    if abs(_int_det(left)) != 1 or abs(_int_det(right)) != 1:
+    if not (_is_unimodular(left) and _is_unimodular(right)):
         raise QuivrepError("Smith normal form transforms are not unimodular")
     return SNFResult(d, left, right)
 

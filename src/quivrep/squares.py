@@ -44,6 +44,24 @@ class Square:
         return "Square(X=%s, Z=%s)" % (self.x.dims, self.z.dims)
 
 
+def _rank_failure(vertices):
+    """Why 0 -> A -i-> B -p-> C -> 0 fails the rank test of exactness at a
+    vertex (i injective, p surjective, rank i + rank p = dim B), or None.
+    `vertices` yields (v, i_v, p_v, dim A_v, dim B_v, dim C_v)."""
+    for v, i, p, da, db, dc in vertices:
+        ri = i.rank()
+        if ri != da:
+            return "inclusion not injective at vertex %s (rank %d of %d)" % (v, ri, da)
+        rp = p.rank()
+        if rp != dc:
+            return "projection not surjective at vertex %s (rank %d of %d)" % (v, rp, dc)
+        if ri + rp != db:
+            return "middle exactness fails at vertex %s: rank(i)=%d, rank(p)=%d, dim=%d" % (
+                v, ri, rp, db,
+            )
+    return None
+
+
 class ShortExact:
     """0 -> A -i-> B -p-> C -> 0 with exactness verified on construction."""
 
@@ -55,21 +73,12 @@ class ShortExact:
             raise NotExact(err)
 
     def exactness_failure(self):
-        for v in self.b.dims:
-            ri = self.i.blocks[v].rank()
-            rp = self.p.blocks[v].rank()
-            if ri != self.a.dims[v]:
-                return "inclusion not injective at vertex %s (rank %d of %d)" % (
-                    v, ri, self.a.dims[v],
-                )
-            if rp != self.c.dims[v]:
-                return "projection not surjective at vertex %s (rank %d of %d)" % (
-                    v, rp, self.c.dims[v],
-                )
-            if ri + rp != self.b.dims[v]:
-                return "middle exactness fails at vertex %s: rank(i)=%d, rank(p)=%d, dim=%d" % (
-                    v, ri, rp, self.b.dims[v],
-                )
+        err = _rank_failure(
+            (v, self.i.blocks[v], self.p.blocks[v], self.a.dims[v], dim, self.c.dims[v])
+            for v, dim in self.b.dims.items()
+        )
+        if err:
+            return err
         if not self.i.then(self.p).is_zero():
             return "composite i;p nonzero"
         return None
@@ -112,18 +121,11 @@ def pullback(f, g):
 
 def is_exact_square(s):
     """True iff the 4-term sequence of the square is short exact."""
-    if not s.commutes():
-        return False
-    for v in s.x.dims:
-        r_in = s.f.blocks[v].vstack(s.g.blocks[v]).rank()
-        if r_in != s.x.dims[v]:
-            return False
-        r_out = s.gp.blocks[v].hstack(-s.fp.blocks[v]).rank()
-        if r_out != s.z.dims[v]:
-            return False
-        if r_in + r_out != s.y1.dims[v] + s.y2.dims[v]:
-            return False
-    return True
+    return s.commutes() and _rank_failure(
+        (v, s.f.blocks[v].vstack(s.g.blocks[v]), s.gp.blocks[v].hstack(-s.fp.blocks[v]),
+         dim, s.y1.dims[v] + s.y2.dims[v], s.z.dims[v])
+        for v, dim in s.x.dims.items()
+    ) is None
 
 
 def square_sequence(s):

@@ -3,6 +3,15 @@
 This is the classical integer example and an oracle for the representation
 ladder: it runs on a different computational substrate (integer presentation
 matrices and SNF) so agreement between the two is meaningful evidence.
+
+Each rung U_(i+2) is the pushout of two copies of U_(i+1), so its raw
+presentation has twice the generators of the one before, and U_k would
+have 2^(k-1).  `z_ladder` therefore replaces every rung by its Smith form
+(`AbGroup.smith_form`): one generator for each invariant factor other than
+1, with diagonal relations, and the inclusions of the two copies moved to
+those coordinates.  U_k contains U_0 = Z with quotient H[k], which is built
+from k copies of the cyclic group H[1], so U_k then has at most k + 1
+generators, and the groups H[k] are the same as from the raw presentations.
 """
 
 from .errors import QuivrepError
@@ -22,14 +31,30 @@ class AbGroup:
         for row in self.relations:
             if len(row) != self.generators:
                 raise QuivrepError("relation width does not match generator count")
-        if self.relations:
-            snf = smith_normal_form(self.relations)
-            d = snf.d
-        else:
-            d = []
+        self._snf = smith_normal_form(self.relations) if self.relations else None
+        d = self._snf.d if self._snf else []
         self.invariant_factors = tuple(x for x in d if x > 1)
         rank = sum(1 for x in d if x != 0)
         self.free_rank = self.generators - rank
+
+    def smith_form(self):
+        """(group, coords): the same group on one generator for each
+        invariant factor other than 1, free ones included, with diagonal
+        relations, and the matrix taking coordinates on the old generators
+        (columns) to coordinates on the new ones.
+
+        With L A R = diag(d) for the relation rows A, a row x of old
+        coordinates is a relation exactly when x R is one of diag(d), so the
+        new coordinates are x R, as a column R^T x; a generator with
+        invariant factor 1 is zero and is dropped."""
+        n = self.generators
+        if self._snf is None:  # no relations: every generator is free
+            return self, [[int(i == j) for j in range(n)] for i in range(n)]
+        d = self._snf.d + [0] * (n - len(self._snf.d))
+        keep = [i for i, x in enumerate(d) if x != 1]
+        coords = [[row[i] for row in self._snf.transform_right] for i in keep]
+        rels = [[d[i] * (j == k) for j in range(len(keep))] for k, i in enumerate(keep) if d[i]]
+        return AbGroup(len(keep), rels), coords
 
     def order(self):
         """Group order; None when infinite."""
@@ -58,11 +83,9 @@ class AbGroup:
 
 
 def _pushout_group(a, b, c, w, v):
-    """Pushout of w: A -> B, v: A -> C in abelian groups (generator matrices).
-
-    Returns (group, incl_b, incl_c): generators of B then C, relations of
-    both plus the glue rows (w(a), -v(a)).
-    """
+    """Pushout of w: A -> B, v: A -> C in abelian groups (generator matrices):
+    generators of B then C, relations of both plus the glue rows
+    (w(a), -v(a))."""
     gens = b.generators + c.generators
     rels = []
     for row in b.relations:
@@ -74,13 +97,7 @@ def _pushout_group(a, b, c, w, v):
             -v[i][j] for i in range(c.generators)
         ]
         rels.append(glue)
-    out = AbGroup(gens, rels)
-    incl_b = [[1 if i == j else 0 for j in range(b.generators)] for i in range(gens)]
-    incl_c = [
-        [1 if i - b.generators == j else 0 for j in range(c.generators)]
-        for i in range(gens)
-    ]
-    return out, incl_b, incl_c
+    return AbGroup(gens, rels)
 
 
 def z_ladder(w, v, depth):
@@ -100,14 +117,13 @@ def z_ladder(w, v, depth):
     w_mats = [[[w]]]
     v_mats = [[[v]]]
     for i in range(depth - 1):
-        nxt, incl_b, incl_c = _pushout_group(
-            modules[i], modules[i + 1], modules[i + 1], w_mats[i], v_mats[i]
-        )
+        u = modules[i + 1]
+        nxt, coords = _pushout_group(modules[i], u, u, w_mats[i], v_mats[i]).smith_form()
         modules.append(nxt)
         # mirror the representation convention: the new w embeds the v-target
-        # copy, the new v embeds the w-target copy
-        w_mats.append(incl_c)
-        v_mats.append(incl_b)
+        # copy (the second), the new v embeds the w-target copy (the first)
+        w_mats.append([row[u.generators:] for row in coords])
+        v_mats.append([row[: u.generators] for row in coords])
     out = []
     for k in range(1, depth + 1):
         emb = [[1]]
@@ -124,5 +140,4 @@ def z_ladder(w, v, depth):
 def z_pushout_of_multiplications(w, v):
     """The pushout of (multiplication by w, by v) on Z, as an AbGroup."""
     z = AbGroup(1, [])
-    out, _, _ = _pushout_group(z, z, z, [[int(w)]], [[int(v)]])
-    return out
+    return _pushout_group(z, z, z, [[int(w)]], [[int(v)]])

@@ -19,6 +19,7 @@ from quivrep.linalg import (
     QQ,
     Mat,
     _is_prime,
+    _is_unimodular,
     _mul_ints,
     block_diagonal,
     int_mat_mul,
@@ -153,6 +154,22 @@ def test_smith_normal_form_properties(m, n, data):
     assert all(x >= 0 for x in res.d)
 
 
+@pytest.mark.parametrize(
+    "rows, unimodular",
+    [
+        ([[2]], False),
+        ([[1, 1], [1, 1]], False),
+        ([[2, 1, 0], [0, 1, 1], [1, 0, 1]], False),  # det 3
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], True),
+        ([[3, 2, 1], [1, 1, 0], [2, 1, 0]], True),  # det -1
+        ([], True),
+    ],
+)
+def test_unimodularity_check(rows, unimodular):
+    assert (abs(sympy.Matrix(rows).det()) == 1) is unimodular
+    assert _is_unimodular(rows) is unimodular
+
+
 def test_quotient_maps_kill_exactly_the_span():
     span = Mat(QQ, [[1, 0], [2, 0], [0, 1]])
     proj, section = quotient_maps(span)
@@ -253,11 +270,14 @@ def test_q_product_matches_sympy(data):
 
 
 def _assert_rref_matches(a, dm, from_dm):
-    """a.rref() is sympy's RREF of `dm`, the same matrix, and leaves a's
-    integer rows as they were.  Returns the reduced matrix."""
+    """a.rref() and a.rank() are sympy's RREF and rank of `dm`, the same
+    matrix, and leave a's integer rows as they were.  Returns the reduced
+    matrix."""
     ints, den = a.int_form()
     before = [row[:] for row in ints]
     rank, pivots, red = a.rref()
+    assert a.int_form() == (before, den)
+    assert a.rank() == dm.rank()
     assert a.int_form() == (before, den)
     ref, ref_pivots = dm.rref()
     assert rank == len(ref_pivots) == dm.rank()

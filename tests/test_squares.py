@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quivrep.errors import EdgeMismatch
+from quivrep.errors import EdgeMismatch, NotExact
 from quivrep.linalg import QQ, Mat
 from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_space
 from quivrep.squares import (
@@ -67,6 +67,28 @@ def test_exact_square_zero_corners(kronecker):
     zh = ModHom.zero_hom(zero, zero)
     sq = Square(zero, zero, zero, zero, zh, zh, zh, zh)
     assert is_exact_square(sq)
+
+
+def test_exactness_failures_name_the_vertex(kron_regular):
+    h = kron_regular
+    zero = Rep.zero(h.algebra)
+    v = next(iter(h.dims))
+    ident, kill = ModHom.identity(h), ModHom.zero_hom(h, h)
+    cases = [
+        ((h, h, h, kill, ident), "inclusion not injective at vertex %s (rank 0 of %d)"
+         % (v, h.dims[v])),
+        ((zero, h, h, ModHom.zero_hom(zero, h), kill),
+         "projection not surjective at vertex %s (rank 0 of %d)" % (v, h.dims[v])),
+        ((zero, h, zero, ModHom.zero_hom(zero, h), ModHom.zero_hom(h, zero)),
+         "middle exactness fails at vertex %s: rank(i)=0, rank(p)=0, dim=%d" % (v, h.dims[v])),
+    ]
+    for (a, b, c, i, p), message in cases:
+        with pytest.raises(NotExact) as err:
+            ShortExact(a, b, c, i, p)
+        assert str(err.value) == message
+        # the same sequence as the square a -> b, a -> 0 over b -> c, 0 -> c
+        sq = Square(a, b, zero, c, i, ModHom.zero_hom(a, zero), p, ModHom.zero_hom(zero, c))
+        assert not is_exact_square(sq)
 
 
 def test_exact_square_middle_failure(kron_regular):

@@ -1,3 +1,6 @@
+import hashlib
+import time
+
 import pytest
 
 from quivrep.errors import QuivrepError
@@ -64,3 +67,36 @@ def test_abgroup_descriptions():
     g = AbGroup(3, [[2, 0, 0], [0, 6, 0]])
     assert g.describe() == "Z/2 + Z/6 + Z"
     assert g.order() is None
+
+
+# sha256 of the summaries of `z_ladder(w, v, 5)` and
+# `z_pushout_of_multiplications(w, v)` over the grid below, recorded while
+# every rung still kept both glued copies of the rung before it
+GRID_DIGEST = "9a9a67f8038455f91aac90e3721170ad758681441a0c8c42c759f055ad7af36c"
+GRID = [(s * w, v) for w in range(1, 7) for s in (1, -1) for v in range(-6, 7)]
+
+
+def _summary(g):
+    return (g.describe(), g.invariant_factors, g.free_rank, g.order(), g.exponent())
+
+
+def test_ladder_grid_digest():
+    h = hashlib.sha256()
+    for w, v in GRID:
+        for g in z_ladder(w, v, 5):
+            h.update(repr(_summary(g)).encode())
+        h.update(repr(_summary(z_pushout_of_multiplications(w, v))).encode())
+    assert h.hexdigest() == GRID_DIGEST
+
+
+def test_deep_ladder_is_cyclic_in_polynomial_time():
+    start = time.perf_counter()
+    groups = z_ladder(2, 3, 14)
+    assert time.perf_counter() - start < 1
+    assert [g.describe() for g in groups] == ["Z/%d" % 2**k for k in range(1, 15)]
+
+
+def test_truncations_have_reduced_presentations():
+    for w, v in GRID:
+        for k, g in enumerate(z_ladder(w, v, 8), 1):
+            assert g.generators <= k + 1, (w, v, k, g.generators)
