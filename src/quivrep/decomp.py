@@ -24,6 +24,14 @@ candidates as without it.  Over Q the trace-form kernel of a decomposable
 module has codimension at least 2 (orthogonal idempotents have nonzero
 traces), so split verdicts never pay for the verification.
 
+`are_isomorphic` decides in this order: equality; invariant refutations
+(dimension vector, annihilator dimension, dim Hom = dim End both ways); zero
+modules; Hom(M, N) = 0; over GF(p) with p^dim Hom <= 2^16 an exhaustive
+search; the structured line; 64 seeded random trials (all of these are
+`_search_iso`); then Krull-Remak-Schmidt, matching the summands certified
+indecomposable exactly (`_match_summands`).  So it answers `inconclusive`
+only when a summand's indecomposability raises Inconclusive.
+
 `factor_polynomial` imports `quivrep.poly` (exact factorization over Q and
 GF(p)) only when a search needs it.
 """
@@ -133,11 +141,11 @@ def _split_by_hom(m, h):
         return None
     parts = []
     for fac, mult in factors:
-        powered = fac
+        op = eval_poly_hom(fac, h)
+        powered = op
         for _ in range(mult - 1):
-            powered = _poly_mul(field, powered, fac)
-        op = eval_poly_hom(powered, h)
-        basis = {v: op.blocks[v].null_space() for v in m.dims}
+            powered = powered.then(op)
+        basis = {v: powered.blocks[v].null_space() for v in m.dims}
         parts.append(Submodule(m, basis).inclusion_rep())
     return _summands(m, parts)
 
@@ -168,16 +176,6 @@ def _summands(m, parts):
             proj_blocks[v] = Mat(field, inverses[v].rows[off[v] : off[v] + k], k, m.dims[v])
             off[v] += k
         out.append(SummandData(rep, incl, ModHom(m, rep, proj_blocks)))
-    return out
-
-
-def _poly_mul(field, a, b):
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == field.zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
     return out
 
 
@@ -321,9 +319,8 @@ def is_indecomposable(m, seed=0):
         idem = _exhaustive_idempotent(end)
         if idem is None:
             return True, ("no-idempotents-exhaustive",)
-        parts = _split_by_idempotent(m, idem)
-        if parts is not None:
-            return False, ("split", parts)
+        # a nontrivial idempotent e splits M into ker e and im e
+        return False, ("split", _split_by_hom(m, idem))
     raise Inconclusive(
         "cannot certify indecomposability: dim End = %d over %s" % (end.dim, field)
     )
@@ -342,15 +339,6 @@ def _exhaustive_idempotent(end):
     return None
 
 
-def _split_by_idempotent(m, e):
-    """Split M = im(e) + ker(e) with inclusion/projection witnesses."""
-    parts = []
-    for op in (e, ModHom.identity(m) - e):
-        basis = {v: op.blocks[v].column_space() for v in m.dims}
-        parts.append(Submodule(m, basis).inclusion_rep())
-    return _summands(m, parts)
-
-
 def split_indecomposable_parts(m, seed=0):
     """Full list of SummandData with each part certified indecomposable."""
     if m.is_zero():
@@ -366,11 +354,8 @@ def split_indecomposable_parts(m, seed=0):
                 SummandData(inner.rep, inner.incl.then(sd.incl), sd.proj.then(inner.proj))
             )
     # verify the idempotents are orthogonal and complete
-    total = None
-    for sd in parts:
-        e = sd.proj.then(sd.incl)
-        total = e if total is None else total + e
-    if total != ModHom.identity(m):
+    idems = [sd.proj.then(sd.incl) for sd in parts]
+    if sum(idems[1:], idems[0]) != ModHom.identity(m):
         raise QuivrepError("split witnesses do not sum to the identity")
     return parts
 
@@ -380,38 +365,13 @@ def decompose(m, seed=0):
     parts = split_indecomposable_parts(m, seed=seed)
     groups = []
     for sd in parts:
-        placed = False
         for g in groups:
             if _indecomposables_iso(g[0].rep, sd.rep, seed) is not None:
                 g.append(sd)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([sd])
     return [(g[0].rep, len(g)) for g in groups]
-
-
-def _indecomposables_iso(m, n, seed):
-    """An isomorphism M -> N, or None when there is none, for modules
-    certified indecomposable; never inconclusive.
-
-    `are_isomorphic` decides first.  Where it is inconclusive, End(M) is
-    local, and a sum of non-units of a local ring is a non-unit, so
-    M ~ N exactly when g.f is an automorphism of M for some basis element
-    f of Hom(M, N) and g of Hom(N, M).  Such an f is a split mono into the
-    indecomposable N, hence an isomorphism, which is checked.
-    """
-    report = are_isomorphic(m, n, seed=seed)
-    if report.verdict != "inconclusive":
-        return report.witness
-    back = hom_space(n, m)
-    for f in hom_space(m, n):
-        for g in back:
-            if f.then(g).is_isomorphism():
-                if not f.is_isomorphism():
-                    raise QuivrepError("split mono between indecomposables is not an iso")
-                return f
-    return None
 
 
 class IsoReport:
@@ -448,13 +408,9 @@ def _invariant_refutation(m, n):
     return None
 
 
-def are_isomorphic(m, n, seed=0):
-    """Cheap refutations first, then exact search for an invertible hom.
-
-    Over GF(p) with p^dim Hom small the search is exhaustive, hence a
-    definite verdict either way; otherwise a failed randomized search with
-    no refutation yields the honest verdict "inconclusive".
-    """
+def _search_iso(m, n, seed):
+    """`are_isomorphic` up to the summand match: an IsoReport, or None
+    where no stage decides (see the module docstring)."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("modules over different algebras")
     if m == n:
@@ -480,14 +436,11 @@ def are_isomorphic(m, n, seed=0):
     # structured line: coefficients (1, t, t^2, ...) for many t, which makes
     # the determinant a nonzero polynomial detectable by evaluation
     total = m.total_dim()
-    for t in range(total * h + 2):
-        coefs = []
-        power = field.one()
-        tval = field.conv(t)
-        for _ in range(h):
-            coefs.append(power)
-            power = field.mul(power, tval)
-        cand = combine(coefs, homs, m, n)
+    tries = total * h + 2
+    if field.p:
+        tries = min(tries, field.p)  # values of t equal mod p give one candidate
+    for t in range(tries):
+        cand = combine([t**i for i in range(h)], homs, m, n)
         if cand.is_isomorphism():
             return IsoReport("isomorphic", cand)
     for _ in range(64):
@@ -495,7 +448,64 @@ def are_isomorphic(m, n, seed=0):
         cand = combine(coefs, homs, m, n)
         if cand.is_isomorphism():
             return IsoReport("isomorphic", cand)
-    return IsoReport("inconclusive")
+    return None
+
+
+def _indecomposables_iso(m, n, seed):
+    """An isomorphism M -> N, or None when there is none, for modules
+    certified indecomposable; never inconclusive.
+
+    `_search_iso` decides first.  Where it does not, End(M) is local, and a
+    sum of non-units of a local ring is a non-unit, so M ~ N exactly when
+    g.f is an automorphism of M for some basis element f of Hom(M, N) and g
+    of Hom(N, M).  Such an f is a split mono into the indecomposable N,
+    hence an isomorphism, which is checked.
+    """
+    report = _search_iso(m, n, seed)
+    if report is not None:
+        return report.witness
+    back = hom_space(n, m)
+    for f in hom_space(m, n):
+        for g in back:
+            if f.then(g).is_isomorphism():
+                if not f.is_isomorphism():
+                    raise QuivrepError("split mono between indecomposables is not an iso")
+                return f
+    return None
+
+
+def _match_summands(m, n, seed):
+    """IsoReport from matching the indecomposable summands of M and N: the
+    assembled witness, or a refutation by the summand counts or by the
+    first summand of M without a match.  Raises Inconclusive where a
+    summand's indecomposability does."""
+    pm = split_indecomposable_parts(m, seed=seed)
+    pn = split_indecomposable_parts(n, seed=seed)
+    if len(pm) != len(pn):
+        return IsoReport(
+            "not-isomorphic", refutation="summand counts differ: %d vs %d" % (len(pm), len(pn))
+        )
+    used = [False] * len(pn)
+    pieces = []
+    for sd in pm:
+        for j, td in enumerate(pn):
+            if used[j]:
+                continue
+            iso = _indecomposables_iso(sd.rep, td.rep, seed)
+            if iso is not None:
+                used[j] = True
+                pieces.append(sd.proj.then(iso).then(td.incl))
+                break
+        else:
+            return IsoReport(
+                "not-isomorphic",
+                refutation="no summand of N is isomorphic to the summand of M with dims %s"
+                % sd.rep.dims,
+            )
+    witness = sum(pieces[1:], pieces[0]) if pieces else ModHom.zero_hom(m, n)
+    if not witness.is_isomorphism():
+        raise QuivrepError("matched summands assemble to a hom that is not an isomorphism")
+    return IsoReport("isomorphic", witness)
 
 
 def match_decompositions(m, n, seed=0):
@@ -503,29 +513,17 @@ def match_decompositions(m, n, seed=0):
 
     Returns None when the multisets of summands do not match.
     """
-    pm = split_indecomposable_parts(m, seed=seed)
-    pn = split_indecomposable_parts(n, seed=seed)
-    if len(pm) != len(pn):
-        return None
-    used = [False] * len(pn)
-    pairs = []
-    for sd in pm:
-        found = None
-        for j, td in enumerate(pn):
-            if used[j]:
-                continue
-            iso = _indecomposables_iso(sd.rep, td.rep, seed)
-            if iso is not None:
-                found = (j, iso)
-                break
-        if found is None:
-            return None
-        used[found[0]] = True
-        pairs.append((sd, pn[found[0]], found[1]))
-    witness = None
-    for sd, td, iso in pairs:
-        piece = sd.proj.then(iso).then(td.incl)
-        witness = piece if witness is None else witness + piece
-    if witness is not None and witness.is_isomorphism():
-        return witness
-    return None
+    return _match_summands(m, n, seed).witness
+
+
+def are_isomorphic(m, n, seed=0):
+    """IsoReport with a verified witness or a recomputable refutation, by
+    the stages in the module docstring.  The verdict is "inconclusive" only
+    when a summand's indecomposability raises Inconclusive."""
+    report = _search_iso(m, n, seed)
+    if report is not None:
+        return report
+    try:
+        return _match_summands(m, n, seed)
+    except Inconclusive:
+        return IsoReport("inconclusive")

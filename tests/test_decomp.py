@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from quivrep import decomp
 from quivrep.decomp import (
     EndAlgebra,
-    IsoReport,
     _end_radical,
     _exhaustive_idempotent,
     _is_nilpotent_ideal,
@@ -18,7 +18,7 @@ from quivrep.decomp import (
     split_indecomposable_parts,
 )
 from quivrep.algebra import projective
-from quivrep.errors import AlgebraMismatch, ZeroModule
+from quivrep.errors import AlgebraMismatch, Inconclusive, QuivrepError, ZeroModule
 from quivrep.ladder import build_ladder
 from quivrep.linalg import GF, QQ, Mat
 from quivrep.rep import (
@@ -228,12 +228,19 @@ def test_decompose_d4_over_gf3():
         assert is_indecomposable(r)[0]
 
 
-def test_match_decompositions(kron_regular, kron_projectives):
+def test_match_decompositions(kron_regular, kron_projectives, monkeypatch):
     pa, pb = kron_projectives
     m = direct_sum([kron_regular, pa, pb])[0]
     n = direct_sum([pb, kron_regular, pa])[0]
     witness = match_decompositions(m, n)
     assert witness is not None and witness.is_isomorphism()
+    z = Rep.zero(pa.algebra)
+    assert match_decompositions(z, z) == ModHom.identity(z)
+    # matched summands that assemble to a non-isomorphism are an error, not
+    # a refutation
+    monkeypatch.setattr(decomp, "_indecomposables_iso", lambda x, y, seed: ModHom.zero_hom(x, y))
+    with pytest.raises(QuivrepError, match="not an isomorphism"):
+        match_decompositions(m, n)
 
 
 def test_split_parts_idempotents(kron_regular, kron_projectives):
@@ -351,16 +358,91 @@ def _rebased(m, rng):
 
 @pytest.mark.parametrize("field", [QQ, GF(3)])
 def test_inconclusive_summand_pairs_are_decided(field, monkeypatch):
-    # with are_isomorphic inconclusive on every pair, the local End ring still
+    # with the isomorphism search deciding no pair, the local End ring still
     # groups H[2] with H[2] in another basis and keeps P(a) apart
     x = _kronecker_truncations(field, depth=2)[1]
     x_moved = _rebased(x, random.Random(5))
     pa, _ = projective(x.algebra, "a")
     assert are_isomorphic(x, x_moved).verdict == "isomorphic"
-    monkeypatch.setattr(decomp, "are_isomorphic", lambda m, n, seed=0: IsoReport("inconclusive"))
+    monkeypatch.setattr(decomp, "_search_iso", lambda m, n, seed: None)
     m = sum_module([x, pa, x_moved])
     got = decompose(m)
     assert [(r.dims, mult) for r, mult in got] == [(x.dims, 2), (pa.dims, 1)]
-    witness = match_decompositions(m, _rebased(sum_module([pa, x_moved, x]), random.Random(6)))
+    moved = _rebased(sum_module([pa, x_moved, x]), random.Random(6))
+    witness = match_decompositions(m, moved)
     assert witness is not None and witness.is_isomorphism()
     assert match_decompositions(m, sum_module([x, pa, pa])) is None
+    # are_isomorphic ends in the same summand match
+    out = are_isomorphic(m, moved)
+    assert out.verdict == "isomorphic" and out.witness.is_isomorphism()
+    assert out.witness.source == m and out.witness.target == moved
+    out = are_isomorphic(m, sum_module([x, pa, pa]))
+    assert out.verdict == "not-isomorphic" and out.witness is None
+    assert out.refutation == (
+        "no summand of N is isomorphic to the summand of M with dims %s" % x.dims
+    )
+    out = are_isomorphic(m, sum_module([x, pa]))
+    assert out.verdict == "not-isomorphic" and out.refutation == "summand counts differ: 3 vs 2"
+
+
+def _quaternion_brick(a, b):
+    """The 3-Kronecker module of dims (4, 4) whose arrows act on the
+    quaternion algebra (a, b)_Q = Q<1, i, j, k> (i^2 = a, j^2 = b,
+    ij = -ji = k) by left multiplication by 1, i and j."""
+    alg = fx.three_kronecker(QQ)
+    # columns are the images of 1, i, j, k
+    left_i = [[0, a, 0, 0], [1, 0, 0, 0], [0, 0, 0, a], [0, 0, 1, 0]]
+    left_j = [[0, 0, b, 0], [0, 0, 0, -b], [1, 0, 0, 0], [0, -1, 0, 0]]
+    action = {
+        "alpha": Mat.identity(QQ, 4),
+        "beta": Mat(QQ, left_i),
+        "gamma": Mat(QQ, left_j),
+    }
+    return Rep(alg, {"a": 4, "b": 4}, action)
+
+
+def _doubled_gf2_bricks():
+    """Each of the seven 3-Kronecker modules of dims (1, 1) over GF(2),
+    twice."""
+    alg = fx.three_kronecker(GF(2))
+    bricks = []
+    for point in product(range(2), repeat=3):
+        if any(point):
+            action = {a: Mat(alg.field, [[c]]) for a, c in zip(("alpha", "beta", "gamma"), point)}
+            bricks.append(Rep(alg, {"a": 1, "b": 1}, action))
+    return sum_module(bricks + bricks)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gf2_doubled_bricks_are_isomorphic(seed):
+    # dim Hom = 28 rules out the exhaustive search, and the line and the
+    # random trials find no invertible hom: the summand match decides
+    m = _doubled_gf2_bricks()
+    n = _rebased(m, random.Random(1))
+    assert decomp._search_iso(m, n, seed) is None
+    out = are_isomorphic(m, n, seed=seed)
+    assert out.verdict == "isomorphic"
+    assert out.witness.source == m and out.witness.target == n
+    assert out.witness.commutes() and out.witness.is_isomorphism()
+
+
+@pytest.mark.parametrize("a, b", [(-1, -1), (2, 7)])
+def test_doubled_quaternion_bricks_are_isomorphic(a, b):
+    # only the random trials decide these pairs: the line fails, and the
+    # summands of (-1, -1), a division algebra, are not certified
+    m = sum_module([_quaternion_brick(a, b)] * 2)
+    n = _rebased(m, random.Random(1))
+    out = are_isomorphic(m, n)
+    assert out.verdict == "isomorphic"
+    assert out.witness.commutes() and out.witness.is_isomorphism()
+
+
+def test_uncertified_summand_is_inconclusive(monkeypatch):
+    q = _quaternion_brick(-1, -1)
+    with pytest.raises(Inconclusive):
+        is_indecomposable(q)
+    m = sum_module([q, q])
+    monkeypatch.setattr(decomp, "_search_iso", lambda m, n, seed: None)
+    out = are_isomorphic(m, _rebased(m, random.Random(1)))
+    assert out.verdict == "inconclusive"
+    assert out.witness is None and out.refutation is None
