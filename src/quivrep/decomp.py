@@ -26,11 +26,12 @@ traces), so split verdicts never pay for the verification.
 
 `are_isomorphic` decides in this order: equality; invariant refutations
 (dimension vector, annihilator dimension, dim Hom = dim End both ways); zero
-modules; Hom(M, N) = 0; over GF(p) with p^dim Hom <= 2^16 an exhaustive
-search; the structured line; 64 seeded random trials (all of these are
-`_search_iso`); then Krull-Remak-Schmidt, matching the summands certified
-indecomposable exactly (`_match_summands`).  So it answers `inconclusive`
-only when a summand's indecomposability raises Inconclusive.
+modules; Hom(M, N) = 0; the structured line; 64 seeded random trials (all of
+these are `_search_iso`); then Krull-Remak-Schmidt, matching the summands
+certified indecomposable exactly (`_match_summands`).  So it answers
+`inconclusive` only when a summand's indecomposability raises Inconclusive.
+Over GF(p) with p^dim End M <= 2^16 that cannot happen: the End ring of a
+summand is a corner of End M, so step 5 always applies to it.
 
 `factor_polynomial` imports `quivrep.poly` (exact factorization over Q and
 GF(p)) only when a search needs it.
@@ -38,7 +39,7 @@ GF(p)) only when a search needs it.
 
 import random
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 
 from .errors import AlgebraMismatch, Inconclusive, QuivrepError, ZeroModule
 from .linalg import Mat, block_diagonal
@@ -47,7 +48,6 @@ from .rep import (
     Submodule,
     annihilator_dimension,
     combine,
-    hom_coordinates,
     hom_dimension,
     hom_space,
     independent_indices,
@@ -224,57 +224,40 @@ def _is_nilpotent_ideal(end, rad):
     return not layer
 
 
-def _quotient_algebra(end, rad):
-    """Structure constants of S = End/J on a chosen coset basis."""
-    chosen = [
-        end.basis[i - len(rad)] for i in independent_indices(rad + end.basis) if i >= len(rad)
-    ]
-    dim_s = len(chosen)
-
-    def reduce_coords(h):
-        # coordinates of h modulo J in the chosen basis
-        coords = hom_coordinates(chosen + rad, h)
-        if coords is None:
-            raise QuivrepError("element outside End")
-        return coords[:dim_s]
-
-    mult = {}
-    for i in range(dim_s):
-        for j in range(dim_s):
-            mult[(i, j)] = reduce_coords(chosen[i].then(chosen[j]))
-    one = reduce_coords(ModHom.identity(end.module))
-    return dim_s, mult, one, reduce_coords, chosen
-
-
 def _s_is_field_certificate(end, rad, rng):
-    """Try to certify End/J is a field via a primitive element."""
+    """Try to certify that S = End/J is a field: S is commutative and some
+    random element has an irreducible minimal polynomial of degree dim S.
+
+    One row reduction of the coordinate columns of J's basis, End's basis and
+    every product of two basis elements of End gives both: its pivots in
+    End's basis pick the basis elements whose cosets are a basis of S, and
+    its reduced rows for them hold the coordinates mod J of the products.
+    Row i of `table` is the matrix of left multiplication by basis element i
+    of S, read row by row, so an element's matrix is one product of its
+    coordinate row with `table`.
+    """
     field = end.module.algebra.field
-    dim_s, mult, one, reduce_coords, chosen = _quotient_algebra(end, rad)
-    if dim_s == 1:
-        return True
-    # commutativity check
-    for i in range(dim_s):
-        for j in range(dim_s):
-            if mult[(i, j)] != mult[(j, i)]:
-                return False
-
-    def left_mult_matrix(coords):
-        cols = []
-        for j in range(dim_s):
-            col = [field.zero()] * dim_s
-            for i in range(dim_s):
-                if coords[i] == field.zero():
-                    continue
-                prod = mult[(i, j)]
-                for k in range(dim_s):
-                    col[k] = field.add(col[k], field.mul(coords[i], prod[k]))
-            cols.append(col)
-        return Mat(field, [list(r) for r in zip(*cols)], dim_s, dim_s)
-
-    for trial in range(24):
-        coords = [field.random(rng, span=4) for _ in range(dim_s)]
-        lm = left_mult_matrix(coords)
-        mu = minimal_polynomial(lm)
+    verts = end.module.algebra.quiver.vertices
+    size = sum(d * d for d in end.module.dims.values())
+    start, dim = len(rad), end.dim
+    homs = rad + end.basis + [a.then(b) for a in end.basis for b in end.basis]
+    coords = Mat.stack_flat(field, [[h.blocks[v] for v in verts] for h in homs], size)
+    _, pivots, red = coords.transpose().rref()
+    if pivots[-1] >= start + dim:
+        raise QuivrepError("a product of endomorphisms outside End")
+    chosen = [i - start for i in pivots[start:]]
+    dim_s = len(chosen)
+    ints, den = red.int_form()
+    mod_j = ints[start : start + dim_s]
+    # cols[i][j]: the column of basis element chosen[i] then chosen[j]
+    cols = [[start + dim + a * dim + b for b in chosen] for a in chosen]
+    if any(r[cols[i][j]] != r[cols[j][i]] for r in mod_j for i in range(dim_s) for j in range(i)):
+        return False
+    flat = [[r[c] for r in mod_j for c in cols[i]] for i in range(dim_s)]
+    table = Mat.from_ints(field, flat, den, dim_s, dim_s * dim_s)
+    for _ in range(24):
+        row = Mat(field, [[field.random(rng, span=4) for _ in range(dim_s)]], 1, dim_s)
+        mu = minimal_polynomial((row * table).unstack_flat([(dim_s, dim_s)])[0][0])
         if len(mu) - 1 != dim_s:
             continue
         facs = factor_polynomial(mu, field)
@@ -425,13 +408,6 @@ def _search_iso(m, n, seed):
     if not homs:
         return IsoReport("not-isomorphic", refutation="Hom(M, N) = 0 with M, N nonzero")
     h = len(homs)
-    if field.p and field.p ** h <= 1 << 16:
-        # every nonzero coefficient tuple, the first coefficient varying fastest
-        for combo in islice(product(range(field.p), repeat=h), 1, None):
-            cand = combine(combo[::-1], homs, m, n)
-            if cand.is_isomorphism():
-                return IsoReport("isomorphic", cand)
-        return IsoReport("not-isomorphic", refutation="no invertible hom (exhaustive)")
     rng = random.Random(seed)
     # structured line: coefficients (1, t, t^2, ...) for many t, which makes
     # the determinant a nonzero polynomial detectable by evaluation
@@ -517,9 +493,13 @@ def match_decompositions(m, n, seed=0):
 
 
 def are_isomorphic(m, n, seed=0):
-    """IsoReport with a verified witness or a recomputable refutation, by
-    the stages in the module docstring.  The verdict is "inconclusive" only
-    when a summand's indecomposability raises Inconclusive."""
+    """IsoReport with a verified witness or a recomputable refutation.
+
+    The stages, in order (see the module docstring): equality, invariant
+    refutations, zero modules, Hom(M, N) = 0, the structured line and the
+    random trials of `_search_iso`, then the summand match.  The verdict is
+    "inconclusive" only when a summand's indecomposability raises
+    Inconclusive."""
     report = _search_iso(m, n, seed)
     if report is not None:
         return report

@@ -307,8 +307,9 @@ def _rz_from_split_stage(lad, n, r):
 def rigid_cokernel_iso(w0, v0, seed=0):
     """Iso witness coker(w0) ~ coker(v0) when both cokernels are rigid.
 
-    Finds a stage where both ladder maps split, then matches the two
-    decompositions of U_{n+1} by Krull-Remak-Schmidt cancellation.
+    Checks that both ladder maps split at a common stage n within the Ext^1
+    bounds, then matches the decompositions of coker(w0) and coker(v0) by
+    Krull-Remak-Schmidt (`match_decompositions`).
     """
     if not w0.is_injective() or not v0.is_injective():
         raise NotMono("both seed maps must be injective")
@@ -322,15 +323,10 @@ def rigid_cokernel_iso(w0, v0, seed=0):
     bound_v = selfext.ext1(v_mod, v0.source)[0]
     bound = max(bound_w, bound_v)
     lad = build_ladder(w0, v0, depth=bound + 1)
-    stage = None
-    for n in range(bound + 1):
-        if (
-            is_split_mono(lad.w_maps[n]) is not None
-            and is_split_mono(lad.v_maps[n]) is not None
-        ):
-            stage = n
-            break
-    if stage is None:
+    if not any(
+        is_split_mono(lad.w_maps[n]) is not None and is_split_mono(lad.v_maps[n]) is not None
+        for n in range(bound + 1)
+    ):
         raise QuivrepError("no common split stage within the Ext bounds")
     witness = decomp.match_decompositions(w_mod, v_mod, seed=seed)
     if witness is None:

@@ -557,44 +557,24 @@ def socle(m):
 def annihilator_dimension(m):
     """(dimension, basis elements) of the annihilator of M inside Lambda.
 
-    An element sum c_e * e annihilates M iff for every ordered vertex pair
-    (s, t) the combination of the path actions s -> t vanishes.
+    A basis element e: s -> t of Lambda acts on the total space of M by its
+    path action in the (t, s) block.  The annihilator is the null space of
+    the matrix whose column i is the action of basis element i, flattened.
     """
-    pb = m.algebra.path_basis()
-    field = m.algebra.field
-    elements = pb.basis_with_sources()
-    flat = []
+    alg = m.algebra
+    field = alg.field
+    elements = alg.path_basis().basis_with_sources()
+    verts = alg.quiver.vertices
+    offset = dict(zip(verts, accumulate((m.dims[v] for v in verts), initial=0)))
+    total = m.total_dim()
+    actions = []
     for w, s, t in elements:
-        if m.dims[s] == 0 or m.dims[t] == 0:
-            flat.append(None)  # acts as zero: no constraint
-            continue
-        mat = Mat.identity(field, m.dims[s]) if w == () else m.path_action(w)
-        flat.append([x for row in mat.rows for x in row])
-    by_pair = {}
-    for idx, (w, s, t) in enumerate(elements):
-        by_pair.setdefault((s, t), []).append(idx)
-    eq_rows = []
-    zero = field.zero()
-    for (s, t), idxs in by_pair.items():
-        size = m.dims[t] * m.dims[s]
-        if size == 0:
-            continue
-        for pos in range(size):
-            row = [zero] * len(elements)
-            nontrivial = False
-            for i in idxs:
-                if flat[i] is not None and flat[i][pos] != zero:
-                    row[i] = flat[i][pos]
-                    nontrivial = True
-            if nontrivial:
-                eq_rows.append(row)
-    if not eq_rows:
-        basis_vecs = Mat.identity(field, len(elements))
-    else:
-        basis_vecs = Mat.from_rows(field, eq_rows, len(elements)).null_space()
-    ann_basis = []
-    for j in range(basis_vecs.ncols):
-        ann_basis.append([(c, e) for c, e in zip(basis_vecs.col(j), elements) if c != zero])
+        act = m.path_action(w) if w else Mat.identity(field, m.dims[s])
+        actions.append([place_blocks(field, total, total, [(offset[t], offset[s], act)])])
+    coords = Mat.stack_flat(field, actions, total * total).transpose().null_space()
+    ann_basis = [
+        [(c, e) for c, e in zip(coords.col(j), elements) if c] for j in range(coords.ncols)
+    ]
     return len(ann_basis), ann_basis
 
 

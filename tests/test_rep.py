@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+from sympy import GF as SymGF, QQ as SymQQ
+from sympy.polys.matrices import DomainMatrix
 
 from quivrep.errors import AlgebraMismatch, QuivrepError
 from quivrep.linalg import GF, QQ, Mat
@@ -199,6 +201,78 @@ def test_annihilator_three_kronecker_h(warning_data):
     assert dim == 2
     words = sorted(e[1][0] for combo in basis for e in combo)
     assert words == [("beta",), ("gamma",)]
+
+
+FIXTURE_ALGEBRAS = [
+    fx.kronecker,
+    fx.three_kronecker,
+    fx.d4_subspace,
+    fx.loop_beta,
+    fx.loop_square,
+    fx.commuting_square_tower,
+]
+
+
+def _sympy_rank(rows, ncols, field):
+    """The rank of the rows by sympy's DomainMatrix over QQ or GF(p)."""
+    if not rows:
+        return 0
+    if field.p:
+        dom = SymGF(field.p)
+        entries = [[dom(x) for x in row] for row in rows]
+    else:
+        dom = SymQQ
+        entries = [[dom(x.numerator, x.denominator) for x in row] for row in rows]
+    return DomainMatrix(entries, (len(rows), ncols), dom).rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    make=st.sampled_from(FIXTURE_ALGEBRAS),
+    field=st.sampled_from([QQ, GF(2), GF(3), GF(32003)]),
+    maxdim=st.integers(1, 3),
+    simple=st.booleans(),
+)
+def test_annihilator_against_sympy(seed, make, field, maxdim, simple):
+    # simple modules, and often random ones of small dims, are zero at some
+    # vertex, where basis elements act as zero
+    rng = random.Random(seed)
+    alg = make(field)
+    verts = alg.quiver.vertices
+    m = Rep.simple(alg, rng.choice(verts)) if simple else suites._random_module(alg, rng, maxdim)
+    elements = alg.path_basis().basis_with_sources()
+    actions = {}
+    for w, s, t in elements:
+        if m.dims[s] and m.dims[t]:
+            actions[w, s, t] = Mat.identity(field, m.dims[s]) if w == () else m.path_action(w)
+    dim, basis = annihilator_dimension(m)
+    assert dim == len(basis)
+    coeffs = []
+    for combo in basis:
+        # the combination acts as zero on M, block by block
+        blocks = {}
+        for c, (w, s, t) in combo:
+            if (w, s, t) in actions:
+                term = actions[w, s, t].scale(c)
+                blocks[s, t] = blocks[s, t] + term if (s, t) in blocks else term
+        assert all(b.is_zero() for b in blocks.values())
+        coef = {e: c for c, e in combo}
+        coeffs.append([coef.get(e, field.zero()) for e in elements])
+    assert _sympy_rank(coeffs, len(elements), field) == dim
+    # the action system: one equation for each entry of each (t, s) block
+    system = []
+    for s in verts:
+        for t in verts:
+            for k in range(m.dims[t]):
+                for l in range(m.dims[s]):
+                    system.append(
+                        [
+                            actions[e].entry(k, l) if e in actions and e[1:] == (s, t) else 0
+                            for e in elements
+                        ]
+                    )
+    assert dim == len(elements) - _sympy_rank(system, len(elements), field)
 
 
 def test_faithful_truncation(warning_data, three_kron):
