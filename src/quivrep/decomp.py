@@ -28,8 +28,12 @@ traces), so split verdicts never pay for the verification.
 (dimension vector, annihilator dimension, dim Hom = dim End both ways); zero
 modules; Hom(M, N) = 0; the structured line; 64 seeded random trials (all of
 these are `_search_iso`); then Krull-Remak-Schmidt, matching the summands
-certified indecomposable exactly (`_match_summands`).  So it answers
-`inconclusive` only when a summand's indecomposability raises Inconclusive.
+certified indecomposable exactly (`_match_summands`).  Two indecomposables
+M, N of equal dimension vectors are isomorphic iff some element of the
+`hom_space(M, N)` basis is invertible: End M is local, so for an iso phi the
+non-isomorphisms phi.J(End M) are a proper subspace of Hom(M, N), which
+cannot hold the whole basis.  So `are_isomorphic` answers `inconclusive`
+only when a summand's indecomposability raises Inconclusive.
 Over GF(p) with p^dim End M <= 2^16 that cannot happen: the End ring of a
 summand is a corner of End M, so step 5 always applies to it.
 
@@ -45,12 +49,14 @@ from .errors import AlgebraMismatch, Inconclusive, QuivrepError, ZeroModule
 from .linalg import Mat, block_diagonal
 from .rep import (
     ModHom,
-    Submodule,
     annihilator_dimension,
     combine,
+    direct_sum,
     hom_dimension,
+    hom_from_blocks,
     hom_space,
     independent_indices,
+    kernel,
 )
 
 
@@ -86,17 +92,12 @@ def minimal_polynomial(mat):
     powers = [Mat.identity(field, n)]
     while True:
         powers.append(powers[-1] * mat)
-        if Mat.stack_flat(field, [[p] for p in powers], n * n).rank() < len(powers):
+        stacked = Mat.stack_flat(field, [[p] for p in powers], n * n)
+        if stacked.rank() < len(powers):
             break
-    # solve for the last power in terms of the previous ones, each flattened
-    # into a column
-    prev = Mat.stack_flat(field, [[p] for p in powers[:-1]], n * n).transpose()
-    sol = prev.solve_right(Mat.stack_flat(field, [[powers[-1]]], n * n).transpose())
-    if sol is None:
-        raise QuivrepError("Krylov powers are dependent but the last is not in the span")
-    coeffs = [field.neg(c) for c in sol.col(0)]
-    coeffs.append(field.one())
-    return coeffs  # ascending: c0 + c1 x + ... + x^d
+    # the powers before the last are independent, so the relation among the
+    # flattened powers is one null vector, and its free (last) entry is 1
+    return stacked.transpose().null_space().col(0)  # ascending: c0 + c1 x + ... + x^d
 
 
 def factor_polynomial(coeffs, field):
@@ -145,38 +146,25 @@ def _split_by_hom(m, h):
         powered = op
         for _ in range(mult - 1):
             powered = powered.then(op)
-        basis = {v: powered.blocks[v].null_space() for v in m.dims}
-        parts.append(Submodule(m, basis).inclusion_rep())
+        parts.append(kernel(powered))
     return _summands(m, parts)
 
 
 def _summands(m, parts):
-    """SummandData for M as the direct sum of the (rep, inclusion) parts, the
-    projections read off the inverse of the concatenated bases; None when the
-    parts do not form a decomposition with nonzero summands."""
+    """SummandData for M as the direct sum of the (rep, inclusion) parts,
+    each projection the inverse of the assembled inclusion followed by the
+    sum's projection; None when the parts do not form a decomposition with
+    nonzero summands."""
     if any(rep.is_zero() for rep, _ in parts):
         return None
-    if sum(rep.total_dim() for rep, _ in parts) != m.total_dim():
+    total = direct_sum([rep for rep, _ in parts])
+    incl = hom_from_blocks(total, m, {(0, i): inc for i, (_, inc) in enumerate(parts)})
+    if not incl.is_isomorphism():
         return None
-    field = m.algebra.field
-    inverses = {}
-    for v in m.dims:
-        cols = parts[0][1].blocks[v]
-        for _, incl in parts[1:]:
-            cols = cols.hstack(incl.blocks[v])
-        inverses[v] = cols.inverse()
-        if inverses[v] is None:
-            return None
-    out = []
-    off = dict.fromkeys(m.dims, 0)
-    for rep, incl in parts:
-        proj_blocks = {}
-        for v in m.dims:
-            k = rep.dims[v]
-            proj_blocks[v] = Mat(field, inverses[v].rows[off[v] : off[v] + k], k, m.dims[v])
-            off[v] += k
-        out.append(SummandData(rep, incl, ModHom(m, rep, proj_blocks)))
-    return out
+    inverse = incl.inverse()
+    return [
+        SummandData(rep, inc, inverse.then(proj)) for (rep, inc), proj in zip(parts, total[2])
+    ]
 
 
 def _candidate_endos(end, rng):
@@ -349,7 +337,7 @@ def decompose(m, seed=0):
     groups = []
     for sd in parts:
         for g in groups:
-            if _indecomposables_iso(g[0].rep, sd.rep, seed) is not None:
+            if _indecomposables_iso(g[0].rep, sd.rep) is not None:
                 g.append(sd)
                 break
         else:
@@ -427,27 +415,20 @@ def _search_iso(m, n, seed):
     return None
 
 
-def _indecomposables_iso(m, n, seed):
+def _indecomposables_iso(m, n):
     """An isomorphism M -> N, or None when there is none, for modules
     certified indecomposable; never inconclusive.
 
-    `_search_iso` decides first.  Where it does not, End(M) is local, and a
-    sum of non-units of a local ring is a non-unit, so M ~ N exactly when
-    g.f is an automorphism of M for some basis element f of Hom(M, N) and g
-    of Hom(N, M).  Such an f is a split mono into the indecomposable N,
-    hence an isomorphism, which is checked.
+    It is the first element of the `hom_space(M, N)` basis that is
+    invertible.  End(M) is local, so if some phi: M -> N is invertible, the
+    non-isomorphisms M -> N form phi.J(End M), a proper subspace of Hom(M, N)
+    that cannot hold the whole basis.
     """
-    report = _search_iso(m, n, seed)
-    if report is not None:
-        return report.witness
-    back = hom_space(n, m)
-    for f in hom_space(m, n):
-        for g in back:
-            if f.then(g).is_isomorphism():
-                if not f.is_isomorphism():
-                    raise QuivrepError("split mono between indecomposables is not an iso")
-                return f
-    return None
+    if m == n:
+        return ModHom.identity(m)
+    if m.dims != n.dims:
+        return None
+    return next((f for f in hom_space(m, n) if f.is_isomorphism()), None)
 
 
 def _match_summands(m, n, seed):
@@ -467,7 +448,7 @@ def _match_summands(m, n, seed):
         for j, td in enumerate(pn):
             if used[j]:
                 continue
-            iso = _indecomposables_iso(sd.rep, td.rep, seed)
+            iso = _indecomposables_iso(sd.rep, td.rep)
             if iso is not None:
                 used[j] = True
                 pieces.append(sd.proj.then(iso).then(td.incl))

@@ -259,9 +259,13 @@ def steering_combinations_split(rz, scalars=(0, 1, -1, 2)):
 
 
 def _require_rigid(module, label):
-    dim, _ = selfext.ext1(module, module)
+    """The presentation the rigidity check built, for further Ext^1 groups of
+    the module; None for the zero module, whose Ext^1 groups need none."""
+    pres = None if module.is_zero() else selfext.Presentation(module)
+    dim, _ = selfext.ext1(module, module, pres)
     if dim != 0:
         raise NotRigid("%s has Ext^1 of dimension %d" % (label, dim))
+    return pres
 
 
 def cokernel_degeneration(w0, v0):
@@ -277,8 +281,8 @@ def cokernel_degeneration(w0, v0):
         raise QuivrepError("seed maps need common endpoints")
     w_cd = cokernel_data(w0)
     w_mod = w_cd.rep
-    _require_rigid(w_mod, "coker(w0)")
-    bound = selfext.ext1(w_mod, w0.source)[0]
+    w_pres = _require_rigid(w_mod, "coker(w0)")
+    bound = selfext.ext1(w_mod, w0.source, w_pres)[0]
     lad = build_ladder(w0, v0, depth=bound + 1)
     for n0 in range(bound + 1):
         r = is_split_mono(lad.w_maps[n0])
@@ -315,12 +319,12 @@ def rigid_cokernel_iso(w0, v0, seed=0):
         raise NotMono("both seed maps must be injective")
     w_mod = cokernel_data(w0).rep
     v_mod = cokernel_data(v0).rep
-    _require_rigid(w_mod, "coker(w0)")
-    _require_rigid(v_mod, "coker(v0)")
+    w_pres = _require_rigid(w_mod, "coker(w0)")
+    v_pres = _require_rigid(v_mod, "coker(v0)")
     if w0 == v0:
         return ModHom.identity(w_mod)
-    bound_w = selfext.ext1(w_mod, w0.source)[0]
-    bound_v = selfext.ext1(v_mod, v0.source)[0]
+    bound_w = selfext.ext1(w_mod, w0.source, w_pres)[0]
+    bound_v = selfext.ext1(v_mod, v0.source, v_pres)[0]
     bound = max(bound_w, bound_v)
     lad = build_ladder(w0, v0, depth=bound + 1)
     if not any(

@@ -29,8 +29,9 @@ from .rep import (
 from .squares import ShortExact, pushout, pushout_factor
 
 
-def projective_cover(m):
-    """(P, p) with P = direct sum of P(i)^{dim top(M)_i} and p minimal onto M."""
+def _cover(m):
+    """(P, p, Omega M, u): P = direct sum of P(i)^{dim top(M)_i}, p minimal
+    onto M, and its kernel with the inclusion."""
     if m.is_zero():
         raise ZeroModule("projective cover of the zero module")
     alg = m.algebra
@@ -71,22 +72,25 @@ def projective_cover(m):
     if not p.is_surjective():
         raise QuivrepError("projective cover map is not surjective")
     # minimality: ker(p) inside rad(P)
-    ker_rep, ker_incl = kernel(p)
+    omega, u = kernel(p)
     rad_p = radical(total)
     for v in m.dims:
-        combined = rad_p.basis[v].hstack(ker_incl.blocks[v]).column_space()
+        combined = rad_p.basis[v].hstack(u.blocks[v]).column_space()
         if combined.ncols != rad_p.basis[v].ncols:
             raise QuivrepError("projective cover is not minimal")
-    return total, p
+    return total, p, omega, u
+
+
+def projective_cover(m):
+    """(P, p) with P = direct sum of P(i)^{dim top(M)_i} and p minimal onto M."""
+    return _cover(m)[:2]
 
 
 def syzygy(m):
     """(Omega M, u) = kernel of the projective cover with its inclusion."""
     if m.is_zero():
         raise ZeroModule("syzygy of the zero module")
-    p_total, p = projective_cover(m)
-    omega, u = kernel(p)
-    return omega, u
+    return _cover(m)[2:]
 
 
 class Presentation:
@@ -94,8 +98,7 @@ class Presentation:
 
     def __init__(self, m):
         self.module = m
-        self.p_total, self.p = projective_cover(m)
-        self.omega, self.u = kernel(self.p)
+        self.p_total, self.p, self.omega, self.u = _cover(m)
 
 
 class ExtClass:
@@ -186,10 +189,10 @@ def standard_subspace(m, presentation=None):
     maps = hom_space(pres.omega, pres.p_total)
     through_p = [h.then(pres.p) for h in maps]
     image_u = [h for h in hom_u_image(pres, m) if not h.is_zero()]
-    # verify the containment Im(Hom(u, M)) <= Im(Hom(Omega, p))
-    for h in image_u:
-        if hom_coordinates(through_p, h) is None:
-            raise QuivrepError("containment of hom images fails")
+    # verify the containment Im(Hom(u, M)) <= Im(Hom(Omega, p)): no element
+    # of the u-image is independent of the maps through p
+    if any(i >= len(through_p) for i in independent_indices(through_p + image_u)):
+        raise QuivrepError("containment of hom images fails")
     nonzero_p = [h for h in through_p if not h.is_zero()]
     basis = [
         ExtClass(m, m, nonzero_p[i - len(image_u)], pres)

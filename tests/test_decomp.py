@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import GF as SymGF, QQ as SymQQ
+from sympy.polys.matrices import DomainMatrix
 
 from quivrep import decomp
 from quivrep.decomp import (
@@ -15,6 +17,7 @@ from quivrep.decomp import (
     end_algebra,
     is_indecomposable,
     match_decompositions,
+    minimal_polynomial,
     split_indecomposable_parts,
 )
 from quivrep.algebra import projective
@@ -71,6 +74,52 @@ def test_end_basis_is_closed_under_composition(seed, make, field, summands):
     for h in [ModHom.identity(m)] + [f.then(g) for f in basis for g in basis]:
         coords = hom_coordinates(basis, h)
         assert coords is not None and combine(coords, basis, m, m) == h
+
+
+@st.composite
+def square_matrices(draw, field):
+    """Square matrices up to 4 x 4 with small entries: arbitrary, strictly
+    upper triangular (nilpotent) or scalar."""
+    n = draw(st.integers(0, 4))
+    if field.p:
+        entry = st.integers(0, field.p - 1)
+    else:
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    kind = draw(st.sampled_from(["any", "nilpotent", "scalar"]))
+    if kind == "scalar":
+        c = draw(entry)
+        rows = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+    else:
+        rows = [[draw(entry) if kind == "any" or j > i else 0 for j in range(n)] for i in range(n)]
+    return Mat(field, rows, n, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_minimal_polynomial_matches_sympy(data):
+    # sympy's DomainMatrix as the oracle: mu is monic, mu(A) = 0, and its
+    # degree is the rank of the flattened powers I, A, ..., A^n
+    field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    a = data.draw(square_matrices(field))
+    mu = minimal_polynomial(a)
+    assert mu[-1] == field.one()
+    n = a.nrows
+    if n == 0:
+        assert mu == [field.one()]
+        return
+    dom = SymGF(field.p) if field.p else SymQQ
+    conv = dom if field.p else (lambda x: dom(x.numerator, x.denominator))
+    dm = DomainMatrix([[conv(x) for x in row] for row in a.rows], (n, n), dom)
+    eye = DomainMatrix.eye(n, dom)
+    value = DomainMatrix.zeros((n, n), dom)
+    for c in reversed(mu):
+        value = value * dm + eye * conv(c)
+    assert value.is_zero_matrix
+    powers = [eye]
+    for _ in range(n):
+        powers.append(powers[-1] * dm)
+    flat = [[x for row in pw.to_list() for x in row] for pw in powers]
+    assert len(mu) - 1 == DomainMatrix(flat, (n + 1, n * n), dom).rank()
 
 
 def test_indecomposable_simple(kronecker):
@@ -252,7 +301,7 @@ def test_match_decompositions(kron_regular, kron_projectives, monkeypatch):
     assert match_decompositions(z, z) == ModHom.identity(z)
     # matched summands that assemble to a non-isomorphism are an error, not
     # a refutation
-    monkeypatch.setattr(decomp, "_indecomposables_iso", lambda x, y, seed: ModHom.zero_hom(x, y))
+    monkeypatch.setattr(decomp, "_indecomposables_iso", lambda x, y: ModHom.zero_hom(x, y))
     with pytest.raises(QuivrepError, match="not an isomorphism"):
         match_decompositions(m, n)
 
@@ -475,6 +524,79 @@ def test_inconclusive_summand_pairs_are_decided(field, monkeypatch):
     )
     out = are_isomorphic(m, sum_module([x, pa]))
     assert out.verdict == "not-isomorphic" and out.refutation == "summand counts differ: 3 vs 2"
+
+
+def _indecomposable_pairs(alg, rng, draws):
+    """Pairs (M, N) of sparse modules certified indecomposable, of equal
+    dims up to 3 at a vertex, with p^dim Hom(M, N) <= 2^8: in every other
+    draw N is a `_rebased` copy of M, in the others a second module."""
+    p = alg.field.p
+    for i in range(draws):
+        dims = {"a": rng.randint(1, 3), "b": rng.randint(1, 3)}
+        m, n = (_sparse_rep(alg, dims, rng.choice((0.35, 0.5)), rng) for _ in range(2))
+        if i % 2:
+            n = _rebased(m, rng)
+        if p ** hom_dimension(m, n) > 1 << 8:
+            continue
+        if is_indecomposable(m)[0] and is_indecomposable(n)[0]:
+            yield m, n
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("make", [fx.kronecker, fx.three_kronecker])
+def test_indecomposables_iso_agrees_with_the_digit_search(make, p):
+    # the first invertible element of the Hom basis exists exactly when some
+    # combination of the basis is invertible
+    verdicts = set()
+    for m, n in _indecomposable_pairs(make(GF(p)), random.Random(4), 80):
+        iso = decomp._indecomposables_iso(m, n)
+        assert (iso is None) == (_iso_by_digit_search(m, n) is None)
+        if iso is not None:
+            assert iso.source == m and iso.target == n
+            assert iso.commutes() and iso.is_isomorphism()
+        verdicts.add(iso is None)
+    assert verdicts == {True, False}
+
+
+# (alpha, beta, gamma) of two non-isomorphic 3-Kronecker modules over GF(2)
+# of dims (4, 3), both certified indecomposable, with equal invariants: the
+# structured line and the random trials of `_search_iso` find no iso
+SEARCHED_ONCE_PAIR = (
+    (
+        [[1, 0, 0, 0], [1, 0, 1, 0], [1, 0, 0, 0]],
+        [[0, 0, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0]],
+        [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]],
+    ),
+    (
+        [[0, 0, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]],
+        [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+        [[0, 1, 1, 1], [0, 0, 0, 0], [0, 1, 1, 1]],
+    ),
+)
+
+
+def test_indecomposable_pair_is_searched_once(monkeypatch):
+    # the summand match of two indecomposables scans the Hom basis and does
+    # not repeat the search that are_isomorphic has just made
+    alg = fx.three_kronecker(GF(2))
+    arrows = ("alpha", "beta", "gamma")
+    m, n = (
+        Rep(alg, {"a": 4, "b": 3}, {a: Mat(alg.field, b) for a, b in zip(arrows, mats)})
+        for mats in SEARCHED_ONCE_PAIR
+    )
+    assert is_indecomposable(m)[0] and is_indecomposable(n)[0]
+    assert decomp._invariant_refutation(m, n) is None
+    calls = []
+    search = decomp._search_iso
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(decomp, "_search_iso", counted)
+    out = are_isomorphic(m, n)
+    assert out.verdict == "not-isomorphic"
+    assert len(calls) == 1
 
 
 def _quaternion_brick(a, b):
