@@ -137,11 +137,15 @@ class Ladder:
     def canonical_generators(self, i):
         """The i canonical maps U_1 -> U_i that generate U_i.
 
-        The j-th map is w_(i-1) ... w_(j+1) o v_j ... v_1 for j = 0..i-1.
+        The j-th map is w_(i-1) ... w_(j+1) o v_j ... v_1 for j = 0..i-1;
+        each generator extends the previous one's v-chain by one map.
         """
         gens = []
+        v_chain = ModHom.identity(self.modules[1])
         for j in range(i):
-            f = self.vertical_composite(1, j + 1)
+            if j:
+                v_chain = v_chain.then(self.v_maps[j])
+            f = v_chain
             for k in range(j + 1, i):
                 f = f.then(self.w_maps[k])
             gens.append(f)

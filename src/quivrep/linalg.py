@@ -18,9 +18,11 @@ stored rows; over Q reading `rows` builds new `Fraction` rows on every read,
 and `entry` and `col` read single entries.  Nothing is cached, so a matrix
 never changes after construction and threads can share it without locks.
 Beside its form a `Mat` holds one flag, bound once in the same
-constructors: whether it is an identity.  Only `Mat.identity` sets it
-(`quotient_maps` returns such identities for the quotient by zero), and
-`==` does not read it.
+constructors: whether it is an identity.  Only `Mat.identity` sets it, but
+every identity the library makes comes from there: `quotient_maps` returns
+it for the quotient by zero, and a product or an inverse that comes out as
+the identity returns `Mat.identity` rather than an unflagged copy.  `rank`
+reads the flag; `==` does not.
 
 The rest of the package reads `rows` and uses the operations, and never
 handles a denominator: `Mat.stack_flat` and `Mat.unstack_flat` flatten
@@ -32,11 +34,13 @@ A product with a flagged identity operand is the other operand, and a
 product with a zero dimension is the zero matrix of its shape: both are
 exact, and a `Mat` never changes, so neither needs a scan of the entries.
 The constructions make many such products: quotient maps by zero and the
-start of every composite are identities, and blocks at vertices where a
-module is zero are empty.  Every other product, over both fields, runs one
-integer kernel, after Gustavson (1978): row i of A B is the sum of
+start of every composite are identities, the maps between canonical
+quotient bases mostly come out as identities, and blocks at vertices where
+a module is zero are empty.  Every other product, over both fields, runs
+one integer kernel, after Gustavson (1978): row i of A B is the sum of
 x * (row k of B) over the nonzero entries x = A[i][k], so zero entries of A
-cost nothing and B is never transposed.
+cost nothing and B is never transposed.  A square result is scanned for
+the identity, row by row, up to the first row that is not.
 Over Q the product of A = N/D and B = M/E is NM over DE, reduced by the gcd
 of DE and its entries; over GF(p) each entry is reduced mod p once, at the
 end of its row.
@@ -370,7 +374,10 @@ class Mat:
         if not (self.nrows and self.ncols and other.ncols):
             return Mat.zeros(f, self.nrows, other.ncols)
         prod = _mul_ints(self._ints, other._ints, other.ncols, f.p)
-        return Mat.from_ints(f, prod, self._den * other._den, self.nrows, other.ncols)
+        den = self._den * other._den
+        if self.nrows == other.ncols and _is_scaled_identity(prod, den):
+            return Mat.identity(f, self.nrows)
+        return Mat.from_ints(f, prod, den, self.nrows, other.ncols)
 
     def _check_same_shape(self, other):
         if self.field != other.field or self.shape != other.shape:
@@ -387,7 +394,10 @@ class Mat:
 
     def rank(self):
         """The number of pivots of the forward elimination of `rref` (see
-        `_forward`); there is no back-substitution."""
+        `_forward`); there is no back-substitution.  A flagged identity has
+        full rank."""
+        if self._is_identity:
+            return self.nrows
         return len(_forward(self._ints, self.ncols, self.field.p)[1])
 
     def null_space(self):
@@ -423,13 +433,18 @@ class Mat:
         return Mat.from_ints(self.field, x, den, n, b.ncols)
 
     def inverse(self):
-        """Inverse matrix, or None when singular."""
+        """Inverse matrix, or None when singular.  The inverse of an identity
+        is the flagged identity, with no elimination."""
         if self.nrows != self.ncols:
             return None
-        x = self.solve_right(Mat.identity(self.field, self.nrows))
-        if x is None:
-            return None
-        if (self * x) != Mat.identity(self.field, self.nrows):
+        ident = Mat.identity(self.field, self.nrows)
+        if _is_scaled_identity(self._ints, self._den):
+            x = ident
+        else:
+            x = self.solve_right(ident)
+            if x is None:
+                return None
+        if self * x != ident:
             return None
         return x
 
@@ -544,6 +559,16 @@ def _mul_ints(a, b, ncols, p=0):
     return out
 
 
+def _is_scaled_identity(rows, den):
+    """Whether the square integer rows over den are the identity: row i is
+    den at i and zero elsewhere.  The scan stops at the first row that is
+    not."""
+    for i, row in enumerate(rows):
+        if row[i] != den or row.count(0) != len(row) - 1:
+            return False
+    return True
+
+
 def _clear(piv, c, rows, p):
     """The rows with column c cleared by the pivot row `piv`, over GF(p) when
     p (with piv[c] = 1), else over Q (each new row primitive), as new rows:
@@ -581,20 +606,22 @@ def _forward(ints, ncols, p):
     rows `ints`, over GF(p) when p (each pivot scaled to 1), else over Q
     (every row primitive).  The pivot of each column is the remaining row
     nonzero there with the fewest nonzeros; rows that become zero are
-    dropped, so the rank is the number of pivots.  The input rows are not
-    written: `_clear` copies a row before changing it."""
+    dropped, so the rank is the number of pivots.  When the pivot row is the
+    only row nonzero in its column there is nothing to clear.  The input
+    rows are not written: `_clear` copies a row before changing it."""
     rows = [row for row in ints if any(row)]
     done, pivots = [], []
     for c in range(ncols):
         if not rows:
             break
-        k, most = -1, -1
+        k, most, hits = -1, -1, 0
         for i, row in enumerate(rows):
             if row[c]:
+                hits += 1
                 zeros = row.count(0)
                 if zeros > most:
                     k, most = i, zeros
-        if k < 0:
+        if not hits:
             continue
         piv = rows.pop(k)
         if p:
@@ -605,7 +632,7 @@ def _forward(ints, ncols, p):
             g = gcd(*piv)
             if g > 1:
                 piv = [x // g for x in piv]
-        if rows:
+        if hits > 1:
             rows = _clear(piv, c, rows, p)
         done.append(piv)
         pivots.append(c)

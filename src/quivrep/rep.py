@@ -363,6 +363,13 @@ class QuotientData:
     `span` maps each vertex to a matrix whose columns span the submodule
     there: any spanning columns, such as the blocks of a hom whose image it
     is, since the quotient maps depend only on their column space.
+
+    An arrow a: s -> t acts on the quotient by moved * section_s, with
+    moved = proj_t * S_a, and the same product checks it: the projection
+    commutes with a exactly when action * proj_s == moved (the equality
+    `ModHom.failing_arrow` tests), that is, when the span is stable under
+    a.  The quotient `Rep` checks the relations as it is built, then each
+    arrow is checked, so the projection is built with no second check.
     """
 
     def __init__(self, ambient, span):
@@ -374,11 +381,14 @@ class QuotientData:
             proj_blocks[v] = p
             self.section[v] = s
         dims = {v: proj_blocks[v].nrows for v in ambient.dims}
-        action = {}
-        for a, s, t in ambient.algebra.quiver.arrows:
-            action[a] = proj_blocks[t] * ambient.action[a] * self.section[s]
+        arrows = ambient.algebra.quiver.arrows
+        moved = {a: proj_blocks[t] * ambient.action[a] for a, _, t in arrows}
+        action = {a: moved[a] * self.section[s] for a, s, _ in arrows}
         self.rep = Rep(ambient.algebra, dims, action)
-        self.proj = ModHom(ambient, self.rep, proj_blocks)
+        for a, s, _ in arrows:
+            if action[a] * proj_blocks[s] != moved[a]:
+                raise QuivrepError("blocks do not commute with the action of arrow %r" % (a,))
+        self.proj = ModHom(ambient, self.rep, proj_blocks, check=False)
 
     def induce_from(self, f):
         """Induce g: self.rep -> T from f: self.ambient -> T killing the submodule."""

@@ -3,6 +3,7 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivrep import ladder
 from quivrep.decomp import are_isomorphic
@@ -26,10 +27,12 @@ from quivrep.rep import (
     hom_space,
     kernel,
     socle,
+    sum_module,
 )
 from quivrep.selfext import Presentation, class_to_sequence, ext1, ext_class_of_sequence
 from quivrep.squares import is_exact_square
 from quivrep.zladder import z_ladder
+from test_decomp import _rebased
 from test_golden_kernel import _random_seed
 
 
@@ -236,6 +239,51 @@ def test_split_mono_seed_gives_powers(kronecker, kron_projectives):
     assert are_isomorphic(h3, direct_sum([h] * 3)[0]).verdict == "isomorphic"
 
 
+# Random seeds (w0, v0): P(b) -> P(a)^l on the Kronecker and 3-Kronecker
+# quivers, over Q and GF(3).  The isomorphism test leaves out P(b) -> P(a)^2,
+# whose H^3 of dimension (6, 9) takes a rational search of up to 0.5 s.
+SMALL_SEEDS = [(fx.kronecker, "b", "a"), (fx.three_kronecker, "b", "a")]
+
+
+def random_seeds(kinds):
+    return st.tuples(
+        st.sampled_from(kinds), st.sampled_from([QQ, GF(3)]), st.integers(0, 2**32 - 1)
+    )
+
+
+def _draw_seed(seed):
+    (make, tops0, tops1), field, rng_seed = seed
+    return _random_seed(make(field), tops0, tops1, random.Random(rng_seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_seeds(SMALL_SEEDS + [(fx.kronecker, "b", "aa")]))
+def test_truncations_have_n_copies_of_h(seed):
+    # dim H[n] = n dim H at every vertex
+    lad = build_ladder(*_draw_seed(seed), depth=3)
+    h = lad.basis_module
+    for n in range(lad.depth + 1):
+        assert lad.truncation(n).rep.dims == {v: n * d for v, d in h.dims.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_seeds(SMALL_SEEDS), st.integers(1, 2))
+def test_seed_v0_a_multiple_of_w0_gives_powers_of_h(seed, c):
+    # Ringel's split case: v0 = c w0 makes H[n] isomorphic to H^n, here
+    # written in a random basis, with a witness checked by hand
+    w0, _ = _draw_seed(seed)
+    lad = build_ladder(w0, w0.scale(c), depth=3)
+    h = lad.basis_module
+    rng = random.Random(seed[-1])
+    for n in range(1, lad.depth + 1):
+        hn, power = lad.truncation(n).rep, _rebased(sum_module([h] * n), rng)
+        report = are_isomorphic(hn, power)
+        assert report.verdict == "isomorphic"
+        iso = report.witness
+        assert iso.source == hn and iso.target == power
+        assert iso.commutes() and iso.is_isomorphism()
+
+
 def test_chessboard_same_seed_coincides(kron_seed):
     # with equal seeds the two embedded copies of U_0 agree inside every
     # rung, so the truncation families are literally the same
@@ -284,6 +332,18 @@ def test_stage_composites_are_the_w_chains_recomposed(field):
                 assert t.from_u0 == _w_chain(lad, 0, n)
                 assert lad.embedded_seed_image(n) is t.from_u0
                 assert t.from_u1 == (_w_chain(lad, 1, n) if n else None)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_canonical_generators_are_the_chains_recomposed(field):
+    # each generator extends the v-chain of the one before it by one map
+    for w0, v0 in _chessboard_seeds(field):
+        lad = build_ladder(w0, v0, depth=4)
+        for i in range(lad.depth + 1):
+            expected = [
+                lad.vertical_composite(1, j + 1).then(_w_chain(lad, j + 1, i)) for j in range(i)
+            ]
+            assert lad.canonical_generators(i) == expected
 
 
 def test_chessboard_integer_shadow():

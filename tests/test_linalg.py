@@ -18,6 +18,7 @@ from quivrep.linalg import (
     GF,
     QQ,
     Mat,
+    _forward,
     _is_prime,
     _is_unimodular,
     _mul_ints,
@@ -361,7 +362,9 @@ def _row_built(a):
 
 def _plain_identity(field, n):
     """The n x n identity built from its rows: it carries no identity flag,
-    so products with it run the integer kernel."""
+    so products with it run the integer kernel, and a product that comes
+    out as the identity, such as one of two plain identities, comes back
+    flagged."""
     return Mat(field, [[int(i == j) for j in range(n)] for i in range(n)], n, n)
 
 
@@ -527,6 +530,44 @@ def test_identity_and_empty_products_equal_the_kernel_product(data):
         assert prod.shape == (x.nrows, y.ncols)
         # == compares the denominators too
         assert prod == plain_x * plain_y == _kernel_product(plain_x, plain_y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_identity_flag_never_lies(data):
+    # A kernel product (no flagged operand, no zero dimension) is flagged
+    # exactly when it is the identity, and no product, inverse or identity
+    # is flagged unless it is the identity.  Right inverses make identity
+    # products from factors that are not square.
+    field = data.draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    n, k = (data.draw(st.integers(min_value=1, max_value=4)) for _ in range(2))
+    a = data.draw(field_matrices(field, n, k))
+    b = data.draw(field_matrices(field, k, n))
+    plain = _plain_identity(field, n)
+    right = a.solve_right(plain)
+    square = data.draw(field_matrices(field, n, n))
+    inv = square.inverse()
+    kernel_pairs = [(a, b), (b, a), (plain, plain), (square, plain), (plain, square)]
+    if right is not None:
+        kernel_pairs += [(a, right), (right, a)]
+    if inv is not None and not inv._is_identity:
+        kernel_pairs += [(square, inv), (inv, square)]
+    made = [x * y for x, y in kernel_pairs]
+    assert made == [_kernel_product(x, y) for x, y in kernel_pairs]
+    for prod in made:
+        assert prod._is_identity == (prod == _plain_identity(field, prod.nrows))
+    if right is not None:
+        assert (a * right)._is_identity and a * right == plain
+    if inv is not None:
+        assert (square * inv)._is_identity or square == plain
+        assert square * inv == plain == inv * square
+    plain_inv = plain.inverse()
+    assert plain_inv._is_identity and plain_inv == plain
+    shortcut = [Mat.identity(field, n) * square, square * Mat.identity(field, n), plain_inv]
+    for m in made + shortcut + [right, inv]:
+        if m is not None and m._is_identity:
+            assert m == _plain_identity(field, m.nrows)
+            assert m.rank() == len(_forward(m._ints, m.ncols, field.p)[1]) == m.nrows
 
 
 # Products of the sparse, small matrices the paper's constructions make:

@@ -466,6 +466,34 @@ def test_quotient_by_hom_blocks_is_the_quotient_by_their_column_space(data):
     assert by_blocks.proj == by_space.proj
 
 
+def _unstable_spans(alg):
+    """Spans in P(a) that are not stable under the arrows, each with the
+    first arrow that moves it out of itself: the top alone (alpha), and the
+    top with its alpha-image and everything that image generates (beta)."""
+    field = alg.field
+    pa = projective(alg, "a")[0]
+    top = Mat.identity(field, 1)
+    alpha_image = pa.action["alpha"]
+    nothing = {v: Mat.zeros(field, pa.dims[v], 0) for v in pa.dims}
+    along_alpha = dict(nothing, a=top, b=alpha_image)
+    if "gamma" in pa.action:
+        along_alpha["c"] = pa.action["gamma"] * alpha_image
+    return pa, [(dict(nothing, a=top), "alpha"), (along_alpha, "beta")]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+@pytest.mark.parametrize("make", [fx.kronecker, fx.commuting_square_tower], ids=["kr", "tw"])
+def test_quotient_by_an_unstable_span_raises(make, field):
+    pa, spans = _unstable_spans(make(field))
+    for span, arrow in spans:
+        with pytest.raises(QuivrepError, match="arrow %r" % arrow):
+            QuotientData(pa, span)
+    # the radical is stable, and its quotient is the top
+    radical = {v: Mat.identity(field, d) if v != "a" else Mat.zeros(field, d, 0)
+               for v, d in pa.dims.items()}
+    assert QuotientData(pa, radical).rep.dims == {v: int(v == "a") for v in pa.dims}
+
+
 def _hom_from_blocks_by_products(sum_src, sum_tgt, blocks):
     """The reference assembly: each component moved into place by the sums'
     projection and injection homs, and the results added up."""
