@@ -24,12 +24,14 @@ candidates as without it.  Over Q the trace-form kernel of a decomposable
 module has codimension at least 2 (orthogonal idempotents have nonzero
 traces), so split verdicts never pay for the verification.
 
-`are_isomorphic` decides in this order: equality; invariant refutations
-(dimension vector, annihilator dimension, dim Hom = dim End both ways); zero
-modules; Hom(M, N) = 0; the structured line; 64 seeded random trials (all of
-these are `_search_iso`); then Krull-Remak-Schmidt, matching the summands
-certified indecomposable exactly (`_match_summands`).  Two indecomposables
-M, N of equal dimension vectors are isomorphic iff some element of the
+`are_isomorphic` decides in this order, the first three stages being
+`_search_iso`: equality; invariant refutations (dimension vector,
+annihilator dimension, dim Hom = dim End both ways); 64 seeded random
+combinations of the `hom_space(M, N)` basis, each verified by
+`is_isomorphism` (Schwartz, J. ACM 27, 1980); then Krull-Remak-Schmidt,
+matching the summands certified indecomposable exactly
+(`_match_summands`).  Two indecomposables M, N of equal dimension vectors
+are isomorphic iff some element of the
 `hom_space(M, N)` basis is invertible: End M is local, so for an iso phi the
 non-isomorphisms phi.J(End M) are a proper subspace of Hom(M, N), which
 cannot hold the whole basis.  So `are_isomorphic` answers `inconclusive`
@@ -381,7 +383,13 @@ def _invariant_refutation(m, n):
 
 def _search_iso(m, n, seed):
     """`are_isomorphic` up to the summand match: an IsoReport, or None
-    where no stage decides (see the module docstring)."""
+    where no stage decides.
+
+    The stages: the algebra check, equality, the invariant refutation, and
+    64 seeded random combinations of the `hom_space(M, N)` basis, each
+    verified by `is_isomorphism`.  Two zero modules over one algebra are
+    equal, and the invariants give dim Hom(M, N) = dim End M >= 1 for M
+    nonzero, so the basis is never empty here."""
     if m.algebra != n.algebra:
         raise AlgebraMismatch("modules over different algebras")
     if m == n:
@@ -389,26 +397,11 @@ def _search_iso(m, n, seed):
     ref = _invariant_refutation(m, n)
     if ref is not None:
         return IsoReport("not-isomorphic", refutation=ref)
-    if m.total_dim() == 0:
-        return IsoReport("isomorphic", ModHom.identity(m))
     homs = hom_space(m, n)
     field = m.algebra.field
-    if not homs:
-        return IsoReport("not-isomorphic", refutation="Hom(M, N) = 0 with M, N nonzero")
-    h = len(homs)
     rng = random.Random(seed)
-    # structured line: coefficients (1, t, t^2, ...) for many t, which makes
-    # the determinant a nonzero polynomial detectable by evaluation
-    total = m.total_dim()
-    tries = total * h + 2
-    if field.p:
-        tries = min(tries, field.p)  # values of t equal mod p give one candidate
-    for t in range(tries):
-        cand = combine([t**i for i in range(h)], homs, m, n)
-        if cand.is_isomorphism():
-            return IsoReport("isomorphic", cand)
     for _ in range(64):
-        coefs = [field.random(rng, span=7) for _ in range(h)]
+        coefs = [field.random(rng, span=7) for _ in homs]
         cand = combine(coefs, homs, m, n)
         if cand.is_isomorphism():
             return IsoReport("isomorphic", cand)
@@ -477,10 +470,9 @@ def are_isomorphic(m, n, seed=0):
     """IsoReport with a verified witness or a recomputable refutation.
 
     The stages, in order (see the module docstring): equality, invariant
-    refutations, zero modules, Hom(M, N) = 0, the structured line and the
-    random trials of `_search_iso`, then the summand match.  The verdict is
-    "inconclusive" only when a summand's indecomposability raises
-    Inconclusive."""
+    refutations and the seeded random trials of `_search_iso`, then the
+    summand match.  The verdict is "inconclusive" only when a summand's
+    indecomposability raises Inconclusive."""
     report = _search_iso(m, n, seed)
     if report is not None:
         return report

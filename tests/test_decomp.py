@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -33,10 +34,12 @@ from quivrep.rep import (
     hom_coordinates,
     hom_dimension,
     hom_space,
+    kernel,
     sum_module,
 )
 from quivrep import fixtures as fx
 from quivrep import suites
+from test_golden_kernel import _random_seed
 
 
 def test_end_algebra_simple(kronecker):
@@ -431,7 +434,7 @@ def _small_pairs(alg, rng, draws):
 @pytest.mark.parametrize("make", [fx.kronecker, fx.three_kronecker])
 def test_are_isomorphic_agrees_with_the_digit_search(make, p):
     # where the invariants agree and Hom is small, the summand match decides
-    # every pair the line and the random trials leave open; seed 2 draws a
+    # every pair the random trials leave open; seed 2 draws a
     # pair of non-isomorphic 3-Kronecker modules over both fields
     verdicts = []
     for m, n in _small_pairs(make(GF(p)), random.Random(2), 300):
@@ -560,7 +563,7 @@ def test_indecomposables_iso_agrees_with_the_digit_search(make, p):
 
 # (alpha, beta, gamma) of two non-isomorphic 3-Kronecker modules over GF(2)
 # of dims (4, 3), both certified indecomposable, with equal invariants: the
-# structured line and the random trials of `_search_iso` find no iso
+# 64 random trials of `_search_iso` find no iso
 SEARCHED_ONCE_PAIR = (
     (
         [[1, 0, 0, 0], [1, 0, 1, 0], [1, 0, 0, 0]],
@@ -629,8 +632,8 @@ def _doubled_gf2_bricks():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_gf2_doubled_bricks_are_isomorphic(seed):
-    # dim Hom = 28 rules out the exhaustive search, and the line and the
-    # random trials find no invertible hom: the summand match decides
+    # dim Hom = 28 rules out the exhaustive search, and the 64 random
+    # trials find no invertible hom: the summand match decides
     m = _doubled_gf2_bricks()
     n = _rebased(m, random.Random(1))
     assert decomp._search_iso(m, n, seed) is None
@@ -642,13 +645,40 @@ def test_gf2_doubled_bricks_are_isomorphic(seed):
 
 @pytest.mark.parametrize("a, b", [(-1, -1), (2, 7)])
 def test_doubled_quaternion_bricks_are_isomorphic(a, b):
-    # only the random trials decide these pairs: the line fails, and the
-    # summands of (-1, -1), a division algebra, are not certified
+    # the random trials decide these pairs; the summand match could not
+    # decide (-1, -1), whose summands (a division algebra) are not certified
     m = sum_module([_quaternion_brick(a, b)] * 2)
     n = _rebased(m, random.Random(1))
     out = are_isomorphic(m, n)
     assert out.verdict == "isomorphic"
     assert out.witness.commutes() and out.witness.is_isomorphism()
+
+
+def test_split_kronecker_truncation_is_found_by_the_random_trials():
+    # H[3] of P(b) -> P(a)^2 with v0 = 2 w0 against H^3 in another basis:
+    # dim Hom = 27, and the random trials find an isomorphism
+    w0, _ = _random_seed(fx.kronecker(QQ), "b", "aa", random.Random(0))
+    lad = build_ladder(w0, w0.scale(2), depth=3)
+    m = lad.truncation(3).rep
+    n = _rebased(sum_module([lad.basis_module] * 3), random.Random(0))
+    out = decomp._search_iso(m, n, 0)
+    assert out.verdict == "isomorphic"
+    assert out.witness.source == m and out.witness.target == n
+    assert out.witness.commutes() and out.witness.is_isomorphism()
+
+
+def test_zero_modules_are_equal(kronecker, kron_regular):
+    # however a zero module is built, each arrow acts by the canonical empty
+    # matrix, so the equality stage decides every pair of zero modules
+    third = combine([Fraction(1, 3)], [ModHom.identity(kron_regular)], kron_regular, kron_regular)
+    zeros = [Rep.zero(kronecker), sum_module([], kronecker), kernel(third)[0]]
+    for z in zeros:
+        assert z.is_zero()
+        for y in zeros:
+            assert z == y
+            out = are_isomorphic(z, y)
+            assert out.verdict == "isomorphic"
+            assert out.witness == ModHom.identity(z)
 
 
 def test_uncertified_summand_is_inconclusive(monkeypatch):
