@@ -17,9 +17,10 @@ from quivrep.degen import (
 )
 from quivrep.errors import BelowIndex, NotExact, NotNilpotent, NotRigid
 from quivrep.ladder import build_ladder
-from quivrep.linalg import QQ, Mat
-from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_space
-from quivrep.squares import is_split_mono
+from quivrep.algebra import projective
+from quivrep.linalg import GF, QQ, Mat
+from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_from_blocks, hom_space
+from quivrep.squares import is_split_mono, pushout, pushout_factor
 from quivrep import fixtures as fx
 
 
@@ -285,3 +286,37 @@ def test_once_split_always_split_d4(d4_seed):
     lad = build_ladder(w0, v0, depth=4)
     flags = [is_split_mono(w) is not None for w in lad.w_maps]
     assert flags == [False, False, True, True]
+
+
+def _rz_on_its_cokernel(u, x, mono):
+    y, epi = cokernel(mono)
+    return check_rz(u, x, y, mono, epi)
+
+
+def _steered_and_unsteered_rz(alg):
+    """Two RZ sequences from a mono iota: S -> T with S simple: U = S + T,
+    X = T, g the T-projection and steering iota (square zero); and U = S,
+    X = T, g = iota and zero steering."""
+    if alg.name == "kronecker":
+        t, s = projective(alg, "a")[0], projective(alg, "b")[0]
+        iota = hom_space(s, t)[0]
+    else:
+        s, t, iota, _, _ = fx.d4_modules(alg)
+    u_sum = direct_sum([s, t])
+    blocks = {(0, 1): ModHom.identity(t), (1, 0): iota.then(u_sum[1][1])}
+    steered = hom_from_blocks(u_sum, direct_sum([t, u_sum[0]]), blocks)
+    unsteered = iota.then(direct_sum([t, s])[1][0])
+    return _rz_on_its_cokernel(u_sum[0], t, steered), _rz_on_its_cokernel(s, t, unsteered)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+@pytest.mark.parametrize("make", [fx.kronecker, fx.d4_subspace], ids=["kr", "d4"])
+def test_every_rung_of_an_rz_certificate_is_the_generic_pushout(make, field):
+    steered, unsteered = _steered_and_unsteered_rz(make(field))
+    assert steered.nilpotency_index() == 2 and unsteered.steering.is_zero()
+    for rz in (steered, unsteered):
+        lad = rz_to_prufer(rz, depth=4).ladder
+        for n in range(lad.depth - 1):
+            sq = pushout(lad.w_maps[n], lad.v_maps[n])
+            kappa = pushout_factor(sq, lad.v_maps[n + 1], lad.w_maps[n + 1])
+            assert kappa.is_isomorphism()

@@ -564,3 +564,25 @@ def test_hom_from_blocks_takes_a_plain_module_as_a_sum_of_one_part(data):
     h = suites._random_hom(m, m, rng)
     assert hom_from_blocks(m, m, {(0, 0): h}) == h
     assert hom_from_blocks(m, m, {}) == ModHom.zero_hom(m, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_induce_from_recovers_a_map_out_of_the_quotient(data):
+    """A map h out of M/S is induced back from proj;h, and commutes; a map
+    out of M that does not kill S does not descend."""
+    group = data.draw(st.sampled_from(QUOTIENT_GROUPS))
+    a, m, t = (data.draw(st.sampled_from(group)) for _ in range(3))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    span = suites._random_hom(a, m, rng)
+    q = QuotientData(m, span.blocks)
+    h = suites._random_hom(q.rep, t, rng)
+    g = q.induce_from(q.proj.then(h))
+    assert g == h
+    assert g.commutes()
+    f = suites._random_hom(m, t, rng)
+    if span.then(f).is_zero():
+        assert q.proj.then(q.induce_from(f)) == f
+    else:
+        with pytest.raises(QuivrepError, match="map does not descend to the quotient"):
+            q.induce_from(f)

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from quivrep import suites
 from quivrep.errors import EdgeMismatch, NotExact
 from quivrep.linalg import QQ, Mat
 from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_space
@@ -20,6 +22,7 @@ from quivrep.squares import (
 )
 from quivrep.zladder import z_pushout_of_multiplications
 from quivrep import fixtures as fx
+from test_block_maps import _draw
 
 
 def test_pushout_along_identity(kron_seed, kron_projectives):
@@ -227,3 +230,22 @@ def test_pushout_factor_unique(kron_seed):
     sq = pushout(w0, v0)
     h = pushout_factor(sq, sq.gp, sq.fp)
     assert h == ModHom.identity(sq.z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pushout_of_a_mono_is_an_exact_square_with_a_mono_leg(data):
+    (x, y1, y2), rng = _draw(data, 3)
+    w = suites._random_mono(x, y1, rng)
+    assume(w is not None)
+    sq = pushout(w, suites._random_hom(x, y2, rng))
+    assert is_exact_square(sq)
+    assert sq.fp.is_injective()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pushout_factor_of_the_legs_is_the_identity(data):
+    (x, y1, y2), rng = _draw(data, 3)
+    sq = pushout(suites._random_hom(x, y1, rng), suites._random_hom(x, y2, rng))
+    assert pushout_factor(sq, sq.gp, sq.fp) == ModHom.identity(sq.z)
