@@ -45,7 +45,6 @@ from .ladder import (
     chessboard,
     ladder_extension,
     ladder_seed_from_simple,
-    truncation,
 )
 from .linalg import GF, QQ, Field, Mat, SNFResult, null_space, rref, smith_normal_form
 from .rep import (

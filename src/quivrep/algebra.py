@@ -141,7 +141,7 @@ class PathBasis:
         field = alg.field
         bound = alg.loewy_bound
 
-        # words_by_degree[d] = ordered list of composable words of length d
+        # words[d] = ordered list of composable words of length d
         words = {0: [()], 1: [(a,) for a in quiver.arrow_names]}
         d = 1
         while d < bound:
@@ -155,26 +155,23 @@ class PathBasis:
             if not nxt:
                 break
             d += 1
-        self.words_by_degree = words
 
         rel_by_degree = {}
         for rel in alg.relations:
             rel_by_degree.setdefault(len(rel[0][1]), []).append(rel)
 
         # ideal_rows[d]: echelonized rows of the degree-d ideal component in
-        # coordinates over words_by_degree[d]; reduce[d]: word -> {word: coef}
-        self.basis_words = {0: list(words[0]), 1: list(words.get(1, []))}
-        self.reduce_table = {0: {(): {(): field.one()}}}
+        # coordinates over words[d]; reduce[d]: word -> {word: coef}
+        self.basis_words = {0: list(words[0]), 1: list(words[1])}
+        self.reduce_table = {0: {(): {(): field.one()}}, 1: {w: {w: field.one()} for w in words[1]}}
         ideal_basis = {0: [], 1: []}
-        if 1 in words:
-            self.reduce_table[1] = {w: {w: field.one()} for w in words[1]}
         max_deg = max(words)
         for deg in range(2, max_deg + 1):
             wlist = words[deg]
             index = {w: i for i, w in enumerate(wlist)}
             rows = []
             # two-sided ideal: extend lower-degree ideal elements by one arrow
-            prev = ideal_basis.get(deg - 1, [])
+            prev = ideal_basis[deg - 1]
             prev_words = words[deg - 1]
             for vec in prev:
                 for a in quiver.arrow_names:
@@ -201,7 +198,7 @@ class PathBasis:
                     vec[index[w]] = field.add(vec[index[w]], c)
                 rows.append(vec)
             if rows:
-                mat = Mat.from_rows(field, rows, len(wlist))
+                mat = Mat(field, rows, len(rows), len(wlist))
                 rank, pivots, red = mat.rref()
                 ech = red.rows[:rank]
             else:
@@ -239,25 +236,12 @@ class PathBasis:
         self.total_dimension = len(quiver.vertices) + len(self.basis)
 
     def reduce_word(self, word):
-        """Express a composable word as {basis word: coefficient}."""
+        """Express a composable word as {basis word: coefficient}; every
+        one shorter than the bound has a row in `reduce_table`."""
         deg = len(word)
         if deg >= self.algebra.loewy_bound:
             return {}
-        table = self.reduce_table.get(deg)
-        if table is None or word not in table:
-            return {}
-        return table[word]
-
-    def multiply(self, w1, w2):
-        """Product (first w1, then w2) reduced to basis coordinates."""
-        if w1 == ():
-            return dict(self.reduce_word(w2)) if w2 else {(): self.algebra.field.one()}
-        if w2 == ():
-            return dict(self.reduce_word(w1))
-        q = self.algebra.quiver
-        if path_target(q, w1) != path_source(q, w2):
-            return {}
-        return dict(self.reduce_word(w1 + w2))
+        return self.reduce_table[deg][word]
 
     def multiply_elements(self, e1, e2):
         """Product of two basis elements given as (word, source, target).
@@ -280,14 +264,14 @@ class PathBasis:
         return out
 
     def words_from(self, v):
-        """Basis words with the given source vertex (length-0 word for v)."""
+        """The basis of P(v): {target vertex: basis words from v to it}, in
+        basis order, with the empty word () first at v."""
         q = self.algebra.quiver
-        out = []
+        out = {t: [] for t in q.vertices}
+        out[v].append(())
         for w in self.basis:
-            if w == ():
-                continue
             if path_source(q, w) == v:
-                out.append(w)
+                out[path_target(q, w)].append(w)
         return out
 
     def basis_with_sources(self):
@@ -324,17 +308,14 @@ def projective(alg, vertex):
     quiver = alg.quiver
     if vertex not in quiver.vertices:
         raise QuivrepError("unknown vertex %r" % (vertex,))
-    by_target = {v: [] for v in quiver.vertices}
-    by_target[vertex].append(())
-    for w in pb.words_from(vertex):
-        by_target[path_target(quiver, w)].append(w)
+    by_target = pb.words_from(vertex)
     dims = {v: len(by_target[v]) for v in quiver.vertices}
     index = {v: {w: i for i, w in enumerate(by_target[v])} for v in quiver.vertices}
     action = {}
     for a, s, t in quiver.arrows:
         rows = [[alg.field.zero()] * dims[s] for _ in range(dims[t])]
         for w, col in index[s].items():
-            for w2, c in pb.multiply(w, (a,)).items():
+            for w2, c in pb.reduce_word(w + (a,)).items():
                 rows[index[t][w2]][col] = c
         action[a] = Mat(alg.field, rows, dims[t], dims[s])
     out = alg._projectives[vertex] = (Rep(alg, dims, action), index[vertex][()])

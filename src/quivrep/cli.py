@@ -16,12 +16,8 @@ from .scenarios import SCENARIOS, Report
 from . import suites
 
 
-def _mat_strings(mat):
-    return mat.fmt()
-
-
 def _hom_matrices(h):
-    return {v: _mat_strings(h.blocks[v]) for v in h.blocks}
+    return {v: h.blocks[v].fmt() for v in h.blocks}
 
 
 def _load(args, required):

@@ -155,14 +155,14 @@ def _split_by_hom(m, h):
 def _summands(m, parts):
     """SummandData for M as the direct sum of the (rep, inclusion) parts,
     each projection the inverse of the assembled inclusion followed by the
-    sum's projection; None when the parts do not form a decomposition with
-    nonzero summands."""
-    if any(rep.is_zero() for rep, _ in parts):
-        return None
+    sum's projection.
+
+    The parts are the generalized kernels of the coprime factors of a
+    minimal polynomial, so each is nonzero and M is their direct sum;
+    `ModHom.inverse` raises if the assembled inclusion is not invertible.
+    """
     total = direct_sum([rep for rep, _ in parts])
     incl = hom_from_blocks(total, m, {(0, i): inc for i, (_, inc) in enumerate(parts)})
-    if not incl.is_isomorphism():
-        return None
     inverse = incl.inverse()
     return [
         SummandData(rep, inc, inverse.then(proj)) for (rep, inc), proj in zip(parts, total[2])

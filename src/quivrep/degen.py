@@ -232,9 +232,8 @@ def power_degeneration(cert, n):
     if n < 1 or n > lad.depth:
         raise QuivrepError("stage outside the built ladder")
     xn = sum_module([rz.x] * n)
-    mono = lad.embedded_seed_image(n)
-    epi = lad.truncation(n).proj
-    return RZSequence(rz.u, xn, lad.truncation(n).rep, mono, epi)
+    t = lad.truncation(n)
+    return RZSequence(rz.u, xn, t.rep, t.from_u0, t.proj)
 
 
 def steering_combinations_split(rz, scalars=(0, 1, -1, 2)):

@@ -245,7 +245,7 @@ def _parse_module(lines, i, ns, origin):
     try:
         ns.modules[name] = Rep(alg, dims, action)
     except Exception as exc:
-        raise ParseError("%s: module %s invalid: %s" % (origin, name, exc)) from exc
+        raise ParseError("%s:%d: module %s invalid: %s" % (origin, i + 1, name, exc)) from exc
     ns.origins["module"][name] = origin
     return end
 
@@ -278,7 +278,7 @@ def _parse_hom(lines, i, ns, origin):
     try:
         ns.homs[name] = ModHom(src, tgt, blocks)
     except Exception as exc:
-        raise ParseError("%s: hom %s invalid: %s" % (origin, name, exc)) from exc
+        raise ParseError("%s:%d: hom %s invalid: %s" % (origin, i + 1, name, exc)) from exc
     ns.origins["hom"][name] = origin
     return end
 

@@ -79,18 +79,6 @@ class Ladder:
             self._coker_idents = coker_transport(self.cokernels(), self.v_maps)
         return self._coker_idents[i]
 
-    def embedded_seed_image(self, n):
-        """The composite w_{n-1} ... w_0 : U_0 -> U_n (identity for n = 0),
-        kept by the stage-n truncation."""
-        return self.truncation(n).from_u0
-
-    def vertical_composite(self, lo, hi):
-        """v_{hi-1} ... v_{lo} : U_lo -> U_hi."""
-        f = ModHom.identity(self.modules[lo])
-        for i in range(lo, hi):
-            f = f.then(self.v_maps[i])
-        return f
-
     def rung_square(self, i):
         """The commuting square with top w_i, left v_i."""
         return Square(
@@ -243,10 +231,6 @@ def build_ladder(w0, v0, depth=6):
         v_maps.append(sq.gp)
         w_maps.append(sq.fp)
     return Ladder(modules, w_maps, v_maps)
-
-
-def truncation(ladder, n):
-    return ladder.truncation(n)
 
 
 def chessboard(w0, v0, depth=6):

@@ -286,12 +286,6 @@ class Mat:
         return m
 
     @staticmethod
-    def from_rows(field, rows, ncols=None):
-        if ncols is None and not rows:
-            raise QuivrepError("empty row list needs explicit ncols")
-        return Mat(field, rows, len(rows), ncols if ncols is not None else len(rows[0]))
-
-    @staticmethod
     def column(field, entries):
         return Mat(field, [[x] for x in entries], len(entries), 1)
 

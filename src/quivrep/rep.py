@@ -599,17 +599,22 @@ def is_faithful(m):
 
 
 def is_generated_by(m, gens):
-    """True iff the images of the given maps generate M as a module."""
+    """True iff the images of the given maps generate M as a module.
+
+    The image of a hom is a submodule, and so is a sum of images, so no
+    arrow adds to their span: the maps generate M iff at every vertex v
+    their blocks, side by side, have rank dim M_v.
+    """
     for g in gens:
         if g.target is not m and g.target != m:
             raise QuivrepError("generator map does not land in the module")
-    vectors = {v: [] for v in m.dims}
-    for g in gens:
-        for v in m.dims:
-            for j in range(g.blocks[v].ncols):
-                vectors[v].append(g.blocks[v].col(j))
-    closure = submodule_closure(m, vectors)
-    return all(closure.dims[v] == m.dims[v] for v in m.dims)
+    for v, d in m.dims.items():
+        blocks = Mat.zeros(m.algebra.field, d, 0)
+        for g in gens:
+            blocks = blocks.hstack(g.blocks[v])
+        if blocks.rank() != d:
+            return False
+    return True
 
 
 def lift_through_mono(mono, f):

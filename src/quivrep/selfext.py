@@ -9,7 +9,7 @@ iff their difference lies in that image.
 
 from operator import mul
 
-from .algebra import path_target, projective
+from .algebra import projective
 from .errors import NotStandard, QuivrepError, ZeroModule
 from .linalg import Mat
 from .rep import (
@@ -52,10 +52,7 @@ def _cover(m):
     for p_v, gen_idx, src, lift in parts:
         # the generator e_src goes to the lifted top vector; every basis path
         # rho: src -> t sends it to rho acting on that vector
-        words = {t: [] for t in m.dims}
-        words[src].append(())
-        for w in pb.words_from(src):
-            words[path_target(alg.quiver, w)].append(w)
+        words = pb.words_from(src)
         for t in m.dims:
             for w in words[t]:
                 if w == ():

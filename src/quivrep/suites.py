@@ -336,7 +336,8 @@ def suite_selfext(seed=0):
     pb, _ = projective(alg, "b")
     w0, v0 = fx.kronecker_regular_seed(alg)
     h, _ = rep.cokernel(w0)
-    fixtures = [pa, pb, h, rep.sum_module([h, pa])]
+    h_pa = rep.sum_module([h, pa])
+    fixtures = [pa, pb, h, h_pa]
     ok_euler = True
     for m in fixtures:
         if m.is_zero():
@@ -382,7 +383,7 @@ def suite_selfext(seed=0):
     rp.claim("standard classes roundtrip through ladder seeds", "selfext.standard_to_ladder", ok_round)
     # inclusion chain via dimension count
     ok_chain = True
-    for m in (h, pa):
+    for m in (h, pa, h_pa):  # Im Hom(u, M) is zero for H and P(a), not for H + P(a)
         pres_m = selfext.Presentation(m)
         maps = rep.hom_space(pres_m.omega, pres_m.p_total)
         through_p = [x.then(pres_m.p) for x in maps]

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -203,6 +204,51 @@ def test_unknown_names_in_modules_and_homs_are_parse_errors(tmp_path, capsys, wh
     assert message.startswith("%s:%d: " % (bad, lineno)) and named in message
 
 
+def test_comments_and_relation_terms_without_a_coefficient():
+    text = "# the commuting-square tower\n" + ALGEBRA_TEXT.replace(
+        "relation 1*gamma*alpha - 1*delta*beta = 0",
+        "relation gamma*alpha - delta*beta = 0  # the square commutes",
+    )
+    assert text.count("#") == 2 and "1*gamma*alpha" not in text
+    parsed = qio.parse_text(text).algebras["tower"]
+    assert parsed == qio.parse_text(ALGEBRA_TEXT).algebras["tower"]
+
+
+# (what, the text of one more input file, the number of the line the error
+# names); the file is read after an algebra file with KRONECKER_TEXT and a
+# module file with MODULES_TEXT
+BAD_DECLARATIONS = [
+    ("an unknown declaration after a comment", "# kronecker modules\nmodul M over kron\n", 2),
+    ("an unknown field", "algebra k over R\n", 1),
+    ("an algebra header without a field", "algebra k\n", 1),
+    ("an arrow without a colon", "algebra k over Q\nvertex a b\narrow alpha a -> b\n", 3),
+    ("a relation without '= 0'", KRONECKER_TEXT + "relation 1*alpha*beta\n", 6),
+    ("a relation term without a path", KRONECKER_TEXT + "relation 2 = 0\n", 6),
+    ("a relation without terms", KRONECKER_TEXT + "relation = 0\n", 6),
+    ("a module header without an algebra", "module M kron\n", 1),
+    ("a module over an unknown algebra", "module M over tower\n", 1),
+    ("a dim without '='", "module M over kron\ndim a 1\n", 2),
+    ("a matrix without '='", "module M over kron\ndim a = 1\nmatrix alpha [[1]]\n", 3),
+    ("an unknown module line", "module M over kron\ndim a = 1\nrank a = 1\n", 3),
+    ("a module that breaks a relation",
+     ALGEBRA_TEXT + "module M over tower\ndim a = 1\ndim b = 1\ndim c = 1\n"
+     "matrix alpha = [[1]]\nmatrix delta = [[1]]\n", 11),
+    ("a matrix that is not a list", "module M over kron\ndim a = 1\nmatrix alpha = 1\n", 3),
+    ("a hom header without a colon", "hom h Pb -> Pa\n", 1),
+    ("a hom to an unknown module", "hom h : Pb -> M\n", 1),
+    ("an unknown hom line", "hom h : Pb -> Pa\nmatrix b = [[1],[0]]\n", 2),
+    ("a block without '='", "hom h : Pb -> Pa\nblock b [[1],[0]]\n", 2),
+]
+
+
+@pytest.mark.parametrize("what, text, line", BAD_DECLARATIONS, ids=[b[0] for b in BAD_DECLARATIONS])
+def test_malformed_declarations_are_parse_errors(tmp_path, capsys, what, text, line):
+    paths = [_write(tmp_path, n, t) for n, t in
+             [("kron.alg", KRONECKER_TEXT), ("mods.mod", MODULES_TEXT), ("bad.txt", text)]]
+    assert cli.run(["ext", "--algebra", paths[0], "--module", paths[1], "--module", paths[2]]) == 2
+    assert _parse_error(capsys).startswith("%s:%d: " % (paths[2], line))
+
+
 def test_rational_literals_round_trip():
     text = KRONECKER_TEXT + (
         "module M over kron\ndim a = 1\ndim b = 1\nmatrix alpha = [[1/2]]\nmatrix beta = [[-3]]\n"
@@ -378,6 +424,86 @@ def test_cli_degenerate(tmp_path, capsys):
     assert out["ok"]
     assert out["steering_nilpotency_index"] == 1
     assert out["split_indices"] == [1, 2, 3]
+
+
+def _cli(tmp_path, capsys, command, files, *flags):
+    """(exit status, JSON report) of the subcommand run on the (flag, text)
+    files, each written out first, and the further flags."""
+    argv = [command]
+    for i, (flag, text) in enumerate(files):
+        argv += ["--" + flag, _write(tmp_path, "%d.txt" % i, text)]
+    code = cli.run(argv + list(flags))
+    return code, json.loads(capsys.readouterr().out)
+
+
+SEED_FILES = [("algebra", KRONECKER_TEXT), ("module", MODULES_TEXT), ("w", W_TEXT), ("v", V_TEXT)]
+
+# P(a) + P(b) as one module, the middle term of 0 -> P(b) -> P(a) + P(b) -> P(a) -> 0
+MID_TEXT = """\
+module Mid over kron
+dim a = 1
+dim b = 3
+matrix alpha = [[1],[0],[0]]
+matrix beta = [[0],[1],[0]]
+"""
+
+
+def _parsed(blocks):
+    """Each emitted block, its entries read back with `Field.parse`."""
+    return {v: Mat(QQ, [[QQ.parse(e) for e in row] for row in b]) for v, b in blocks.items()}
+
+
+def test_cli_chessboard(tmp_path, capsys):
+    code, out = _cli(tmp_path, capsys, "chessboard", SEED_FILES, "--depth", "3")
+    assert code == 0 and out["ok"] and out["inputs"] == {"depth": 3}
+    stages = [r["evidence"] for r in out["results"] if r["op"] == "ladder.truncation"]
+    assert stages == [str({"horizontal": {"a": n, "b": n}, "vertical": {"a": n, "b": n}})
+                      for n in (1, 2, 3)]
+
+
+def test_cli_degenerate_emit_matrices(tmp_path, capsys):
+    # the steering map of 0 -> P(b) -> P(a) + P(b) -> P(a) -> 0 is the identity
+    files = [
+        ("algebra", KRONECKER_TEXT), ("module", MODULES_TEXT + MID_TEXT),
+        ("u", "module U over kron\ndim b = 1\n"), ("x", MODULES_TEXT.replace("Pa", "X")),
+        ("mono", "hom mono : U -> Mid\nblock b = [[0],[1],[1]]\n"),
+        ("epi", "hom epi : Mid -> Pa\nblock a = [[1]]\nblock b = [[1,0,0],[0,1,-1]]\n"),
+    ]
+    code, out = _cli(tmp_path, capsys, "degenerate", files, "--depth", "3", "--emit-matrices")
+    assert code == 0 and out["ok"]
+    assert out["sequence_dims"]["Y"] == {"a": 1, "b": 2}
+    assert sorted(out["witness_matrices"]) == [str(n) for n in out["split_indices"]] != []
+    for blocks in out["witness_matrices"].values():  # isos Y[n] + X -> Y[n+1]
+        assert all(m.inverse() is not None for m in _parsed(blocks).values())
+
+
+def test_cli_degenerate_cokernels(tmp_path, capsys):
+    # coker(w0) is the rigid preprojective of dimension vector (2, 3)
+    pa2 = MODULES_TEXT + "module Pa2 over kron\ndim a = 2\ndim b = 4\n" + (
+        "matrix alpha = [[1,0],[0,0],[0,1],[0,0]]\nmatrix beta = [[0,0],[1,0],[0,0],[0,1]]\n")
+    files = [
+        ("algebra", KRONECKER_TEXT), ("module", pa2),
+        ("w", "hom w0 : Pb -> Pa2\nblock b = [[1],[0],[0],[1]]\n"),
+        ("v", "hom v0 : Pb -> Pa2\nblock b = [[0],[1],[0],[0]]\n"),
+    ]
+    code, out = _cli(tmp_path, capsys, "degenerate-cokernels", files, "--emit-matrices")
+    assert code == 0 and out["ok"] and out["split_indices"] == [1]
+    dims = out["sequence_dims"]
+    assert dims == {"U": {"a": 2, "b": 4}, "X": {"a": 2, "b": 3}, "Y": {"a": 2, "b": 3}}
+    mono = _parsed(out["witness_matrices"]["mono"])
+    epi = _parsed(out["witness_matrices"]["epi"])
+    for v in "ab":
+        assert mono[v].shape == (dims["X"][v] + dims["U"][v], dims["U"][v])
+        assert (epi[v] * mono[v]).is_zero()
+
+
+def test_cli_decompose(tmp_path, capsys):
+    files = [("algebra", KRONECKER_TEXT), ("module", MODULES_TEXT + MID_TEXT)]
+    code, out = _cli(tmp_path, capsys, "decompose", files, "--seed", "2")
+    assert code == 0 and out["ok"] and out["inputs"] == {"seed": 2}
+    parts = ast.literal_eval(out["results"][0]["evidence"])
+    assert sorted(p["dims"]["b"] for p in parts) == [1, 2]
+    assert all(p["multiplicity"] == 1 for p in parts)
 
 
 def test_cli_math_failure_exits_one(tmp_path, capsys):

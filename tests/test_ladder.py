@@ -310,6 +310,14 @@ def _w_chain(lad, lo, n):
     return f
 
 
+def _v_chain(lad, lo, n):
+    """v_(n-1) ... v_lo: U_lo -> U_n recomposed from the identity of U_lo."""
+    f = ModHom.identity(lad.modules[lo])
+    for i in range(lo, n):
+        f = f.then(lad.v_maps[i])
+    return f
+
+
 def _chessboard_seeds(field):
     """Pairs of monos over Kronecker, D4 and the commuting-square tower."""
     tower = fx.commuting_square_tower(field)
@@ -329,7 +337,6 @@ def test_stage_composites_are_the_w_chains_recomposed(field):
             for n in range(lad.depth + 1):
                 t = lad.truncation(n)
                 assert t.from_u0 == _w_chain(lad, 0, n)
-                assert lad.embedded_seed_image(n) is t.from_u0
                 assert t.from_u1 == (_w_chain(lad, 1, n) if n else None)
 
 
@@ -340,7 +347,7 @@ def test_canonical_generators_are_the_chains_recomposed(field):
         lad = build_ladder(w0, v0, depth=4)
         for i in range(lad.depth + 1):
             expected = [
-                lad.vertical_composite(1, j + 1).then(_w_chain(lad, j + 1, i)) for j in range(i)
+                _v_chain(lad, 1, j + 1).then(_w_chain(lad, j + 1, i)) for j in range(i)
             ]
             assert lad.canonical_generators(i) == expected
 

@@ -104,6 +104,7 @@ CASES = [
     [0, -1, 0, 0, 0, 0, 0, 0, 0, 1],  # x^9 - x
     [1, 0, 1, 0, 1],  # x^4 + x^2 + 1 = (x^2 + x + 1)(x^2 - x + 1)
     [1, 0, 0, 1, 0, 0, 1],  # x^6 + x^3 + 1
+    [1, 1, 1, 1, 1, 1, 1],  # (x^3 + x + 1)(x^3 + x^2 + 1) mod 2: the GF(2) trace splits it
     [3, 0, 0, 0, 0, 0, 2],
     # linear factors with large end coefficients
     [-3 * 10**7, 3 - 10**7, 1],  # (x - 10^7)(x + 3)

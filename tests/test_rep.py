@@ -163,6 +163,15 @@ def test_submodule_closure_socle_vector(warning_data, three_kron):
     assert sub.total_dim() == 1
 
 
+@pytest.mark.parametrize("make", [fx.kronecker, fx.commuting_square_tower, fx.loop_beta])
+def test_submodule_closure_grows_from_the_top_of_a_projective(make):
+    # on loop-beta one pass over the arrows reaches beta.alpha but not
+    # beta.beta.alpha: the closure must go round again
+    pa, top = projective(make(), "a")
+    sub = submodule_closure(pa, {"a": [[1 if i == top else 0 for i in range(pa.dims["a"])]]})
+    assert sub.dims == pa.dims
+
+
 def test_quotient_dimension_count(warning_data):
     h, ph, q, omega, w, f, g = warning_data
     sub = submodule_closure(ph, {"b": [[0, 0, 1]]})

@@ -1,10 +1,13 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivrep.algebra import projective
 from quivrep.decomp import are_isomorphic
 from quivrep.errors import NotStandard, ZeroModule
 from quivrep.ladder import ladder_extension
-from quivrep.linalg import QQ, Mat
+from quivrep.linalg import GF, QQ, Mat
 from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_space
 from quivrep.selfext import (
     Presentation,
@@ -20,6 +23,7 @@ from quivrep.selfext import (
     syzygy,
 )
 from quivrep import fixtures as fx
+from quivrep import suites
 
 
 def test_projective_cover_of_projective(kron_projectives):
@@ -236,3 +240,25 @@ def test_ext_dimension_formula_hereditary(kron_regular, kron_projectives):
             + len(hom_space(kron_regular, n))
         )
         assert ext1(kron_regular, n, pres)[0] == expected
+
+
+def _euler_form(alg, x, y):
+    """<x, y> = sum over vertices v of x_v y_v - sum over arrows s -> t of x_s y_t."""
+    return sum(x[v] * y[v] for v in alg.quiver.vertices) - sum(
+        x[s] * y[t] for _, s, t in alg.quiver.arrows
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+@pytest.mark.parametrize("make", [fx.kronecker, fx.three_kronecker, fx.d4_subspace],
+                         ids=lambda make: make.__name__)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_hereditary_hom_minus_ext_is_the_euler_form_and_classes_round_trip(make, field, seed):
+    alg = make(field)
+    rng = random.Random(seed)
+    m, n = suites._random_module(alg, rng), suites._random_module(alg, rng)
+    dim, classes = ext1(m, n)
+    assert len(hom_space(m, n)) - dim == _euler_form(alg, m.dims, n.dims)
+    for c in classes:
+        assert ext_class_of_sequence(class_to_sequence(c), c.presentation).equals(c)
