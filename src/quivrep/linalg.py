@@ -20,9 +20,10 @@ never changes after construction and threads can share it without locks.
 Beside its form a `Mat` holds one flag, bound once in the same
 constructors: whether it is an identity.  Only `Mat.identity` sets it, but
 every identity the library makes comes from there: `quotient_maps` returns
-it for the quotient by zero, and a product or an inverse that comes out as
-the identity returns `Mat.identity` rather than an unflagged copy.  `rank`
-reads the flag; `==` does not.
+it for the quotient by zero, and a product, an inverse or a slice of
+columns (`Mat.columns`) that comes out as the identity returns
+`Mat.identity` rather than an unflagged copy.  `rank` reads the flag; `==`
+does not.
 
 The rest of the package reads `rows` and uses the operations, and never
 handles a denominator: `Mat.stack_flat` and `Mat.unstack_flat` flatten
@@ -154,9 +155,11 @@ class Field:
         return "%d/%d" % (a.numerator, a.denominator)
 
     def random(self, rng, span=5):
+        """A uniform draw: an element of GF(p), or an integer in [-span,
+        span] over Q, a shared `Fraction` when it is small."""
         if self.p:
             return rng.randrange(self.p)
-        return Fraction(rng.randint(-span, span))
+        return _fraction(rng.randint(-span, span), 1)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.kind == other.kind and self.p == other.p
@@ -303,6 +306,16 @@ class Mat:
             return [row[j] for row in self._ints]
         den = self._den
         return [_fraction(row[j], den) for row in self._ints]
+
+    def columns(self, start, stop):
+        """The matrix of columns start, ..., stop - 1: the product with the
+        injection of those coordinates, taken with no product, and the
+        flagged identity when it comes out as one, as a product does."""
+        ncols = stop - start
+        rows = [row[start:stop] for row in self._ints]
+        if self.nrows == ncols and _is_scaled_identity(rows, self._den):
+            return Mat.identity(self.field, ncols)
+        return Mat.from_ints(self.field, rows, self._den, self.nrows, ncols)
 
     def is_zero(self):
         return not any(map(any, self._ints))

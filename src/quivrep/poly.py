@@ -251,16 +251,24 @@ def _equal_degree(f, d, p, rng):
         if len(a) < 2:
             continue
         if p == 2:
-            # the trace a + a^2 + ... + a^(2^(d-1)) is 0 or 1 modulo each factor
-            b, t = a, a
-            for _ in range(d - 1):
-                t = _powmod(t, 2, f, p)
-                b = _add(b, t, p)
+            b = _gf2_trace(a, d, f)
         else:
             b = _sub(_powmod(a, (p**d - 1) // 2, f, p), [1], p)
         g = _gcd(f, b, p)
         if 1 < len(g) < len(f):
             return _equal_degree(g, d, p, rng) + _equal_degree(_divmod(f, g, p)[0], d, p, rng)
+
+
+def _gf2_trace(a, d, f):
+    """The trace a + a^2 + a^4 + ... + a^(2^(d-1)) mod f over GF(2), for a
+    of degree below that of f.  Modulo an irreducible factor g of f of
+    degree d it lies in GF(2^d), where it is the trace of a into GF(2), so
+    it is 0 or 1 there."""
+    b, t = a, a
+    for _ in range(d - 1):
+        t = _powmod(t, 2, f, 2)
+        b = _add(b, t, 2)
+    return b
 
 
 # ------------------------------------------------------------ Q

@@ -13,6 +13,7 @@ block by block by `hom_from_blocks`.
 """
 
 from itertools import accumulate
+from math import lcm
 
 from .errors import AlgebraMismatch, QuivrepError
 from .linalg import Mat, block_diagonal, place_blocks, quotient_maps, sylvester_system
@@ -291,21 +292,33 @@ def _coordinate_rows(homs):
 def combine(coeffs, homs, source, target):
     """The hom sum c_i * h_i: source -> target, for homs from source to target.
 
-    Each vertex block is one exact product: the row of nonzero coefficients
-    times their homs' blocks, flattened and stacked one hom per row.
+    Each vertex block is summed over one denominator, the lcm of the
+    coefficients' times the blocks' denominators, with no product taken.
     """
     if len(coeffs) != len(homs):
         raise QuivrepError("%d coefficients for %d homs" % (len(coeffs), len(homs)))
     field = source.algebra.field
-    terms = [(c, h) for c, h in zip(map(field.conv, coeffs), homs) if c]
+    p = field.p
+    # each nonzero c_i as an integer over a positive denominator
+    terms = [((c, 1) if p else (c.numerator, c.denominator), h)
+             for c, h in zip(map(field.conv, coeffs), homs) if c]
     blocks = {}
-    if terms:
-        row = Mat(field, [[c for c, _ in terms]], 1, len(terms))
-        for v in source.algebra.quiver.vertices:
-            nrows, ncols = target.dims[v], source.dims[v]
-            if nrows and ncols:
-                stacked = Mat.stack_flat(field, [[h.blocks[v]] for _, h in terms], nrows * ncols)
-                blocks[v] = (row * stacked).unstack_flat([(nrows, ncols)])[0][0]
+    for v in source.algebra.quiver.vertices:
+        nrows, ncols = target.dims[v], source.dims[v]
+        if not (terms and nrows and ncols):
+            continue
+        forms = [(num, cden, h.blocks[v].int_form()) for (num, cden), h in terms]
+        den = lcm(*(cden * d for _, cden, (_, d) in forms))
+        acc = [[0] * ncols for _ in range(nrows)]
+        for num, cden, (ints, d) in forms:
+            mult = num * (den // (cden * d))
+            for arow, brow in zip(acc, ints):
+                for j, x in enumerate(brow):
+                    if x:
+                        arow[j] += mult * x
+        if p:
+            acc = [[x % p for x in row] for row in acc]
+        blocks[v] = Mat.from_ints(field, acc, den, nrows, ncols)
     return ModHom(source, target, blocks, check=False)
 
 
@@ -368,8 +381,11 @@ class QuotientData:
     moved = proj_t * S_a, and the same product checks it: the projection
     commutes with a exactly when action * proj_s == moved (the equality
     `ModHom.failing_arrow` tests), that is, when the span is stable under
-    a.  The quotient `Rep` checks the relations as it is built, then each
-    arrow is checked, so the projection is built with no second check.
+    a.  Each arrow is checked, so the projection is built with no second
+    check.  The quotient `Rep` needs no check of the relations either:
+    once proj commutes with every arrow it commutes with every path, so a
+    relation r acts on the quotient by Q_r with Q_r proj = proj S_r = 0,
+    since the ambient module satisfies r, and proj is onto, so Q_r = 0.
     A map induced from a commuting map commutes for the same reason, with
     no check of its own (see `induce_from`).
     """
@@ -386,7 +402,7 @@ class QuotientData:
         arrows = ambient.algebra.quiver.arrows
         moved = {a: proj_blocks[t] * ambient.action[a] for a, _, t in arrows}
         action = {a: moved[a] * self.section[s] for a, s, _ in arrows}
-        self.rep = Rep(ambient.algebra, dims, action)
+        self.rep = Rep(ambient.algebra, dims, action, check=False)
         for a, s, _ in arrows:
             if action[a] * proj_blocks[s] != moved[a]:
                 raise QuivrepError("blocks do not commute with the action of arrow %r" % (a,))

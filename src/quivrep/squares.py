@@ -25,6 +25,7 @@ from .rep import (
     factor_through,
     hom_from_blocks,
     kernel,
+    sum_module,
 )
 
 
@@ -92,15 +93,22 @@ def pushout(w, v):
 
     Z is the cokernel of x |-> (w(x), -v(x)) into Y1 + Y2; the returned
     square has f = w, g = v.  When [w; v] is injective the square is exact.
+    The maps g' and f' are the projection onto Z composed with the
+    injections of Y1 and Y2, so their blocks are column slices of the
+    projection's: at each vertex, the columns at Y1's coordinates and the
+    columns at Y2's, which come after them.
     """
     if w.source != v.source:
         raise QuivrepError("pushout needs a common source")
     y1, y2 = w.target, v.target
-    total, injs, _ = direct_sum([y1, y2])
     # the image of x |-> (w(x), -v(x)) is spanned by the columns of [w; -v]
-    q = QuotientData(total, {s: w.blocks[s].vstack(-v.blocks[s]) for s in w.blocks})
-    gp = injs[0].then(q.proj)
-    fp = injs[1].then(q.proj)
+    q = QuotientData(
+        sum_module([y1, y2]), {s: w.blocks[s].vstack(-v.blocks[s]) for s in w.blocks}
+    )
+    proj = q.proj.blocks
+    gp = ModHom(y1, q.rep, {s: b.columns(0, y1.dims[s]) for s, b in proj.items()}, check=False)
+    fp = ModHom(y2, q.rep, {s: b.columns(y1.dims[s], b.ncols) for s, b in proj.items()},
+                check=False)
     return Square(w.source, y1, y2, q.rep, w, v, gp, fp)
 
 

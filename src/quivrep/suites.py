@@ -2,6 +2,15 @@
 
 Each suite generates seeded random instances (plus the fixed fixtures),
 verifies the module's stated invariants, and reports claim by claim.
+
+Over an algebra with relations a random module is the cokernel of a random
+map between two sums of projectives, and the sums and their hom space
+depend only on the algebra and the two lists of projective tops.  A suite
+that draws such modules makes one dict for each of its algebras, keyed by
+(source tops, target tops) and holding the two sums and the `hom_space`
+basis between them, and passes it to every `_random_module` call.  The
+dicts live for one suite call: nothing is kept at module level, so every
+run, and every suite call in one process, builds them anew.
 """
 
 import random
@@ -9,6 +18,7 @@ from fractions import Fraction
 
 from . import decomp, degen, io as qio, ladder, rep, selfext, squares, zladder
 from . import fixtures as fx
+from .algebra import projective
 from .linalg import GF, QQ, Mat, int_mat_mul, smith_normal_form
 from .scenarios import Report
 
@@ -57,31 +67,35 @@ def _random_mono(m, n, rng, tries=40):
     return None
 
 
-def _random_module(alg, rng, maxdim=3, max_summands=2):
+def _random_module(alg, rng, maxdim=3, max_summands=2, homs=None):
     """A random module that satisfies the relations.
 
     Hereditary presentations take raw random matrices; otherwise the module
     is the cokernel of a random map between random sums of projectives.
+    `homs` (see the module docstring) keeps those sums and the hom spaces
+    between them for the next call on the same algebra.
     """
     if alg.is_hereditary():
         return _random_rep(alg, rng, maxdim)
-    from .algebra import projective
-
+    if homs is None:
+        homs = {}
     verts = alg.quiver.vertices
+
+    def tops(count):
+        return tuple(verts[rng.randrange(len(verts))] for _ in range(count))
+
     for _ in range(20):
-        tgt_parts = [
-            projective(alg, verts[rng.randrange(len(verts))])[0]
-            for _ in range(rng.randrange(1, max_summands + 1))
-        ]
-        tgt = rep.sum_module(tgt_parts)
-        n_src = rng.randrange(0, max_summands + 1)
-        if n_src == 0:
+        tgt_tops = tops(rng.randrange(1, max_summands + 1))
+        src_tops = tops(rng.randrange(0, max_summands + 1))
+        key = (src_tops, tgt_tops)
+        if key not in homs:
+            src, tgt = (rep.sum_module([projective(alg, v)[0] for v in t], alg)
+                        for t in key)
+            homs[key] = src, tgt, rep.hom_space(src, tgt) if src_tops else []
+        src, tgt, basis = homs[key]
+        if not src_tops:
             return tgt
-        src_parts = [
-            projective(alg, verts[rng.randrange(len(verts))])[0] for _ in range(n_src)
-        ]
-        src = rep.sum_module(src_parts)
-        f = _random_hom(src, tgt, rng)
+        f = _random_hom(src, tgt, rng, basis=basis)
         cok = rep.cokernel(f)[0]
         if not cok.is_zero():
             return cok
@@ -149,8 +163,6 @@ def suite_algebra(seed=0):
     rp.claim("multiplication table associative on all basis triples", "algebra.path_basis", ok_assoc)
     ok_proj = True
     for alg in algebras:
-        from .algebra import projective
-
         for v in alg.quiver.vertices:
             p, _ = projective(alg, v)
             if p.failing_relation() is not None:
@@ -158,8 +170,6 @@ def suite_algebra(seed=0):
     rp.claim("relations vanish on every projective", "algebra.projective", ok_proj)
     ok_hered = True
     for alg in (fx.kronecker(), fx.three_kronecker(), fx.d4_subspace()):
-        from .algebra import projective
-
         for v in alg.quiver.vertices:
             p, _ = projective(alg, v)
             omega, _ = selfext.syzygy(p)
@@ -187,12 +197,12 @@ def _combo_mult(pb, combo, e, right):
 def suite_rep(seed=0):
     rp = Report("suite-rep", {"seed": seed})
     rng = random.Random(seed)
-    algebras = [fx.kronecker(), fx.loop_beta(), fx.commuting_square_tower()]
+    algebras = [(fx.kronecker(), {}), (fx.loop_beta(), {}), (fx.commuting_square_tower(), {})]
     ok_exact = ok_bilin = True
     for _ in range(12):
-        alg = rng.choice(algebras)
-        m = _random_module(alg, rng)
-        n = _random_module(alg, rng)
+        alg, homs = rng.choice(algebras)
+        m = _random_module(alg, rng, homs=homs)
+        n = _random_module(alg, rng, homs=homs)
         f = _random_hom(m, n, rng)
         k_rep, k_incl = rep.kernel(f)
         c_rep, c_proj = rep.cokernel(f)
@@ -208,16 +218,14 @@ def suite_rep(seed=0):
             ok_exact = False
         if not f.then(c_proj).is_zero():
             ok_exact = False
-        p = _random_module(alg, rng, 2)
+        p = _random_module(alg, rng, 2, homs=homs)
         s = rep.sum_module([n, p])
         if len(rep.hom_space(m, s)) != len(rep.hom_space(m, n)) + len(rep.hom_space(m, p)):
             ok_bilin = False
     rp.claim("kernel/cokernel/image exactness audit", "rep.kernel", ok_exact)
     rp.claim("Hom(M, N1+N2) dimension is additive", "rep.hom_space", ok_bilin)
     ok_rad = ok_top = True
-    for alg in algebras:
-        from .algebra import projective
-
+    for alg, _ in algebras:
         for v in alg.quiver.vertices:
             p, _ = projective(alg, v)
             r = rep.radical(p)
@@ -236,25 +244,25 @@ def suite_squares(seed=0):
     rounds = 100
     rp = Report("suite-squares", {"seed": seed, "rounds": rounds})
     rng = random.Random(seed)
-    algebras = [fx.kronecker(), fx.commuting_square_tower()]
+    algebras = [(fx.kronecker(), {}), (fx.commuting_square_tower(), {})]
     ok_compose = True
     ok_mono = True
     built = 0
     while built < rounds:
-        alg = rng.choice(algebras)
-        x = _random_module(alg, rng, 2)
-        y1 = _random_module(alg, rng, 3)
+        alg, homs = rng.choice(algebras)
+        x = _random_module(alg, rng, 2, homs=homs)
+        y1 = _random_module(alg, rng, 3, homs=homs)
         w = _random_mono(x, y1, rng)
         if w is None:
             continue
-        y2 = _random_module(alg, rng, 2)
+        y2 = _random_module(alg, rng, 2, homs=homs)
         v = _random_hom(x, y2, rng)
         sq1 = squares.pushout(w, v)
         if not squares.is_exact_square(sq1):
             ok_compose = False
         if not sq1.fp.is_injective():
             ok_mono = False
-        z1 = _random_module(alg, rng, 2)
+        z1 = _random_module(alg, rng, 2, homs=homs)
         w2 = _random_mono(sq1.y1, rep.sum_module([sq1.y1, z1]), rng)
         if w2 is None:
             continue
@@ -270,19 +278,19 @@ def suite_squares(seed=0):
     ok_split_seq = True
     tried = 0
     while tried < 20:
-        alg = rng.choice(algebras)
-        x = _random_module(alg, rng, 2)
-        y1 = _random_module(alg, rng, 3)
+        alg, homs = rng.choice(algebras)
+        x = _random_module(alg, rng, 2, homs=homs)
+        y1 = _random_module(alg, rng, 3, homs=homs)
         f = _random_mono(x, y1, rng)
         if f is None:
             continue
-        y2 = _random_module(alg, rng, 2)
+        y2 = _random_module(alg, rng, 2, homs=homs)
         sq = squares.pushout(f, rep.ModHom.zero_hom(x, y2))
         if squares.is_split_mono(sq.fp) is None:
             ok_zero_leg = False
         # padded square: the left vertical is split mono, so the associated
         # 4-term sequence splits
-        pad = _random_module(alg, rng, 2)
+        pad = _random_module(alg, rng, 2, homs=homs)
         tsq = squares.trivial_square(f, pad)
         seq = squares.square_sequence(tsq)
         if squares.is_split_epi(seq.p) is None or squares.is_split_mono(seq.i) is None:
@@ -330,8 +338,6 @@ def suite_ladder(seed=0):
 def suite_selfext(seed=0):
     rp = Report("suite-selfext", {"seed": seed})
     alg = fx.kronecker()
-    from .algebra import projective
-
     pa, _ = projective(alg, "a")
     pb, _ = projective(alg, "b")
     w0, v0 = fx.kronecker_regular_seed(alg)
@@ -488,8 +494,6 @@ def suite_decomp(seed=0):
     alg = fx.kronecker()
     w0, v0 = fx.kronecker_regular_seed(alg)
     h, _ = rep.cokernel(w0)
-    from .algebra import projective
-
     pa, _ = projective(alg, "a")
     pb, _ = projective(alg, "b")
     mods = [h, pa, pb]

@@ -145,3 +145,70 @@ def test_factor_polynomial_returns_field_elements(field):
     for f, _ in factors:
         assert all(type(c) is type(one) for c in f)
         assert f[-1] == one
+
+
+# GF(2) polynomials as bit masks, bit i the coefficient of x^i: an
+# arithmetic of its own, independent of `poly`.
+
+
+def _gf2_mul(a, b):
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    return out
+
+
+def _gf2_mod(a, g):
+    while a.bit_length() >= g.bit_length():
+        a ^= g << (a.bit_length() - g.bit_length())
+    return a
+
+
+def _gf2_irreducibles(d):
+    """The irreducible polynomials of degree d: none of degree 1 to d // 2
+    divides them."""
+    divisors = range(2, 1 << (d // 2 + 1))
+    return [g for g in range(1 << d, 1 << (d + 1)) if all(_gf2_mod(g, h) for h in divisors)]
+
+
+GF2_IRREDUCIBLES = {d: _gf2_irreducibles(d) for d in range(1, 6)}
+
+
+def _mask(coeffs):
+    return sum(c << i for i, c in enumerate(coeffs))
+
+
+def _coeffs(mask):
+    return [(mask >> i) & 1 for i in range(mask.bit_length())]
+
+
+def test_gf2_irreducibles_are_counted_by_necklaces():
+    # (1/d) sum over e | d of mu(d / e) 2^e
+    assert [len(GF2_IRREDUCIBLES[d]) for d in range(1, 6)] == [2, 1, 2, 3, 6]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_gf2_trace_is_0_or_1_modulo_each_equal_degree_factor(data):
+    """For f a product of distinct irreducibles of degree d over GF(2), the
+    Cantor-Zassenhaus trace of a is, modulo each factor g, the trace of a
+    into GF(2): the sum of its d conjugates a^(2^i) mod g, which is 0 or 1."""
+    d = data.draw(st.integers(1, 5))
+    gs = data.draw(st.lists(st.sampled_from(GF2_IRREDUCIBLES[d]), unique=True,
+                            min_size=2 if d == 1 else 1, max_size=3))
+    f = 1
+    for g in gs:
+        f = _gf2_mul(f, g)
+    a = data.draw(st.integers(2, (1 << (f.bit_length() - 1)) - 1))
+    b = _mask(poly._gf2_trace(_coeffs(a), d, _coeffs(f)))
+    for g in gs:
+        conjugates = [a]
+        for _ in range(d - 1):
+            conjugates.append(_gf2_mod(_gf2_mul(conjugates[-1], conjugates[-1]), g))
+        trace = 0
+        for c in conjugates:
+            trace ^= _gf2_mod(c, g)
+        assert trace in (0, 1)
+        assert _gf2_mod(b, g) == trace

@@ -343,10 +343,11 @@ def test_combine_matches_sum_of_scaled_homs(field):
     w0, _ = fx.kronecker_regular_seed(alg)
     h = cokernel(w0)[0]
     m = direct_sum([h, h])[0]
-    basis = hom_space(m, m)
     rng = random.Random(5)
+    # blocks and coefficients with denominators, all units mod 7
+    basis = [b.scale(field.conv(Fraction(1, rng.choice([1, 2, 3])))) for b in hom_space(m, m)]
     for _ in range(5):
-        coeffs = [field.conv(rng.randint(-3, 3)) for _ in basis]
+        coeffs = [field.conv(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 4]))) for _ in basis]
         expected = ModHom.zero_hom(m, m)
         for c, b in zip(coeffs, basis):
             expected = expected + b.scale(c)
@@ -501,6 +502,52 @@ def test_quotient_by_an_unstable_span_raises(make, field):
     radical = {v: Mat.identity(field, d) if v != "a" else Mat.zeros(field, d, 0)
                for v, d in pa.dims.items()}
     assert QuotientData(pa, radical).rep.dims == {v: int(v == "a") for v in pa.dims}
+
+
+def _tower_group(field):
+    alg = fx.commuting_square_tower(field)
+    ps = [projective(alg, v)[0] for v in alg.quiver.vertices]
+    h = Rep(alg, {"a": 1, "b": 1}, {"beta": Mat(field, [[1]])})
+    return ps + [h, sum_module(ps)]
+
+
+QUOTIENT_TOWER_GROUPS = QUOTIENT_GROUPS + [_tower_group(QQ), _tower_group(GF(3))]
+
+
+def _first_unstable_arrow(m, span):
+    """The first arrow a: s -> t, in the quiver's order, with M_a span_s not
+    inside the column space of span_t, by ranks; None when the span is a
+    submodule."""
+    for a, s, t in m.algebra.quiver.arrows:
+        moved = m.action[a] * span[s]
+        if span[t].hstack(moved).rank() != span[t].rank():
+            return a
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quotient_checks_each_arrow_and_keeps_the_relations(data):
+    """The quotient by the image of a hom satisfies the relations with no
+    check of its own; random columns give the quotient when they span a
+    submodule, and otherwise raise naming the first arrow that moves them."""
+    group = data.draw(st.sampled_from(QUOTIENT_TOWER_GROUPS))
+    a, m = data.draw(st.sampled_from(group)), data.draw(st.sampled_from(group))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    q = QuotientData(m, suites._random_hom(a, m, rng).blocks)
+    assert q.rep.failing_relation() is None
+    assert q.proj.commutes()
+    field = m.algebra.field
+    span = {v: suites._random_mat(field, rng, d, rng.randrange(0, 3), span=1)
+            for v, d in m.dims.items()}
+    arrow = _first_unstable_arrow(m, span)
+    if arrow is None:
+        q = QuotientData(m, span)
+        assert q.rep.failing_relation() is None
+        assert q.proj.commutes()
+    else:
+        with pytest.raises(QuivrepError, match="arrow %r" % arrow):
+            QuotientData(m, span)
 
 
 def _hom_from_blocks_by_products(sum_src, sum_tgt, blocks):

@@ -8,8 +8,9 @@ from quivrep.decomp import are_isomorphic
 from quivrep.errors import NotStandard, ZeroModule
 from quivrep.ladder import ladder_extension
 from quivrep.linalg import GF, QQ, Mat
-from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_space
+from quivrep.rep import ModHom, Rep, cokernel, combine, direct_sum, hom_space
 from quivrep.selfext import (
+    ExtClass,
     Presentation,
     class_to_sequence,
     ext1,
@@ -24,6 +25,7 @@ from quivrep.selfext import (
 )
 from quivrep import fixtures as fx
 from quivrep import suites
+from quivrep.squares import is_split_mono
 
 
 def test_projective_cover_of_projective(kron_projectives):
@@ -262,3 +264,35 @@ def test_hereditary_hom_minus_ext_is_the_euler_form_and_classes_round_trip(make,
     assert len(hom_space(m, n)) - dim == _euler_form(alg, m.dims, n.dims)
     for c in classes:
         assert ext_class_of_sequence(class_to_sequence(c), c.presentation).equals(c)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+@pytest.mark.parametrize(
+    "make", [fx.kronecker, fx.three_kronecker, fx.d4_subspace, fx.commuting_square_tower],
+    ids=lambda make: make.__name__,
+)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zero=st.booleans())
+def test_a_class_is_zero_exactly_when_its_sequence_splits(make, field, seed, zero):
+    """c is the zero class u.h, or a random combination of the `ext1` basis
+    plus such a u.h; c is zero exactly when the mono of its sequence has a
+    retraction, and every retraction is checked."""
+    alg = make(field)
+    rng = random.Random(seed)
+    m, n = suites._random_module(alg, rng), suites._random_module(alg, rng)
+    pres = Presentation(m)
+    rep = pres.u.then(suites._random_hom(pres.p_total, n, rng))
+    basis_zero = True
+    if not zero:
+        _, classes = ext1(m, n, pres)
+        coeffs = [field.random(rng, 2) for _ in classes]
+        basis_zero = not any(coeffs)
+        rep = rep + combine(coeffs, [c.representative for c in classes], pres.omega, n)
+    c = ExtClass(m, n, rep, pres)
+    assert c.is_zero_class() == basis_zero
+    seq = class_to_sequence(c)
+    r = is_split_mono(seq.i)
+    assert (r is not None) == basis_zero
+    if r is not None:
+        assert r.commutes()
+        assert seq.i.then(r) == ModHom.identity(n)
