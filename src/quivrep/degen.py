@@ -151,11 +151,8 @@ def rz_to_prufer(rz, depth=6):
         w_maps.append(w_n)
         v_maps.append(v_n)
     ladder = Ladder(modules, w_maps, v_maps)
-    # identification Y[1] -> Y through the epi
-    cd = ladder.cokernels()[0]
-    ident_c = cd.induce_from(rz.epi)  # coker(w0) -> Y
-    if not ident_c.is_isomorphism():
-        raise QuivrepError("epi does not identify coker(mono) with Y")
+    # identification Y[1] -> Y through the epi: an iso, as the RZ sequence is exact
+    ident_c = ladder.cokernels()[0].induce_from(rz.epi)  # coker(w0) -> Y
     h1_to_y = ladder.truncation(1).pi_to_h.then(ident_c)
     return DegenerationCertificate(rz, t, ladder, sums, h1_to_y)
 

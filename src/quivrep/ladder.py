@@ -5,6 +5,8 @@ A seed is a pair w0, v0: U0 -> U1 with w0 injective and coker(w0) nonzero.
 Iterated pushouts produce rungs U_i with maps w_i, v_i; the truncations
 H[n] = U_n / U_0 carry a surjection phi: H[n] -> H[n-1] whose kernel is a
 copy of H = coker(w0), and an inclusion H[n-1] -> H[n] with cokernel H.
+Each rung fact is verified once, every rung dimension is read off block
+ranks, and `chessboard`'s vertical ladder rests on the horizontal check.
 
 A ladder computes its stages lazily.  Stage n is built from the finished
 stage n-1, and is published in the ladder's stage table only once both of
@@ -48,8 +50,7 @@ class Ladder:
         self.v_maps = list(v_maps)
         if not (len(self.modules) == len(self.w_maps) + 1 == len(self.v_maps) + 1):
             raise QuivrepError("ladder map/module counts inconsistent")
-        self._coker_data = None
-        self._coker_idents = None
+        self._cokernels = {}
         self._stages = {}
         if verify:
             self.verify()
@@ -63,10 +64,8 @@ class Ladder:
         return self.w_maps[0], self.v_maps[0]
 
     def cokernels(self):
-        """Cokernel data of every w_i, computed once."""
-        if self._coker_data is None:
-            self._coker_data = [cokernel_data(w) for w in self.w_maps]
-        return self._coker_data
+        """Cokernel data of every w_i, built on first use."""
+        return _publish(self._cokernels, "data", lambda: [cokernel_data(w) for w in self.w_maps])
 
     @property
     def basis_module(self):
@@ -75,9 +74,8 @@ class Ladder:
 
     def coker_ident(self, i):
         """Iso coker(w_i) -> H transported back along the vertical maps."""
-        if self._coker_idents is None:
-            self._coker_idents = coker_transport(self.cokernels(), self.v_maps)
-        return self._coker_idents[i]
+        return _publish(self._cokernels, "idents",
+                        lambda: coker_transport(self.cokernels(), self.v_maps))[i]
 
     def rung_square(self, i):
         """The commuting square with top w_i, left v_i."""
@@ -93,30 +91,23 @@ class Ladder:
         )
 
     def verify(self):
-        w0, v0 = self.seed
-        if not w0.is_injective():
+        k0, h_dims = _kernel_cokernel_dims(self.w_maps[0])
+        if any(k0.values()):
             raise NotMono("ladder seed w0 is not injective")
-        h = self.basis_module
-        if h.is_zero():
+        if not any(h_dims.values()):
             raise ZeroCokernel("ladder seed has zero cokernel")
-        hd = h.dims
-        for i, w in enumerate(self.w_maps):
-            if not w.is_injective():
+        for i, w in enumerate(self.w_maps[1:], 1):
+            kw, cw = _kernel_cokernel_dims(w)
+            if any(kw.values()):
                 raise NotMono("ladder map w_%d is not injective" % i)
-            cd = self.cokernels()[i]
-            if cd.rep.dims != hd:
+            if cw != h_dims:
                 raise QuivrepError("coker(w_%d) has wrong dimension vector" % i)
-        # dim ker(v) = ncols - rank and dim coker(v) = nrows - rank, block by block
-        k_dims = q_dims = None
-        for i, v in enumerate(self.v_maps):
-            ranks = {x: b.rank() for x, b in v.blocks.items()}
-            kv = {x: v.blocks[x].ncols - r for x, r in ranks.items()}
-            cv = {x: v.blocks[x].nrows - r for x, r in ranks.items()}
-            if k_dims is None:
-                k_dims, q_dims = kv, cv
-            elif kv != k_dims:
+        k_dims, q_dims = _kernel_cokernel_dims(self.v_maps[0])
+        for i, v in enumerate(self.v_maps[1:], 1):
+            kv, cv = _kernel_cokernel_dims(v)
+            if kv != k_dims:
                 raise QuivrepError("ker(v_%d) dimension vector changed" % i)
-            elif cv != q_dims:
+            if cv != q_dims:
                 raise QuivrepError("coker(v_%d) dimension vector changed" % i)
         for i in range(self.depth - 1):
             if not is_exact_square(self.rung_square(i)):
@@ -142,10 +133,20 @@ class Ladder:
     def truncation(self, n):
         if n < 0 or n > self.depth:
             raise OutOfRange("truncation stage %d outside 0..%d" % (n, self.depth))
-        t = self._stages.get(n)
-        if t is None:
-            t = self._stages.setdefault(n, Truncation(self, n))
-        return t
+        return _publish(self._stages, n, lambda: Truncation(self, n))
+
+
+def _publish(table, key, build):
+    """table[key], built on first use; setdefault keeps the first one built."""
+    value = table.get(key)
+    return table.setdefault(key, build()) if value is None else value
+
+
+def _kernel_cokernel_dims(f):
+    """dim ker f and dim coker f at each vertex, from one rank per block."""
+    ranks = {x: b.rank() for x, b in f.blocks.items()}
+    return ({x: f.blocks[x].ncols - r for x, r in ranks.items()},
+            {x: f.blocks[x].nrows - r for x, r in ranks.items()})
 
 
 class Truncation:
@@ -218,8 +219,6 @@ def build_ladder(w0, v0, depth=6):
     """Iterated pushouts from the seed pair; all ladder invariants verified."""
     if w0.source != v0.source or w0.target != v0.target:
         raise QuivrepError("seed maps need common source and target")
-    if not w0.is_injective():
-        raise NotMono("seed w0 is not injective")
     if depth < 1:
         raise QuivrepError("depth must be at least 1")
     modules = [w0.source, w0.target]
@@ -234,11 +233,16 @@ def build_ladder(w0, v0, depth=6):
 
 
 def chessboard(w0, v0, depth=6):
-    """Two ladders sharing the same rung modules with the seed roles swapped."""
+    """Two ladders sharing the same rung modules with the seed roles swapped.
+
+    Only the horizontal ladder is verified.  That settles the vertical one:
+    ker(v_i) keeps the vector of ker(v0) = 0, the vertical squares are the
+    horizontal ones transposed, and coker(v0) != 0 as coker(w0) != 0.
+    """
     if not w0.is_injective() or not v0.is_injective():
         raise NotMono("chessboard needs two injective seeds")
     horizontal = build_ladder(w0, v0, depth)
-    vertical = Ladder(horizontal.modules, horizontal.v_maps, horizontal.w_maps)
+    vertical = Ladder(horizontal.modules, horizontal.v_maps, horizontal.w_maps, verify=False)
     return horizontal, vertical
 
 
@@ -310,7 +314,5 @@ def ladder_seed_from_simple(ext, s_incl):
     section = is_split_epi(proj_to_s)
     if section is None:
         return None
-    v = section.then(sq.f)
-    if v.then(q_u) != s_incl:
-        raise QuivrepError("split of the pulled-back sequence does not lift S -> H")
-    return w, v, q_u
+    # v.q_u = section.f.q_u = section.g.s_incl = s_incl, as the pullback commutes
+    return w, section.then(sq.f), q_u

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quivrep.decomp import are_isomorphic
 from quivrep.degen import (
@@ -20,8 +21,9 @@ from quivrep.ladder import build_ladder
 from quivrep.algebra import projective
 from quivrep.linalg import GF, QQ, Mat
 from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_from_blocks, hom_space
-from quivrep.squares import is_split_mono, pushout, pushout_factor
+from quivrep.squares import ShortExact, is_split_mono, pushout, pushout_factor
 from quivrep import fixtures as fx
+from test_block_maps import _random_rz
 
 
 def _split_mono_rz(kronecker, kron_projectives, kron_regular):
@@ -320,3 +322,31 @@ def test_every_rung_of_an_rz_certificate_is_the_generic_pushout(make, field):
             sq = pushout(lad.w_maps[n], lad.v_maps[n])
             kappa = pushout_factor(sq, lad.v_maps[n + 1], lad.w_maps[n + 1])
             assert kappa.is_isomorphism()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_a_random_rz_splits_from_its_index_on_and_has_an_exact_dual(data):
+    # Kronecker and D4 over Q and GF(3): Y[n+1] ~ Y[n] + X for every n from
+    # the nilpotency index on, and the dual sequence is exact.  A random
+    # steering map is mostly invertible, and make_steering_nilpotent then
+    # cancels all of U; so half the draws map U by the drawn mono into
+    # X' = X + U instead, with zero steering.
+    rz = _random_rz(data)
+    if data.draw(st.booleans()):
+        mono = rz.mono.then(direct_sum([rz.middle, rz.u])[1][0])
+        y, epi = cokernel(mono)
+        rz = check_rz(rz.u, rz.middle, y, mono, epi)
+    rz = make_steering_nilpotent(rz)
+    assume(not rz.y.is_zero())  # the ladder's seed needs a nonzero cokernel
+    cert = rz_to_prufer(rz, depth=3)
+    depth = cert.ladder.depth
+    for n in range(cert.index, depth):
+        omega = eventual_splitting(cert, n)
+        assert omega.source == direct_sum([cert.truncation(n).rep, rz.x])[0]
+        assert omega.target == cert.truncation(n + 1).rep
+        assert omega.commutes() and omega.is_isomorphism()
+    dual = co_rz(cert)
+    assert isinstance(dual, ShortExact) and dual.exactness_failure() is None
+    assert (dual.a, dual.c) == (rz.y, cert.truncation(cert.index).rep)
+    assert dual.b == eventual_splitting(cert, cert.index).source

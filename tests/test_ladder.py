@@ -3,9 +3,9 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from quivrep import ladder
+from quivrep import ladder, suites
 from quivrep.decomp import are_isomorphic
 from quivrep.errors import NotEpi, NotMono, OutOfRange, QuivrepError, ZeroCokernel
 from quivrep.ladder import (
@@ -21,17 +21,21 @@ from quivrep.algebra import projective
 from quivrep.linalg import GF, QQ, Mat
 from quivrep.rep import (
     ModHom,
+    QuotientData,
     Rep,
     cokernel,
     direct_sum,
+    factor_from,
+    hom_from_blocks,
     hom_space,
     kernel,
     socle,
     sum_module,
 )
 from quivrep.selfext import Presentation, class_to_sequence, ext1, ext_class_of_sequence
-from quivrep.squares import is_exact_square
+from quivrep.squares import ShortExact, is_exact_square
 from quivrep.zladder import z_ladder
+from test_block_maps import _draw
 from test_decomp import _rebased
 from test_golden_kernel import _random_seed
 
@@ -136,6 +140,29 @@ def test_verify_catches_a_cokernel_that_changes(kron_seed, kron_projectives):
         bad.verify()
 
 
+@pytest.mark.parametrize(
+    "break_w, message",
+    [
+        (lambda m, w, pa: [ModHom.zero_hom(m[0], m[1])] + w[1:],
+         r"^ladder seed w0 is not injective$"),
+        (lambda m, w, pa: [w[0], ModHom.zero_hom(m[1], m[2]), w[2]],
+         r"^ladder map w_1 is not injective$"),
+        # w_1 followed by U_2 -> U_2 + P(a) stays injective, with a cokernel
+        # grown by P(a)
+        (lambda m, w, pa: [w[0], w[1].then(direct_sum([m[2], pa])[1][0]), w[2]],
+         r"^coker\(w_1\) has wrong dimension vector$"),
+    ],
+    ids=["w0-zero", "w1-zero", "w1-coker"],
+)
+def test_verify_catches_a_w_map_off_the_rungs(kron_seed, kron_projectives, break_w, message):
+    w0, v0 = kron_seed
+    lad = build_ladder(w0, v0, depth=3)
+    m, w, v = lad.modules, lad.w_maps, lad.v_maps
+    bad = Ladder(m, break_w(m, w, kron_projectives[0]), v, verify=False)
+    with pytest.raises(QuivrepError, match=message):
+        bad.verify()
+
+
 def test_no_caller_sees_a_half_built_stage(kron_seed, monkeypatch):
     # the first builder of stage 2 stops inside its first quotient; a second
     # thread asking for stage 2 meanwhile must get a complete stage
@@ -166,6 +193,34 @@ def test_no_caller_sees_a_half_built_stage(kron_seed, monkeypatch):
         release.set()
         builder.join(60)
     assert got["first"] is t is lad.truncation(2)
+
+
+def test_two_threads_asking_for_h_get_one_module(kron_seed, monkeypatch):
+    # the first builder of the cokernels stops inside them; the main thread
+    # builds and publishes them meanwhile, and both callers must get one H
+    w0, v0 = kron_seed
+    lad = build_ladder(w0, v0, depth=2)
+    paused, release = threading.Event(), threading.Event()
+    real = ladder.cokernel_data
+
+    def pausing_cokernel_data(f):
+        if threading.current_thread() is builder and not paused.is_set():
+            paused.set()
+            release.wait(60)
+        return real(f)
+
+    monkeypatch.setattr(ladder, "cokernel_data", pausing_cokernel_data)
+    got = {}
+    builder = threading.Thread(target=lambda: got.update(first=lad.basis_module))
+    builder.start()
+    try:
+        assert paused.wait(60)
+        second = lad.basis_module
+    finally:
+        release.set()
+        builder.join(60)
+    assert not builder.is_alive()
+    assert got["first"] is second
 
 
 def test_phi_tower_kernels(kron_seed):
@@ -300,6 +355,60 @@ def test_chessboard_shares_rungs(kron_seed):
     for n in range(1, 5):
         assert horiz.truncation(n).rep.dims == {"a": n, "b": n}
         assert vert.truncation(n).rep.dims == {"a": n, "b": n}
+
+
+def _tower_group(field):
+    tower = fx.commuting_square_tower(field)
+    pa, pb, pc = (projective(tower, x)[0] for x in "abc")
+    return [pc, pb, pa]
+
+
+TOWER_GROUPS = [_tower_group(field) for field in (QQ, GF(3))]
+
+
+def _draw_monos(data):
+    """Two random monos U0 -> X + U0, on Kronecker or D4 modules drawn by
+    `test_block_maps._draw` or on commuting-square tower modules; a draw
+    with no mono is skipped."""
+    if data.draw(st.booleans()):
+        group = data.draw(st.sampled_from(TOWER_GROUPS))
+        u0, x = (data.draw(st.sampled_from(group)) for _ in range(2))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+    else:
+        (u0, x), rng = _draw(data, 2)
+    u1 = sum_module([x, u0])
+    w0, v0 = suites._random_mono(u0, u1, rng), suites._random_mono(u0, u1, rng)
+    assume(w0 is not None and v0 is not None)
+    return w0, v0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_chessboard_vertical_ladder_is_the_horizontal_one_transposed(data):
+    # the vertical ladder is not verified by chessboard; each of its facts is
+    # a horizontal one transposed, so its own verify passes when called
+    w0, v0 = _draw_monos(data)
+    if w0.source.dims == w0.target.dims:
+        # X = 0: both monos are isomorphisms, so coker(v0) = 0
+        with pytest.raises(ZeroCokernel, match="^ladder seed has zero cokernel$"):
+            chessboard(w0, v0, depth=3)
+        return
+    horiz, vert = chessboard(w0, v0, depth=3)
+    assert vert.seed == (v0, w0)
+    for mine, theirs in ((vert.modules, horiz.modules), (vert.w_maps, horiz.v_maps),
+                         (vert.v_maps, horiz.w_maps)):
+        assert len(mine) == len(theirs) and all(a is b for a, b in zip(mine, theirs))
+    vert.verify()
+    h = vert.basis_module
+    assert not h.is_zero()
+    for n in range(vert.depth + 1):
+        assert vert.truncation(n).rep.dims == {x: n * d for x, d in h.dims.items()}
+
+
+def test_chessboard_seed_with_zero_cokernel(kron_regular):
+    ident = ModHom.identity(kron_regular)
+    with pytest.raises(ZeroCokernel, match="^ladder seed has zero cokernel$"):
+        chessboard(ident, ident.scale(2), depth=2)
 
 
 def _w_chain(lad, lo, n):
@@ -445,3 +554,21 @@ def test_seed_from_simple_absent_for_loop(loop_square):
     assert dim == 1
     ses = class_to_sequence(classes[0])
     assert ladder_seed_from_simple(ses, ModHom.identity(s)) is None
+
+
+def test_seed_from_simple_absent_when_the_quotient_does_not_factor(kron_regular):
+    # H = R + R with the sequence split on the first summand and the nonsplit
+    # self-extension R -> R[2] -> R on the second; S sits in the first
+    # summand, so H -> H/S is the identity on the second summand and cannot
+    # extend over R -> R[2], which does not split
+    r = kron_regular
+    ses_r = class_to_sequence(ext1(r, r)[1][0])
+    h, e = direct_sum([r, r]), direct_sum([r, r, ses_r.b])
+    ident = ModHom.identity(r)
+    i = hom_from_blocks(h, e, {(0, 0): ident, (2, 1): ses_r.i})
+    p = hom_from_blocks(e, h, {(0, 1): ident, (1, 2): ses_r.p})
+    ses = ShortExact(h[0], e[0], h[0], i, p)
+    s_incl = socle(r).inclusion_rep()[1].then(h[1][0])
+    assert s_incl.source.total_dim() == 1
+    assert factor_from(ses.i, QuotientData(h[0], s_incl.blocks).proj) is None
+    assert ladder_seed_from_simple(ses, s_incl) is None
