@@ -20,7 +20,6 @@ from .rep import (
     cokernel_data,
     direct_sum,
     hom_from_blocks,
-    image,
     kernel,
     lift_through_mono,
     sum_module,
@@ -74,6 +73,8 @@ def make_steering_nilpotent(rz):
 
     Fitting: U = ker(phi^m) + im(phi^m) with m = dim U; the invertible part
     is cancelled, leaving an equivalent sequence with nilpotent steering.
+    The returned `RZSequence` checks the new sequence exact, which fails
+    unless the generalized kernel is a direct summand cancelling U's rest.
     """
     phi = rz.steering
     m = rz.u.total_dim()
@@ -81,12 +82,6 @@ def make_steering_nilpotent(rz):
     for _ in range(max(m, 1)):
         power = power.then(phi)
     k_rep, k_incl = kernel(power)
-    i_rep, i_incl, _ = image(power)
-    # direct sum check: bases concatenate to an isomorphism
-    for v in rz.u.dims:
-        cols = k_incl.blocks[v].hstack(i_incl.blocks[v])
-        if cols.nrows != cols.ncols or cols.inverse() is None:
-            raise QuivrepError("generalized kernel/image do not decompose U")
     phi_k = lift_through_mono(k_incl, k_incl.then(phi))
     if phi_k is None:
         raise QuivrepError("steering map does not preserve its generalized kernel")
@@ -206,9 +201,7 @@ def co_rz(cert):
     """
     t = cert.index
     lad = cert.ladder
-    if t + 1 > lad.depth:
-        raise QuivrepError("ladder too shallow for the dual sequence")
-    omega = eventual_splitting(cert, t)  # Y[t] + X -> Y[t+1]
+    omega = eventual_splitting(cert, t)  # Y[t] + X -> Y[t+1]; checks the depth
     tn1 = lad.truncation(t + 1)
     iota = tn1.h1_incl  # Y[1] -> Y[t+1]
     y_to_h1 = cert.h1_to_y.inverse()
@@ -245,14 +238,27 @@ def steering_combinations_split(rz, scalars=(0, 1, -1, 2)):
     return results
 
 
-def _require_rigid(module, label):
-    """The presentation the rigidity check built, for further Ext^1 groups of
-    the module; None for the zero module, whose Ext^1 groups need none."""
-    pres = None if module.is_zero() else selfext.Presentation(module)
-    dim, _ = selfext.ext1(module, module, pres)
-    if dim != 0:
-        raise NotRigid("%s has Ext^1 of dimension %d" % (label, dim))
-    return pres
+def _rigid_seed(w0, v0, *rigid):
+    """The cokernel of each seed map named in `rigid` ("w0", "v0"), with the
+    presentation its rigidity check built (None for the zero module).
+
+    A seed of the rigid-cokernel results is a pair of injective maps w0, v0:
+    U0 -> U1.  Both are tested first, so a bad seed costs no Ext^1 group;
+    then each named cokernel must have Ext^1(M, M) = 0.
+    """
+    if not w0.is_injective() or not v0.is_injective():
+        raise NotMono("both seed maps must be injective")
+    if w0.source != v0.source or w0.target != v0.target:
+        raise QuivrepError("seed maps need common endpoints")
+    seeds, out = {"w0": w0, "v0": v0}, []
+    for name in rigid:
+        mod = cokernel_data(seeds[name]).rep
+        pres = None if mod.is_zero() else selfext.Presentation(mod)
+        dim = selfext.ext1(mod, mod, pres)[0]
+        if dim != 0:
+            raise NotRigid("coker(%s) has Ext^1 of dimension %d" % (name, dim))
+        out.append((mod, pres))
+    return out
 
 
 def cokernel_degeneration(w0, v0):
@@ -262,14 +268,8 @@ def cokernel_degeneration(w0, v0):
     Returns (RZSequence 0 -> U_n0 -> W + U_n0 -> W', n0) with n0 the first
     split stage; n0 is bounded by dim Ext^1(W, U_0), enforced as a hard cap.
     """
-    if not w0.is_injective() or not v0.is_injective():
-        raise NotMono("both seed maps must be injective")
-    if w0.source != v0.source or w0.target != v0.target:
-        raise QuivrepError("seed maps need common endpoints")
-    w_cd = cokernel_data(w0)
-    w_mod = w_cd.rep
-    w_pres = _require_rigid(w_mod, "coker(w0)")
-    bound = selfext.ext1(w_mod, w0.source, w_pres)[0]
+    cokers = _rigid_seed(w0, v0, "w0")
+    bound = max(selfext.ext1(mod, w0.source, pres)[0] for mod, pres in cokers)
     lad = build_ladder(w0, v0, depth=bound + 1)
     for n0 in range(bound + 1):
         r = is_split_mono(lad.w_maps[n0])
@@ -300,17 +300,11 @@ def rigid_cokernel_iso(w0, v0, seed=0):
     bounds, then matches the decompositions of coker(w0) and coker(v0) by
     Krull-Remak-Schmidt (`match_decompositions`).
     """
-    if not w0.is_injective() or not v0.is_injective():
-        raise NotMono("both seed maps must be injective")
-    w_mod = cokernel_data(w0).rep
-    v_mod = cokernel_data(v0).rep
-    w_pres = _require_rigid(w_mod, "coker(w0)")
-    v_pres = _require_rigid(v_mod, "coker(v0)")
+    cokers = _rigid_seed(w0, v0, "w0", "v0")
+    (w_mod, _), (v_mod, _) = cokers
     if w0 == v0:
         return ModHom.identity(w_mod)
-    bound_w = selfext.ext1(w_mod, w0.source, w_pres)[0]
-    bound_v = selfext.ext1(v_mod, v0.source, v_pres)[0]
-    bound = max(bound_w, bound_v)
+    bound = max(selfext.ext1(mod, w0.source, pres)[0] for mod, pres in cokers)
     lad = build_ladder(w0, v0, depth=bound + 1)
     if not any(
         is_split_mono(lad.w_maps[n]) is not None and is_split_mono(lad.v_maps[n]) is not None
@@ -324,11 +318,7 @@ def rigid_cokernel_iso(w0, v0, seed=0):
 
 
 def split_iff_split(w0, v0):
-    """Under rigidity of both cokernels, w0 splits iff v0 splits."""
-    if not w0.is_injective() or not v0.is_injective():
-        raise NotMono("both seed maps must be injective")
-    w_mod = cokernel_data(w0).rep
-    v_mod = cokernel_data(v0).rep
-    _require_rigid(w_mod, "coker(w0)")
-    _require_rigid(v_mod, "coker(v0)")
+    """For seeds w0, v0: U0 -> U1 with rigid cokernels, w0 splits iff v0
+    splits."""
+    _rigid_seed(w0, v0, "w0", "v0")
     return (is_split_mono(w0) is not None, is_split_mono(v0) is not None)

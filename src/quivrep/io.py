@@ -298,28 +298,18 @@ def _matrix(field, rows, nrows, ncols, origin, lineno):
         raise ParseError("%s:%d: bad matrix: %s" % (origin, lineno, exc)) from exc
 
 
+# [ rows separated by commas ], each row [ entries separated by commas ],
+# with whitespace allowed around brackets and commas; [] has no rows, [[]]
+# one empty row
+_ROW = r"\[\s*(?:[^\s\[\],]+(?:\s*,\s*[^\s\[\],]+)*)?\s*\]"
+_MATRIX_LITERAL = re.compile(r"\s*\[\s*(?:{0}(?:\s*,\s*{0})*)?\s*\]\s*".format(_ROW))
+
+
 def _parse_matrix_literal(text, origin, lineno):
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
+    if not _MATRIX_LITERAL.fullmatch(text):
         raise ParseError("%s:%d: matrix literal must be [[...],...]" % (origin, lineno))
-    inner = text[1:-1].strip()
-    rows = []
-    depth = 0
-    cur = ""
-    for ch in inner:
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                cur = ""
-                continue
-        if ch == "]":
-            depth -= 1
-            if depth == 0:
-                rows.append([e.strip() for e in cur.split(",") if e.strip()])
-                continue
-        if depth >= 1:
-            cur += ch
-    return rows
+    rows = "".join(text.split())[1:-1]  # no entry holds whitespace
+    return [row.split(",") if row else [] for row in rows[1:-1].split("],[")] if rows else []
 
 
 def emit_algebra(alg):

@@ -78,7 +78,8 @@ class Ladder:
                         lambda: coker_transport(self.cokernels(), self.v_maps))[i]
 
     def rung_square(self, i):
-        """The commuting square with top w_i, left v_i."""
+        """The rung square with top w_i, left v_i; `verify` checks that it
+        commutes and is exact."""
         return Square(
             self.modules[i],
             self.modules[i + 1],
@@ -235,12 +236,13 @@ def build_ladder(w0, v0, depth=6):
 def chessboard(w0, v0, depth=6):
     """Two ladders sharing the same rung modules with the seed roles swapped.
 
-    Only the horizontal ladder is verified.  That settles the vertical one:
-    ker(v_i) keeps the vector of ker(v0) = 0, the vertical squares are the
-    horizontal ones transposed, and coker(v0) != 0 as coker(w0) != 0.
+    Only the horizontal ladder is verified, w0 included.  That settles the
+    vertical one: ker(v_i) keeps the vector of ker(v0) = 0, the vertical
+    squares are the horizontal ones transposed, and coker(v0) != 0 as
+    coker(w0) != 0.
     """
-    if not w0.is_injective() or not v0.is_injective():
-        raise NotMono("chessboard needs two injective seeds")
+    if not v0.is_injective():
+        raise NotMono("chessboard needs an injective v0")
     horizontal = build_ladder(w0, v0, depth)
     vertical = Ladder(horizontal.modules, horizontal.v_maps, horizontal.w_maps, verify=False)
     return horizontal, vertical

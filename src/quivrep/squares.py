@@ -1,6 +1,6 @@
 """Pushouts, pullbacks, exact squares, and split mono/epi tests.
 
-A commutative square
+A square
 
         X --f--> Y1
         |g       |g'
@@ -8,9 +8,11 @@ A commutative square
         Y2 -f'-> Z
 
 is exact when 0 -> X -> Y1 + Y2 -> Z -> 0 (maps [f; g] and [g', -f']) is a
-short exact sequence, i.e. the square is simultaneously a pushout and a
-pullback.  Splitness is solved in hom-space coordinates: a retraction r of f
-solves f.then(r) == id (`rep.factor_from`) and a section s solves
+short exact sequence, i.e. the square commutes and is simultaneously a
+pushout and a pullback.  A `Square` is a record of its corners and edges,
+checked by no constructor: `is_exact_square` decides commutation together
+with the ranks.  Splitness is solved in hom-space coordinates: a retraction
+r of f solves f.then(r) == id (`rep.factor_from`) and a section s solves
 s.then(f) == id (`rep.factor_through`), each exactly inside the hom space,
 never by randomized search.
 """
@@ -30,13 +32,12 @@ from .rep import (
 
 
 class Square:
-    """Four corner modules and four maps; commutativity is checked."""
+    """Four corner modules and four maps, unchecked; `commutes` and
+    `is_exact_square` test them."""
 
     def __init__(self, x, y1, y2, z, f, g, gp, fp):
         self.x, self.y1, self.y2, self.z = x, y1, y2, z
         self.f, self.g, self.gp, self.fp = f, g, gp, fp
-        if not self.commutes():
-            raise QuivrepError("square does not commute")
 
     def commutes(self):
         return self.f.then(self.gp) == self.g.then(self.fp)
@@ -128,9 +129,9 @@ def pullback(f, g):
 
 
 def is_exact_square(s):
-    """True iff the 4-term sequence of the square is short exact; its
-    composite is zero since `Square` checked that the square commutes."""
-    return _rank_failure(
+    """True iff the 4-term sequence of the square is short exact: its
+    composite is zero, as the square commutes, and it passes the rank test."""
+    return s.commutes() and _rank_failure(
         (v, s.f.blocks[v].vstack(s.g.blocks[v]), s.gp.blocks[v].hstack(-s.fp.blocks[v]),
          dim, s.y1.dims[v] + s.y2.dims[v], s.z.dims[v])
         for v, dim in s.x.dims.items()

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from quivrep.decomp import are_isomorphic
 from quivrep.degen import (
+    DegenerationCertificate,
     check_rz,
     co_rz,
     cokernel_degeneration,
@@ -16,8 +17,16 @@ from quivrep.degen import (
     split_iff_split,
     steering_combinations_split,
 )
-from quivrep.errors import BelowIndex, NotExact, NotNilpotent, NotRigid
-from quivrep.ladder import build_ladder
+from quivrep.errors import (
+    BelowIndex,
+    NotExact,
+    NotMono,
+    NotNilpotent,
+    NotRigid,
+    QuivrepError,
+    ZeroCokernel,
+)
+from quivrep.ladder import build_ladder, chessboard
 from quivrep.algebra import projective
 from quivrep.linalg import GF, QQ, Mat
 from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_from_blocks, hom_space
@@ -77,28 +86,33 @@ def test_make_steering_nilpotent_invertible_steering(kronecker, kron_projectives
     assert are_isomorphic(rz2.y, rz2.x).verdict == "isomorphic"
 
 
-def test_make_steering_nilpotent_mixed_blocks(kronecker, kron_projectives, kron_regular):
-    # block-diagonal steering: one nilpotent part (P(b) -> P(b) zero) and one
-    # invertible part (identity on H)
+def test_make_steering_nilpotent_mixed_blocks(kron_projectives, kron_regular):
+    # block-diagonal steering: a nilpotent part on P(b)^copies, zero on one
+    # copy and the Jordan block of index 2 on two, beside an invertible part,
+    # the identity on H; the generalized kernel is all of P(b)^copies, not
+    # only the kernel of the steering map
     pa, pb = kron_projectives
     h = kron_regular
-    from quivrep.rep import hom_from_blocks
-
-    u_sum = direct_sum([pb, h])
-    u = u_sum[0]
-    mid, injs, projs = direct_sum([pa, u])
-    # steering: zero on P(b), identity on H
-    phi = hom_from_blocks(u_sum, u_sum, {(1, 1): ModHom.identity(h)})
-    g0 = hom_space(pb, pa)[0]
-    g = hom_from_blocks(u_sum, pa, {(0, 0): g0})
-    mono = g.then(injs[0]) + phi.then(injs[1])
-    assert mono.is_injective()
-    y, proj = cokernel(mono)
-    rz = check_rz(u, pa, y, mono, proj)
-    assert rz.nilpotency_index() is None
-    rz2 = make_steering_nilpotent(rz)
-    assert rz2.u.dims == pb.dims  # the invertible H-block is cancelled
-    assert rz2.nilpotency_index() is not None
+    for copies in (1, 2):
+        u_sum = direct_sum([pb] * copies + [h])
+        u = u_sum[0]
+        mid, injs, projs = direct_sum([pa, u])
+        blocks = {(copies, copies): ModHom.identity(h)}
+        if copies == 2:
+            blocks[(0, 1)] = ModHom.identity(pb)  # (x1, x2) -> (x2, 0)
+        phi = hom_from_blocks(u_sum, u_sum, blocks)
+        # g is injective on ker(phi), the first copy of P(b), so [g; phi] is mono
+        g = hom_from_blocks(u_sum, pa, {(0, 0): hom_space(pb, pa)[0]})
+        mono = g.then(injs[0]) + phi.then(injs[1])
+        assert mono.is_injective()
+        y, proj = cokernel(mono)
+        rz = check_rz(u, pa, y, mono, proj)
+        assert rz.nilpotency_index() is None
+        rz2 = make_steering_nilpotent(rz)
+        # the invertible H-block is cancelled
+        assert rz2.u.dims == {v: copies * d for v, d in pb.dims.items()}
+        assert rz2.nilpotency_index() == copies
+        assert rz2.y == rz.y and rz2.x == rz.x
 
 
 def test_rz_to_prufer_zero_steering_module(kronecker, kron_projectives):
@@ -135,6 +149,18 @@ def test_eventual_splitting_chain(kronecker, kron_projectives, kron_regular):
         target = direct_sum([cert.truncation(n).rep, rz.x])[0]
         assert omega.source == target
         assert omega.target == cert.truncation(n + 1).rep
+
+
+def test_a_certificate_too_shallow_for_its_index_is_refused(kron_projectives, kron_regular):
+    rz = _split_mono_rz(None, kron_projectives, kron_regular)
+    cert = rz_to_prufer(rz, depth=3)
+    with pytest.raises(QuivrepError, match="^ladder too shallow"):
+        eventual_splitting(cert, 3)
+    # the same ladder, with an index at its top stage: the dual sequence
+    # needs stage index + 1, which eventual_splitting refuses first
+    top = DegenerationCertificate(rz, 3, cert.ladder, cert.sums, cert.h1_to_y)
+    with pytest.raises(QuivrepError, match="^ladder too shallow"):
+        co_rz(top)
 
 
 def test_power_degeneration_stages(kronecker, kron_projectives, kron_regular):
@@ -227,6 +253,63 @@ def test_split_iff_split_not_rigid(kron_seed):
     w0, v0 = kron_seed
     with pytest.raises(NotRigid):
         split_iff_split(w0, v0)
+
+
+def _single_fault_seeds(kron_projectives, d4_seed):
+    """Seeds w0, v0 that each break one hypothesis of the rigid-cokernel
+    results.  The Kronecker seeds start from the split injection P(b) ->
+    P(b) + P(a), whose cokernel P(a) is rigid; D4's seed has coker(w0)
+    rigid and coker(v0) not."""
+    pa, pb = kron_projectives
+    split = direct_sum([pb, pa])[1][0]
+    zero = ModHom.zero_hom(pb, split.target)
+    wider = direct_sum([pb, pa, pa])[1][0]
+    iso = ModHom.identity(pb)
+    d4_w0, d4_v0 = d4_seed
+    return {
+        "w0 not injective": (zero, split),
+        "v0 not injective": (split, zero),
+        "endpoints differ": (split, wider),
+        "zero cokernel": (iso, iso.scale(QQ.conv(3))),
+        "coker(w0) not rigid": (d4_v0, d4_w0),
+        "coker(v0) not rigid": (d4_w0, d4_v0),
+    }
+
+
+SEED_CONSUMERS = [
+    ("cokernel_degeneration", cokernel_degeneration),
+    ("rigid_cokernel_iso", rigid_cokernel_iso),
+    ("split_iff_split", split_iff_split),
+    # depth 1 has no rung square, so only the seed checks can raise
+    ("chessboard", lambda w0, v0: chessboard(w0, v0, depth=1)),
+]
+
+# the exact error type each consumer raises on each seed, in the order of
+# SEED_CONSUMERS; None where the seed meets every hypothesis the consumer has.
+# split_iff_split's theorem is about maps U0 -> U1, so it rejects seeds with
+# different endpoints like the others.
+SINGLE_FAULTS = [
+    ("w0 not injective", [NotMono, NotMono, NotMono, NotMono]),
+    ("v0 not injective", [NotMono, NotMono, NotMono, NotMono]),
+    ("endpoints differ", [QuivrepError, QuivrepError, QuivrepError, QuivrepError]),
+    ("zero cokernel", [ZeroCokernel, ZeroCokernel, None, ZeroCokernel]),
+    ("coker(w0) not rigid", [NotRigid, NotRigid, NotRigid, None]),
+    ("coker(v0) not rigid", [None, NotRigid, NotRigid, None]),
+]
+
+
+@pytest.mark.parametrize("fault, raised", SINGLE_FAULTS, ids=[f for f, _ in SINGLE_FAULTS])
+def test_a_single_fault_seed_raises_the_error_of_its_hypothesis(
+    kron_projectives, d4_seed, fault, raised
+):
+    w0, v0 = _single_fault_seeds(kron_projectives, d4_seed)[fault]
+    for (name, consumer), want in zip(SEED_CONSUMERS, raised):
+        try:
+            consumer(w0, v0)
+            got = None
+        except QuivrepError as exc:
+            got = type(exc)
+        assert got is want, name
 
 
 def test_pipeline_over_prime_field():

@@ -97,6 +97,11 @@ BAD_MATRICES = [
     ("an entry that is not a number", "Q", "matrix alpha = [[zz]]"),
     ("a fraction over GF(5)", "GF(5)", "matrix alpha = [[1/2]]"),
     ("a row of the wrong length", "Q", "matrix alpha = [[1, 0]]"),
+    ("text after a row", "Q", "matrix alpha = [[1] x]"),
+    ("text before a row", "Q", "matrix alpha = [x[1]]"),
+    ("text after the matrix", "Q", "matrix alpha = [[1]],[]"),
+    ("an empty entry before a comma", "Q", "matrix alpha = [[,1]]"),
+    ("an empty entry after a comma", "Q", "matrix alpha = [[1,]]"),
 ]
 
 

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from quivrep import suites
 from quivrep.errors import EdgeMismatch, NotExact
-from quivrep.linalg import QQ, Mat
+from quivrep.linalg import GF, QQ, Mat
 from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_space
 from quivrep.squares import (
     ShortExact,
@@ -101,6 +101,19 @@ def test_exact_square_middle_failure(kron_regular):
     sq = Square(h, h, h, h, zero_map, zero_map, ident, ident)
     assert sq.commutes()
     assert not is_exact_square(sq)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_a_square_that_passes_the_ranks_but_does_not_commute_is_not_exact(field):
+    # the simple S at a: [1; 1] is injective, [1, 1] surjective, and the ranks
+    # add up to dim S + S, but 1.1 != 1.(-1), so the composite is 2, not 0
+    s = Rep.simple(fx.kronecker(field), "a")
+    one = ModHom.identity(s)
+    sq = Square(s, s, s, s, one, one, one, -one)
+    assert not sq.commutes()
+    assert not is_exact_square(sq)
+    with pytest.raises(NotExact, match="^composite i;p nonzero$"):
+        square_sequence(sq)
 
 
 def test_compose_with_identity_square(kron_seed):
