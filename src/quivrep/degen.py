@@ -14,7 +14,7 @@ complement; no search anywhere.
 """
 
 from .errors import BelowIndex, NotMono, NotNilpotent, NotRigid, QuivrepError
-from .ladder import Ladder, build_ladder, coker_transport
+from .ladder import Ladder, build_ladder
 from .rep import (
     ModHom,
     cokernel_data,
@@ -146,9 +146,9 @@ def rz_to_prufer(rz, depth=6):
         w_maps.append(w_n)
         v_maps.append(v_n)
     ladder = Ladder(modules, w_maps, v_maps)
-    # identification Y[1] -> Y through the epi: an iso, as the RZ sequence is exact
-    ident_c = ladder.cokernels()[0].induce_from(rz.epi)  # coker(w0) -> Y
-    h1_to_y = ladder.truncation(1).pi_to_h.then(ident_c)
+    # identification Y[1] = coker(w0) -> Y through the epi: an iso, as the
+    # RZ sequence is exact
+    h1_to_y = ladder.truncation(1).quot.induce_from(rz.epi)
     return DegenerationCertificate(rz, t, ladder, sums, h1_to_y)
 
 
@@ -283,14 +283,15 @@ def _rz_from_split_stage(lad, n, r):
     retraction r."""
     w_mod = lad.basis_module
     u_n = lad.modules[n]
-    to_w = lad.cokernels()[n].proj.then(lad.coker_ident(n))  # U_{n+1} -> W
+    t = lad.truncation(n + 1)
+    to_w = t.proj.then(t.pi_to_h)  # U_{n+1} -> W, killing w_n(U_n)
     psi = hom_from_blocks(to_w.source, direct_sum([w_mod, u_n]), {(0, 0): to_w, (1, 0): r})
     mono = lad.v_maps[n].then(psi)
-    # coker(v_n) -> coker(v_0) = W' along the horizontal maps
-    v_cds = [cokernel_data(v) for v in lad.v_maps[: n + 1]]
-    ident = coker_transport(v_cds, lad.w_maps)[n]
-    epi = psi.inverse().then(v_cds[n].proj).then(ident)
-    return RZSequence(u_n, w_mod, v_cds[0].rep, mono, epi)
+    # the same map for the ladder with the seed roles swapped, as `chessboard`
+    # builds it: U_{n+1} -> W' = coker(v0), killing v_n(U_n)
+    tv = Ladder(lad.modules, lad.v_maps, lad.w_maps, verify=False).truncation(n + 1)
+    epi = psi.inverse().then(tv.proj).then(tv.pi_to_h)
+    return RZSequence(u_n, w_mod, tv.pi_to_h.target, mono, epi)
 
 
 def rigid_cokernel_iso(w0, v0, seed=0):
@@ -302,7 +303,7 @@ def rigid_cokernel_iso(w0, v0, seed=0):
     """
     cokers = _rigid_seed(w0, v0, "w0", "v0")
     (w_mod, _), (v_mod, _) = cokers
-    if w0 == v0:
+    if w0 == v0 and not w_mod.is_zero():
         return ModHom.identity(w_mod)
     bound = max(selfext.ext1(mod, w0.source, pres)[0] for mod, pres in cokers)
     lad = build_ladder(w0, v0, depth=bound + 1)

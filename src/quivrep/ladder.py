@@ -5,6 +5,8 @@ A seed is a pair w0, v0: U0 -> U1 with w0 injective and coker(w0) nonzero.
 Iterated pushouts produce rungs U_i with maps w_i, v_i; the truncations
 H[n] = U_n / U_0 carry a surjection phi: H[n] -> H[n-1] whose kernel is a
 copy of H = coker(w0), and an inclusion H[n-1] -> H[n] with cokernel H.
+H[1] is H itself, and the epi H[n] -> H that ends the second exact row is
+phi iterated down to H[1], so no cokernel of a w_i is ever built.
 Each rung fact is verified once, every rung dimension is read off block
 ranks, and `chessboard`'s vertical ladder rests on the horizontal check.
 
@@ -32,7 +34,6 @@ from .errors import (
 from .rep import (
     ModHom,
     QuotientData,
-    cokernel_data,
     factor_from,
     factor_through,
     kernel,
@@ -50,7 +51,6 @@ class Ladder:
         self.v_maps = list(v_maps)
         if not (len(self.modules) == len(self.w_maps) + 1 == len(self.v_maps) + 1):
             raise QuivrepError("ladder map/module counts inconsistent")
-        self._cokernels = {}
         self._stages = {}
         if verify:
             self.verify()
@@ -63,19 +63,10 @@ class Ladder:
     def seed(self):
         return self.w_maps[0], self.v_maps[0]
 
-    def cokernels(self):
-        """Cokernel data of every w_i, built on first use."""
-        return _publish(self._cokernels, "data", lambda: [cokernel_data(w) for w in self.w_maps])
-
     @property
     def basis_module(self):
-        """H = coker(w0), the basis of the associated truncation family."""
-        return self.cokernels()[0].rep
-
-    def coker_ident(self, i):
-        """Iso coker(w_i) -> H transported back along the vertical maps."""
-        return _publish(self._cokernels, "idents",
-                        lambda: coker_transport(self.cokernels(), self.v_maps))[i]
+        """H = coker(w0) = H[1], the basis of the associated truncation family."""
+        return self.truncation(1).rep
 
     def rung_square(self, i):
         """The rung square with top w_i, left v_i; `verify` checks that it
@@ -134,13 +125,9 @@ class Ladder:
     def truncation(self, n):
         if n < 0 or n > self.depth:
             raise OutOfRange("truncation stage %d outside 0..%d" % (n, self.depth))
-        return _publish(self._stages, n, lambda: Truncation(self, n))
-
-
-def _publish(table, key, build):
-    """table[key], built on first use; setdefault keeps the first one built."""
-    value = table.get(key)
-    return table.setdefault(key, build()) if value is None else value
+        # setdefault keeps the first stage built when two threads race
+        stage = self._stages.get(n)
+        return self._stages.setdefault(n, Truncation(self, n)) if stage is None else stage
 
 
 def _kernel_cokernel_dims(f):
@@ -155,9 +142,11 @@ class Truncation:
 
     Exact rows, verified on construction:
         0 -> H[1] -h1_incl-> H[n] -phi-> H[n-1] -> 0
-        0 -> H[n-1] -incl-> H[n] -to_h-> H -> 0
-    pi_to_h: H[n] -> H[1] -> H iterates phi down to H[1] and identifies it
-    with H; h1_incl: H[1] -> H[n] composes the inclusions.  from_u0 and
+        0 -> H[n-1] -incl-> H[n] -pi_to_h-> H -> 0
+    pi_to_h: H[n] -> H[1] = H iterates phi down to H[1], and h1_incl:
+    H[1] -> H[n] composes the inclusions; both are the identity at n = 1.
+    The second row proves coker(w_{n-1}) = H[n] / H[n-1] isomorphic to H
+    with no cokernel of w_{n-1} built.  from_u0 and
     from_u1 are the w-chain composites U_0 -> U_n and U_1 -> U_n (from_u1 is
     None for n = 0).
     """
@@ -175,7 +164,7 @@ class Truncation:
         self.rep = self.quot.rep
         self.proj = self.quot.proj
         if n == 0:
-            self.phi = self.incl = self.pi_to_h = self.h1_incl = self._to_h = None
+            self.phi = self.incl = self.pi_to_h = self.h1_incl = None
             return
         # phi = (v-bar)^{-1} o p with p: U_n/U_0 -> U_n/U_1 and
         # v-bar: U_{n-1}/U_0 -> U_n/U_1 induced by v_{n-1}
@@ -185,35 +174,13 @@ class Truncation:
         self.phi = p_bar.then(vbar.inverse())
         # inclusion H[n-1] -> H[n] induced by w_{n-1}
         self.incl = prev.quot.induce_from(w.then(self.quot.proj))
-        # epi H[n] -> coker(w_{n-1}) -> H, the transport back to coker(w_0)
-        to_cn = self.quot.induce_from(ladder.cokernels()[n - 1].proj)
-        self._to_h = to_cn.then(ladder.coker_ident(n - 1))
         if n == 1:
-            self.h1_incl = ModHom.identity(self.rep)
-            self.pi_to_h = self._to_h
+            self.h1_incl = self.pi_to_h = ModHom.identity(self.rep)
         else:
             self.h1_incl = prev.h1_incl.then(self.incl)
             self.pi_to_h = self.phi.then(prev.pi_to_h)
         ShortExact(self.h1_incl.source, self.rep, prev.rep, self.h1_incl, self.phi)
-        ShortExact(prev.rep, self.rep, ladder.basis_module, self.incl, self._to_h)
-
-    def to_h(self):
-        """The epimorphism H[n] -> H with kernel the included H[n-1]."""
-        return self._to_h
-
-
-def coker_transport(cokernels, along):
-    """Isos coker_k -> coker_0 for every cokernel datum in the list.
-
-    along[k] induces coker_{k-1} -> coker_k, which must be an isomorphism
-    (`ModHom.inverse` raises when it is not); the k-th iso inverts it and
-    continues with the (k-1)-th.
-    """
-    idents = [ModHom.identity(cokernels[0].rep)]
-    for k in range(1, len(cokernels)):
-        step = cokernels[k - 1].induce_from(along[k].then(cokernels[k].proj))
-        idents.append(step.inverse().then(idents[-1]))
-    return idents
+        ShortExact(prev.rep, self.rep, self.pi_to_h.target, self.incl, self.pi_to_h)
 
 
 def build_ladder(w0, v0, depth=6):
@@ -264,11 +231,10 @@ def ladder_extension(q, v0):
     lad = build_ladder(w0, v0, depth=2)
     t2 = lad.truncation(2)
     h2 = t2.rep
-    # identify the canonical H = coker(w0) with the given target of q
-    cd = lad.cokernels()[0]
-    ident = cd.induce_from(q)  # coker(w0) -> H_ext
-    left = ident.inverse().then(lad.truncation(1).pi_to_h.inverse()).then(t2.h1_incl)
-    right = t2.to_h().then(ident)
+    # identify the canonical H = H[1] = coker(w0) with the given target of q
+    ident = lad.truncation(1).quot.induce_from(q)  # H[1] -> H_ext
+    left = ident.inverse().then(t2.h1_incl)
+    right = t2.pi_to_h.then(ident)
     ext = ShortExact(q.target, h2, q.target, left, right)
     return ext, h2
 

@@ -271,6 +271,7 @@ def _single_fault_seeds(kron_projectives, d4_seed):
         "v0 not injective": (split, zero),
         "endpoints differ": (split, wider),
         "zero cokernel": (iso, iso.scale(QQ.conv(3))),
+        "equal seeds, zero cokernel": (iso, iso),
         "coker(w0) not rigid": (d4_v0, d4_w0),
         "coker(v0) not rigid": (d4_w0, d4_v0),
     }
@@ -293,6 +294,7 @@ SINGLE_FAULTS = [
     ("v0 not injective", [NotMono, NotMono, NotMono, NotMono]),
     ("endpoints differ", [QuivrepError, QuivrepError, QuivrepError, QuivrepError]),
     ("zero cokernel", [ZeroCokernel, ZeroCokernel, None, ZeroCokernel]),
+    ("equal seeds, zero cokernel", [ZeroCokernel, ZeroCokernel, None, ZeroCokernel]),
     ("coker(w0) not rigid", [NotRigid, NotRigid, NotRigid, None]),
     ("coker(v0) not rigid", [None, NotRigid, NotRigid, None]),
 ]

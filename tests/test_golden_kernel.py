@@ -62,7 +62,7 @@ from quivrep.ladder import (
     ladder_seed_from_simple,
 )
 from quivrep.linalg import GF, QQ, Mat
-from quivrep.rep import ModHom, Rep, cokernel, direct_sum, hom_space, socle
+from quivrep.rep import ModHom, Rep, cokernel, cokernel_data, direct_sum, hom_space, socle
 from quivrep.selfext import (
     ExtClass,
     Presentation,
@@ -302,8 +302,9 @@ def case_decomp_split(field):
 
 
 def case_stage_maps(field):
-    """`to_h()`, `h1_incl` and `coker_ident(n - 1)` at every stage of the
-    horizontal and vertical ladders of a Kronecker, D4 and tower chessboard."""
+    """`pi_to_h`, `h1_incl` and the iso coker(w_{n-1}) -> H that `pi_to_h`
+    induces, at every stage of the horizontal and vertical ladders of a
+    Kronecker, D4 and tower chessboard."""
     seeds = [
         fx.kronecker_regular_seed(fx.kronecker(field)),
         fx.d4_seed(fx.d4_subspace(field)),
@@ -314,7 +315,8 @@ def case_stage_maps(field):
         for lad in chessboard(w0, v0, depth=3):
             for n in range(1, lad.depth + 1):
                 t = lad.truncation(n)
-                out += [t.to_h(), t.h1_incl, lad.coker_ident(n - 1)]
+                ident = cokernel_data(lad.w_maps[n - 1]).induce_from(t.proj.then(t.pi_to_h))
+                out += [t.pi_to_h, t.h1_incl, ident]
     return out
 
 

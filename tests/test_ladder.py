@@ -24,6 +24,7 @@ from quivrep.rep import (
     QuotientData,
     Rep,
     cokernel,
+    cokernel_data,
     direct_sum,
     factor_from,
     hom_from_blocks,
@@ -96,7 +97,6 @@ def test_stage_order_does_not_change_matrices(d4_seed):
         direct = Truncation(in_order, n)  # built from the table's stage n-1
         for name in STAGE_MAPS:
             assert getattr(a, name) == getattr(b, name) == getattr(direct, name)
-        assert a.to_h() == b.to_h() == direct.to_h()
 
 
 def test_failed_stage_raises_again_and_is_not_stored(d4_seed):
@@ -196,20 +196,20 @@ def test_no_caller_sees_a_half_built_stage(kron_seed, monkeypatch):
 
 
 def test_two_threads_asking_for_h_get_one_module(kron_seed, monkeypatch):
-    # the first builder of the cokernels stops inside them; the main thread
-    # builds and publishes them meanwhile, and both callers must get one H
+    # the first builder of H = H[1] stops inside its quotient; the main thread
+    # builds and publishes stage 1 meanwhile, and both callers must get one H
     w0, v0 = kron_seed
     lad = build_ladder(w0, v0, depth=2)
     paused, release = threading.Event(), threading.Event()
-    real = ladder.cokernel_data
+    real = ladder.QuotientData
 
-    def pausing_cokernel_data(f):
+    def pausing_quotient(*args):
         if threading.current_thread() is builder and not paused.is_set():
             paused.set()
             release.wait(60)
-        return real(f)
+        return real(*args)
 
-    monkeypatch.setattr(ladder, "cokernel_data", pausing_cokernel_data)
+    monkeypatch.setattr(ladder, "QuotientData", pausing_quotient)
     got = {}
     builder = threading.Thread(target=lambda: got.update(first=lad.basis_module))
     builder.start()
@@ -313,11 +313,16 @@ def _draw_seed(seed):
 @settings(max_examples=40, deadline=None)
 @given(random_seeds(SMALL_SEEDS + [(fx.kronecker, "b", "aa")]))
 def test_truncations_have_n_copies_of_h(seed):
-    # dim H[n] = n dim H at every vertex
+    # dim H[n] = n dim H at every vertex, and pi_to_h induces an iso
+    # coker(w_{n-1}) -> H
     lad = build_ladder(*_draw_seed(seed), depth=3)
     h = lad.basis_module
     for n in range(lad.depth + 1):
-        assert lad.truncation(n).rep.dims == {v: n * d for v, d in h.dims.items()}
+        t = lad.truncation(n)
+        assert t.rep.dims == {v: n * d for v, d in h.dims.items()}
+        if n:
+            cd = cokernel_data(lad.w_maps[n - 1])
+            assert cd.induce_from(t.proj.then(t.pi_to_h)).is_isomorphism()
 
 
 @settings(max_examples=30, deadline=None)
