@@ -53,6 +53,7 @@ from .rep import (
     ModHom,
     annihilator_dimension,
     combine,
+    coordinate_rows,
     direct_sum,
     hom_dimension,
     hom_from_blocks,
@@ -191,9 +192,8 @@ def _end_radical(end):
     field = end.module.algebra.field
     verts = end.module.algebra.quiver.vertices
     size = sum(d * d for d in end.module.dims.values())
-    blocks = [[b.blocks[v] for v in verts] for b in end.basis]
-    transposed = [[m.transpose() for m in group] for group in blocks]
-    gram = Mat.stack_flat(field, blocks, size) * Mat.stack_flat(field, transposed, size).transpose()
+    transposed = [[b.blocks[v].transpose() for v in verts] for b in end.basis]
+    gram = coordinate_rows(end.basis) * Mat.stack_flat(field, transposed, size).transpose()
     coords = gram.null_space()
     return [end.from_coordinates(coords.col(j)) for j in range(coords.ncols)]
 
@@ -227,12 +227,9 @@ def _s_is_field_certificate(end, rad, rng):
     coordinate row with `table`.
     """
     field = end.module.algebra.field
-    verts = end.module.algebra.quiver.vertices
-    size = sum(d * d for d in end.module.dims.values())
     start, dim = len(rad), end.dim
     homs = rad + end.basis + [a.then(b) for a in end.basis for b in end.basis]
-    coords = Mat.stack_flat(field, [[h.blocks[v] for v in verts] for h in homs], size)
-    _, pivots, red = coords.transpose().rref()
+    _, pivots, red = coordinate_rows(homs).transpose().rref()
     if pivots[-1] >= start + dim:
         raise QuivrepError("a product of endomorphisms outside End")
     chosen = [i - start for i in pivots[start:]]

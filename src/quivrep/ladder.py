@@ -51,6 +51,8 @@ class Ladder:
         self.v_maps = list(v_maps)
         if not (len(self.modules) == len(self.w_maps) + 1 == len(self.v_maps) + 1):
             raise QuivrepError("ladder map/module counts inconsistent")
+        if not self.w_maps:
+            raise QuivrepError("a ladder needs its seed maps w0 and v0")
         self._stages = {}
         if verify:
             self.verify()
@@ -242,10 +244,10 @@ def ladder_extension(q, v0):
 def ladder_seed_from_simple(ext, s_incl):
     """Recover a ladder seed for a self-extension from a simple submodule.
 
-    Given ext: 0 -> H -> E -> H -> 0 and a simple S <= H with no
-    self-extensions, returns (w, v): S -> U with U inside E such that the
-    depth-2 ladder of (w, v) rebuilds the extension; None when the required
-    factorization does not exist or Ext^1(S, S) != 0.
+    Given ext: 0 -> H -> E -> H -> 0 and a simple S <= H, returns (w, v,
+    q_u): w, v: S -> U with U inside E, and q_u: U -> H the epi with kernel
+    w(S), so that ladder_extension(q_u, v) rebuilds the extension.  None
+    exactly when Ext^1(S, S) != 0 or H -> H/S does not factor through E.
     """
     h = ext.a
     if ext.c != h:
@@ -260,27 +262,20 @@ def ladder_seed_from_simple(ext, s_incl):
     if ext1(s, s)[0] != 0:
         return None
     # factor H -> H/S through E: solve t o i = can
-    hs = QuotientData(h, s_incl.blocks)
-    can = hs.proj
+    can = QuotientData(h, s_incl.blocks).proj
     t = factor_from(ext.i, can)
     if t is None:
         return None
-    u_rep, kappa = kernel(t)
+    # U = ker t meets i(H) in i(S), so q_u = p on U is onto H, with kernel i(S)
+    kappa = kernel(t)[1]
     q_u = kappa.then(ext.p)
-    if not q_u.is_surjective():
-        return None
-    ker_qu, ker_incl = kernel(q_u)
+    ker_incl = kernel(q_u)[1]
     # identify S with ker(q_u) through the ambient module E
-    target_map = s_incl.then(ext.i)
-    iota = factor_through(ker_incl.then(kappa), target_map)
-    if iota is None:
-        return None
+    iota = factor_through(ker_incl.then(kappa), s_incl.then(ext.i))
     w = iota.then(ker_incl)
-    # pull back q_u along the inclusion S -> H and split the induced sequence
+    # the pullback of q_u along S -> H extends S by ker(q_u) = S, and splits
+    # as Ext^1(S, S) = 0
     sq = pullback(q_u, s_incl)
-    proj_to_s = sq.g  # X -> S
-    section = is_split_epi(proj_to_s)
-    if section is None:
-        return None
+    section = is_split_epi(sq.g)
     # v.q_u = section.f.q_u = section.g.s_incl = s_incl, as the pullback commutes
     return w, section.then(sq.f), q_u

@@ -279,7 +279,7 @@ def _commutation_system(m, n):
     return sylvester_system(m.algebra.field, shapes, equations)
 
 
-def _coordinate_rows(homs):
+def coordinate_rows(homs):
     """The matrix whose row k holds the coordinates of homs[k], as in
     `hom_space`: its blocks, each read row by row, one vertex after the
     other.  The homs all go from one source to one target."""
@@ -328,7 +328,7 @@ def hom_coordinates(basis, h):
     answer is canonical; `combine` maps it back to h."""
     if not basis:
         return [] if h.is_zero() else None
-    sol = _coordinate_rows(basis).transpose().solve_right(_coordinate_rows([h]).transpose())
+    sol = coordinate_rows(basis).transpose().solve_right(coordinate_rows([h]).transpose())
     return None if sol is None else sol.col(0)
 
 
@@ -337,7 +337,7 @@ def independent_indices(homs):
     columns of the matrix whose columns are their coordinate vectors."""
     if not homs:
         return []
-    return _coordinate_rows(homs).transpose().rref()[1]
+    return coordinate_rows(homs).transpose().rref()[1]
 
 
 def factor_through(given, target):

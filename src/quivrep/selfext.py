@@ -4,10 +4,15 @@ subgroup with its conversion to ladder seeds.
 Ext^1(M, N) is represented relative to a fixed minimal projective
 presentation 0 -> Omega M -u-> PM -p-> M -> 0 as
 Hom(Omega M, N) / Im(Hom(u, N)); two representatives are equal as classes
-iff their difference lies in that image.
+iff their difference lies in that image.  The cover p sends the generator
+of each copy of P(v) to a lift of a top basis vector of M, and each basis
+path to its action on that lift, one matrix product each.  A presentation
+given for another module raises QuivrepError.  `reduced_presentation_seed`
+returns None exactly when the map ker(qbar) -> M that the class induces
+does not lift through qbar.
 """
 
-from operator import mul
+from functools import reduce
 
 from .algebra import projective
 from .errors import NotStandard, QuivrepError, ZeroModule
@@ -37,34 +42,19 @@ def _cover(m):
     alg = m.algebra
     td = top_data(m)
     parts = []
-    generators = []  # image in M of each projective generator
+    columns = {t: [] for t in m.dims}  # of p's block at t, in order
     for v in alg.quiver.vertices:
-        mult = td.rep.dims[v]
-        if mult == 0:
-            continue
-        p_v, gen_idx = projective(alg, v)
-        lifts = td.section[v]  # columns lift the top basis back to M
-        for j in range(mult):
-            parts.append((p_v, gen_idx, v, lifts.col(j)))
-    total = sum_module([p for p, _, _, _ in parts])
-    columns = {v: [] for v in m.dims}  # of the block at v, in order
-    pb = alg.path_basis()
-    for p_v, gen_idx, src, lift in parts:
-        # the generator e_src goes to the lifted top vector; every basis path
-        # rho: src -> t sends it to rho acting on that vector
-        words = pb.words_from(src)
-        for t in m.dims:
-            for w in words[t]:
-                if w == ():
-                    columns[t].append(lift)
-                    continue
-                rows = m.path_action(w).rows
-                columns[t].append([alg.field.conv(sum(map(mul, row, lift))) for row in rows])
-    blocks = {
-        v: Mat(alg.field, [[c[i] for c in columns[v]] for i in range(m.dims[v])],
-               m.dims[v], total.dims[v])
-        for v in m.dims
-    }
+        words = alg.path_basis().words_from(v)
+        for j in range(td.rep.dims[v]):
+            parts.append(projective(alg, v)[0])
+            # the generator e_v goes to a lift of top basis vector j; every
+            # basis path w: v -> t sends it to w acting on that lift
+            lift = td.section[v].columns(j, j + 1)
+            for t, cols in columns.items():
+                cols += [m.path_action(w) * lift if w else lift for w in words[t]]
+    total = sum_module(parts)
+    blocks = {t: reduce(Mat.hstack, cols, Mat.zeros(alg.field, m.dims[t], 0))
+              for t, cols in columns.items()}
     p = ModHom(total, m, blocks)
     if not p.is_surjective():
         raise QuivrepError("projective cover map is not surjective")
@@ -117,14 +107,24 @@ class ExtClass:
 
 
 def hom_u_image(pres, n):
-    """Basis (as ModHoms Omega -> N) of Im(Hom(u, N))."""
-    maps = hom_space(pres.p_total, n)
-    return [pres.u.then(h) for h in maps]
+    """The nonzero maps u.h: Omega -> N for h in the `hom_space` basis of
+    Hom(P, N); they span Im Hom(u, N)."""
+    image = (pres.u.then(h) for h in hom_space(pres.p_total, n))
+    return [h for h in image if not h.is_zero()]
 
 
 def _in_u_image(pres, n, f):
-    image = [h for h in hom_u_image(pres, n) if not h.is_zero()]
-    return hom_coordinates(image, f) is not None
+    return hom_coordinates(hom_u_image(pres, n), f) is not None
+
+
+def _presentation_of(m, presentation):
+    """`presentation`, or a new one of m when it is None; QuivrepError when
+    it presents another module."""
+    if presentation is None:
+        return Presentation(m)
+    if presentation.module is not m and presentation.module != m:
+        raise QuivrepError("the presentation belongs to another module")
+    return presentation
 
 
 def ext1(m, n, presentation=None):
@@ -135,11 +135,11 @@ def ext1(m, n, presentation=None):
     """
     if m.is_zero():
         return 0, []
-    pres = presentation or Presentation(m)
+    pres = _presentation_of(m, presentation)
     homs = hom_space(pres.omega, n)
     if not homs:
         return 0, []
-    image = [h for h in hom_u_image(pres, n) if not h.is_zero()]
+    image = hom_u_image(pres, n)
     # the homs that extend the u-image: as many as dim Hom - dim Im
     chosen = [
         ExtClass(m, n, homs[i - len(image)], pres)
@@ -162,30 +162,24 @@ def class_to_sequence(c):
 def ext_class_of_sequence(ses, presentation=None):
     """The Ext class of 0 -> N -> E -> M -> 0 relative to the presentation.
 
-    Lifts p: PM -> M through the epi, then reads off Omega M -> N.
+    Lifts p: PM -> M through the epi, which exists as PM is projective,
+    then reads off Omega M -> N.
     """
-    m = ses.c
-    n = ses.a
-    pres = presentation or Presentation(m)
+    pres = _presentation_of(ses.c, presentation)
     lift = factor_through(ses.p, pres.p)
-    if lift is None:
-        raise QuivrepError("projective lifting failed (epi not surjective?)")
-    # restrict to Omega M: lands in ker(p) = im(i); express through i
-    omega_to_e = pres.u.then(lift)
-    rep = lift_through_mono(ses.i, omega_to_e)
-    if rep is None:
-        raise QuivrepError("map does not land in the mono image")
-    return ExtClass(m, n, rep, pres)
+    # restricted to Omega M it lands in ker(epi) = im(i); express through i
+    rep = lift_through_mono(ses.i, pres.u.then(lift))
+    return ExtClass(ses.c, ses.a, rep, pres)
 
 
 def standard_subspace(m, presentation=None):
     """(dimension, basis classes) of Ext^1(M,M)_s = Im(Hom(Omega,p)) / Im(Hom(u,M))."""
     if m.is_zero():
         return 0, []
-    pres = presentation or Presentation(m)
+    pres = _presentation_of(m, presentation)
     maps = hom_space(pres.omega, pres.p_total)
     through_p = [h.then(pres.p) for h in maps]
-    image_u = [h for h in hom_u_image(pres, m) if not h.is_zero()]
+    image_u = hom_u_image(pres, m)
     # verify the containment Im(Hom(u, M)) <= Im(Hom(Omega, p)): no element
     # of the u-image is independent of the maps through p
     if any(i >= len(through_p) for i in independent_indices(through_p + image_u)):
@@ -220,32 +214,23 @@ def reduced_presentation_seed(c):
     """Ladder seed through the quotient presentation PM/u(K), K = ker(representative).
 
     Returns (qbar, v0) where qbar: PM/u(K) -> M is the induced epi and v0
-    lifts the induced map ker(qbar) -> M through qbar; None when no lift
-    exists.  Feeding these to ladder_extension rebuilds the extension when
-    it is a ladder extension of this shape.
+    lifts the induced map fbar: ker(qbar) -> M through qbar; None exactly
+    when fbar does not lift through qbar.  Feeding these to ladder_extension
+    rebuilds the extension.
     """
     pres = c.presentation
     f = c.representative
-    k_rep, k_incl = kernel(f)
-    uk = k_incl.then(pres.u)  # K -> PM
+    uk = kernel(f)[1].then(pres.u)  # K -> PM
     qd = QuotientData(pres.p_total, uk.blocks)
-    qbar = qd.induce_from(pres.p)  # PM/u(K) -> M
-    if not qbar.is_surjective():
-        return None
+    qbar = qd.induce_from(pres.p)  # PM/u(K) -> M, onto as p is
     w0 = kernel(qbar)[1]
-    # Omega -> PM/u(K) lands in ker(qbar); corestricted there it is an epi
-    # theta with kernel K = ker f, so f descends through theta to the map
-    # fbar: ker(qbar) -> M that v0 lifts through qbar
+    # Omega -> PM/u(K) lands in ker(qbar) = u(Omega)/u(K); corestricted
+    # there it is an epi theta with kernel K = ker f, as u is injective, so
+    # f descends through theta to the map fbar that v0 lifts through qbar
     theta = lift_through_mono(w0, pres.u.then(qd.proj))
-    if theta is None:
-        return None
     fbar = descend_through_epi(theta, f)
-    if fbar is None or theta.then(fbar) != f:
-        return None
     v0 = factor_through(qbar, fbar)
-    if v0 is None:
-        return None
-    return qbar, v0
+    return None if v0 is None else (qbar, v0)
 
 
 def proj_dim_at_most_one(m):

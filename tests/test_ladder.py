@@ -57,6 +57,12 @@ def test_build_ladder_requires_mono(kron_seed, kron_projectives):
         build_ladder(ModHom.zero_hom(pb, pa), v0, depth=2)
 
 
+@pytest.mark.parametrize("verify", [True, False])
+def test_a_ladder_without_maps_is_refused(kron_seed, verify):
+    with pytest.raises(QuivrepError, match="seed maps"):
+        Ladder([kron_seed[0].source], [], [], verify=verify)
+
+
 def test_build_ladder_zero_cokernel(kron_regular):
     ident = ModHom.identity(kron_regular)
     with pytest.raises(ZeroCokernel):

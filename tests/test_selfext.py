@@ -5,16 +5,29 @@ from hypothesis import given, settings, strategies as st
 
 from quivrep.algebra import projective
 from quivrep.decomp import are_isomorphic
-from quivrep.errors import NotStandard, ZeroModule
-from quivrep.ladder import ladder_extension
+from quivrep.errors import NotStandard, QuivrepError, ZeroModule
+from quivrep.ladder import ladder_extension, ladder_seed_from_simple
 from quivrep.linalg import GF, QQ, Mat
-from quivrep.rep import ModHom, Rep, cokernel, combine, direct_sum, hom_space
+from quivrep.rep import (
+    ModHom,
+    QuotientData,
+    Rep,
+    cokernel,
+    combine,
+    direct_sum,
+    factor_from,
+    hom_space,
+    independent_indices,
+    socle,
+    sum_module,
+)
 from quivrep.selfext import (
     ExtClass,
     Presentation,
     class_to_sequence,
     ext1,
     ext_class_of_sequence,
+    hom_u_image,
     is_standard,
     proj_dim_at_most_one,
     projective_cover,
@@ -127,6 +140,36 @@ def test_class_to_sequence_loop_beta(loop_beta):
     ses = class_to_sequence(classes[0])
     assert ses.b.dims == {"a": 2, "b": 4}
     assert not ext_class_of_sequence(ses, pres).is_zero_class()
+
+
+def test_hom_u_image_leaves_out_zero_maps(kron_regular):
+    # Hom(P, H) is nonzero, but every u.h vanishes on H = coker(w0)
+    assert hom_u_image(Presentation(kron_regular), kron_regular) == []
+
+
+def test_hom_u_image_spans_the_image_of_hom_u(kron_regular, kron_projectives):
+    m = sum_module([kron_regular, kron_projectives[0]])
+    pres = Presentation(m)
+    image = hom_u_image(pres, m)
+    assert image and not any(h.is_zero() for h in image)
+    rank = len(independent_indices(image))
+    assert rank == len(hom_space(pres.omega, m)) - ext1(m, m, pres)[0]
+
+
+def test_a_presentation_of_another_module_is_refused(kronecker, kron_regular):
+    h = kron_regular
+    c = ext1(h, h)[1][0]
+    for other in ("a", "b"):
+        pres_s = Presentation(Rep.simple(kronecker, other))
+        with pytest.raises(QuivrepError, match="another module"):
+            standard_subspace(h, pres_s)
+        with pytest.raises(QuivrepError, match="another module"):
+            ext1(h, h, pres_s)
+        with pytest.raises(QuivrepError, match="another module"):
+            ext_class_of_sequence(class_to_sequence(c), pres_s)
+    # an equal module built apart shares the presentation
+    twin = Rep(kronecker, dict(h.dims), dict(h.action))
+    assert standard_subspace(twin, c.presentation)[0] == 1
 
 
 def test_standard_subspace_projective(kron_projectives):
@@ -296,3 +339,42 @@ def test_a_class_is_zero_exactly_when_its_sequence_splits(make, field, seed, zer
     if r is not None:
         assert r.commutes()
         assert seq.i.then(r) == ModHom.identity(n)
+
+
+def _simple_submodules(m):
+    """The inclusion of the simple submodule spanned by each socle basis vector."""
+    soc = socle(m).basis
+    return [
+        ModHom(Rep.simple(m.algebra, v), m, {v: soc[v].columns(j, j + 1)})
+        for v in m.algebra.quiver.vertices
+        for j in range(soc[v].ncols)
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+@pytest.mark.parametrize(
+    "make", [fx.loop_beta, fx.commuting_square_tower, fx.three_kronecker, fx.loop_square],
+    ids=lambda make: make.__name__,
+)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_seed_rebuilds_its_class_and_none_means_no_seed(make, field, seed):
+    """A quotient presentation seed rebuilds its class.  A seed from a simple
+    S <= H is missing only when Ext^1(S, S) != 0 or H -> H/S does not factor
+    through E."""
+    alg = make(field)
+    m = suites._random_module(alg, random.Random(seed))
+    pres = Presentation(m)
+    for c in ext1(m, m, pres)[1]:
+        out = reduced_presentation_seed(c)
+        if out is not None:
+            assert ext_class_of_sequence(ladder_extension(*out)[0], pres).equals(c)
+        ses = class_to_sequence(c)
+        for s_incl in _simple_submodules(m):
+            out = ladder_seed_from_simple(ses, s_incl)
+            if out is None:
+                can = QuotientData(m, s_incl.blocks).proj
+                assert ext1(s_incl.source, s_incl.source)[0] or factor_from(ses.i, can) is None
+            else:
+                _, v, q_u = out
+                assert ext_class_of_sequence(ladder_extension(q_u, v)[0], pres).equals(c)
